@@ -1,27 +1,19 @@
 """Vectorized lockstep-BFS engine for unweighted graphs.
 
-Sources are processed in fixed-size batches; one batch advances all
+Sources run in the fixed blocks of ``_sweep``; one block advances all
 its BFS frontiers level by level with sparse matmuls, then runs the
-backward credit pass the same way. Path counts live in float64 here
-(the scalar engine keeps exact integers); counts that overflow to inf
-raise instead of silently degrading.
-
-The batch size never depends on the worker count and partial results
-are merged in batch order, so any level of parallelism produces the
-same bytes.
+backward credit pass the same way. Path counts live in float64 here;
+counts that overflow to inf raise instead of silently degrading.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
+from ._sweep import sweep
 from .errors import SigmaOverflowError
 from .graph import Graph
 from .relevance import RelevanceFunction, RelevanceVector, Variant, pair_value_block
-
-BATCH = 256
 
 
 def _forward(g: Graph, R: RelevanceVector, f: RelevanceFunction, S: np.ndarray):
@@ -76,8 +68,16 @@ def _forward(g: Graph, R: RelevanceVector, f: RelevanceFunction, S: np.ndarray):
     return L, sigma, fwd, lev
 
 
-def _harmonic_block(g, R, f, S: np.ndarray) -> np.ndarray:
-    L, sigma, fwd, _ = _forward(g, R, f, S)
+def block(g, R, f, S: np.ndarray, harmonic: bool, betweenness: bool):
+    """Harmonic values of the sources S and their betweenness credit."""
+    L, sigma, fwd, maxlev = _forward(g, R, f, S)
+    hv = _harmonic(R, f, S, L, sigma, fwd) if harmonic else None
+    if not betweenness:
+        return hv, None, None
+    return (hv, *_betweenness(g, R, f, S, L, sigma, fwd, maxlev))
+
+
+def _harmonic(R, f, S, L, sigma, fwd) -> np.ndarray:
     mask = L > 0
     D = np.where(mask, L, 1).astype(np.float64)
     if f.variant.is_path:
@@ -88,7 +88,7 @@ def _harmonic_block(g, R, f, S: np.ndarray) -> np.ndarray:
     return contrib.sum(axis=1)
 
 
-def _betweenness_block(g, R, f, S: np.ndarray):
+def _betweenness(g, R, f, S, L, sigma, fwd, maxlev):
     A = g.adjacency_matrix
     n = g.vertex_count
     b = len(S)
@@ -96,7 +96,6 @@ def _betweenness_block(g, R, f, S: np.ndarray):
     r = R.values
     u, v = g.edge_endpoints
 
-    L, sigma, fwd, maxlev = _forward(g, R, f, S)
     sigma_safe = np.where(sigma > 0, sigma, 1.0)
 
     Lu = L[:, u]
@@ -159,33 +158,10 @@ def _betweenness_block(g, R, f, S: np.ndarray):
     return vb, cred.sum(axis=0)
 
 
-def _blocks(n: int) -> list[np.ndarray]:
-    return [np.arange(i, min(i + BATCH, n)) for i in range(0, n, BATCH)]
-
-
-def _map_blocks(fn, blocks, workers: int) -> list:
-    if workers <= 1 or len(blocks) <= 1:
-        return [fn(b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, blocks))
-
-
 def batched_betweenness(g: Graph, R: RelevanceVector, f: RelevanceFunction, workers: int = 1):
-    vb = np.zeros(g.vertex_count)
-    eb = np.zeros(g.edge_count)
-    parts = _map_blocks(
-        lambda S: _betweenness_block(g, R, f, S), _blocks(g.vertex_count), workers
-    )
-    for pv, pe in parts:
-        vb += pv
-        eb += pe
+    _, vb, eb = sweep(block, g, R, f, workers, harmonic=False, betweenness=True)
     return vb, eb
 
 
 def batched_harmonic(g: Graph, R: RelevanceVector, f: RelevanceFunction, workers: int = 1):
-    vals = np.zeros(g.vertex_count)
-    blocks = _blocks(g.vertex_count)
-    parts = _map_blocks(lambda S: _harmonic_block(g, R, f, S), blocks, workers)
-    for S, part in zip(blocks, parts):
-        vals[S] = part
-    return vals
+    return sweep(block, g, R, f, workers, harmonic=True, betweenness=False)[0]

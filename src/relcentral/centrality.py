@@ -7,33 +7,33 @@ pairs, so both (s,t) and (t,s) contribute; vertex betweenness credits
 interior vertices only, edge betweenness credits every edge of a path
 including the ones touching its endpoints.
 
-Unweighted graphs go through the vectorized lockstep engine in
-``_batched``; weighted graphs take a per-source scalar pass over the
-Dijkstra DAG with exact integer path counts. Per-source partials are
-always merged in ascending order, so results do not depend on the
-worker count.
+Harmonic closeness and betweenness run over fixed blocks of sources
+(``_sweep``), so one sweep serves both when both are asked for.
+Unweighted graphs go through the lockstep BFS engine in ``_batched``;
+weighted graphs through the array engine in ``_weighted``: compiled
+Dijkstra, the shortest-path DAG as an edge mask, and each recurrence
+over it as one sparse triangular solve. Block partials are always
+merged in block order, so results do not depend on the worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from ._sweep import sweep
 from .errors import (
     LengthMismatchError,
     PathVariantNotApplicableError,
     SigmaOverflowError,
 )
 from .graph import Graph
-from .paths import sssp
 from .relevance import (
     PRODUCT,
     RelevanceFunction,
     RelevanceVector,
-    Variant,
     pair_values_for_source,
 )
 
@@ -47,9 +47,6 @@ __all__ = [
     "betweenness_reports",
     "rank",
 ]
-
-_SCALAR_CHUNK = 64
-
 
 class Metric(str, Enum):
     DEGREE = "degree"
@@ -159,148 +156,37 @@ def degree_centrality(
     )
 
 
-# --- scalar per-source passes (weighted graphs) ---
+# --- harmonic and betweenness: one sweep over source blocks ---
 
 
-def _scalar_harmonic_source(g: Graph, R: RelevanceVector, f: RelevanceFunction, s: int) -> float:
-    dag = sssp(g, s)
-    d = dag.dist
-    reach = [t for t in dag.settle_order if t != s]
-    if not reach:
-        return 0.0
-    if f.variant.is_pairwise:
-        fv = pair_values_for_source(f, s, R)
-        return float(sum(fv[t] / d[t] for t in reach))
-    fwd = _forward_path_values(g, R, f, dag)
-    return float(sum(fwd[t] / dag.sigma[t] / d[t] for t in reach))
+def _path_reports(
+    g: Graph,
+    R: RelevanceVector | None,
+    f: RelevanceFunction,
+    workers: int,
+    relevance_source: str | None,
+    harmonic: bool = True,
+    betweenness: bool = True,
+):
+    """Harmonic, vertex and edge betweenness reports from a single sweep.
 
-
-def _forward_path_values(g, R, f, dag) -> list[float]:
-    """Per target t, the total path weight summed over all shortest s-t paths."""
-    r = R.values
-    out = [0.0] * g.vertex_count
-    out[dag.source] = r[dag.source]
-    if f.variant is Variant.PATH_PROD:
-        for w in dag.settle_order[1:]:
-            out[w] = r[w] * sum(out[p] for p in dag.preds[w])
-    else:  # PATH_SUM; sum of pred sigmas is sigma[w]
-        for w in dag.settle_order[1:]:
-            out[w] = sum(out[p] for p in dag.preds[w]) + r[w] * dag.sigma[w]
-    return out
-
-
-def _scalar_betweenness_source(
-    g: Graph, R: RelevanceVector, f: RelevanceFunction, s: int,
-    vb: np.ndarray, eb: np.ndarray,
-) -> None:
-    """Accumulate one source's vertex and edge credit into vb/eb."""
-    dag = sssp(g, s)
-    sigma = dag.sigma
-    n = g.vertex_count
-    if f.variant.is_pairwise:
-        fv = pair_values_for_source(f, s, R)
-        delta = [0.0] * n
-        for w in reversed(dag.settle_order):
-            if w == s:
-                continue
-            gw = fv[w] + delta[w]
-            sw = sigma[w]
-            for p, ei in zip(dag.preds[w], dag.pred_edges[w]):
-                c = (sigma[p] / sw) * gw  # exact big-int ratio, then scaled
-                delta[p] += c
-                eb[ei] += c
-        for v in range(n):
-            if v != s:
-                vb[v] += delta[v]
-        return
-
-    r = R.values
-    fwd = _forward_path_values(g, R, f, dag)
-    if f.variant is Variant.PATH_PROD:
-        # backward pass: K(w) sums suffix products / sigma_t over all
-        # DAG suffixes starting at w; succ_sum collects K over successors.
-        succ_sum = [0.0] * n
-        for w in reversed(dag.settle_order):
-            if w == s:
-                continue
-            kw = r[w] * (1.0 / sigma[w] + succ_sum[w])
-            for p, ei in zip(dag.preds[w], dag.pred_edges[w]):
-                succ_sum[p] += kw
-                eb[ei] += fwd[p] * kw
-        for v in range(n):
-            if v != s:
-                vb[v] += fwd[v] * succ_sum[v]
+    Reports not asked for are None. The harmonic report is the same
+    whether or not betweenness rides along.
+    """
+    R, relevance_source = _resolve(g, R, relevance_source)
+    if g.weighted:
+        from ._weighted import block
     else:
-        # PATH_SUM needs two suffix aggregates: plain 1/sigma_t mass and
-        # suffix-sum-of-R mass.
-        cnt_sum = [0.0] * n
-        sum_sum = [0.0] * n
-        for w in reversed(dag.settle_order):
-            if w == s:
-                continue
-            kc = 1.0 / sigma[w] + cnt_sum[w]
-            ks = r[w] / sigma[w] + sum_sum[w] + r[w] * cnt_sum[w]
-            for p, ei in zip(dag.preds[w], dag.pred_edges[w]):
-                cnt_sum[p] += kc
-                sum_sum[p] += ks
-                eb[ei] += fwd[p] * kc + sigma[p] * ks
-        for v in range(n):
-            if v != s:
-                vb[v] += fwd[v] * cnt_sum[v] + sigma[v] * sum_sum[v]
-
-
-def _chunks(n: int, size: int) -> list[range]:
-    return [range(i, min(i + size, n)) for i in range(0, n, size)]
-
-
-def _scalar_betweenness(g, R, f, workers: int):
-    n = g.vertex_count
-
-    def run(chunk: range):
-        vb = np.zeros(n)
-        eb = np.zeros(g.edge_count)
-        # float-range overflow lands as inf and trips the report's
-        # finiteness check; big-int conversion failures surface here
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                for s in chunk:
-                    _scalar_betweenness_source(g, R, f, s, vb, eb)
-        except OverflowError as exc:  # big-int sigma no longer fits a float
-            raise SigmaOverflowError(str(exc)) from exc
-        return vb, eb
-
-    parts = _map_ordered(run, _chunks(n, _SCALAR_CHUNK), workers)
-    vb = np.zeros(n)
-    eb = np.zeros(g.edge_count)
-    for pv, pe in parts:
-        vb += pv
-        eb += pe
-    return vb, eb
-
-
-def _scalar_harmonic(g, R, f, workers: int) -> np.ndarray:
-    n = g.vertex_count
-
-    def run(chunk: range):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return [_scalar_harmonic_source(g, R, f, s) for s in chunk]
-        except OverflowError as exc:
-            raise SigmaOverflowError(str(exc)) from exc
-
-    chunks = _chunks(n, _SCALAR_CHUNK)
-    vals = np.zeros(n)
-    for chunk, part in zip(chunks, _map_ordered(run, chunks, workers)):
-        vals[list(chunk)] = part
-    return vals
-
-
-def _map_ordered(fn, jobs, workers: int) -> list:
-    """Run jobs possibly in parallel, return results in job order."""
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+        from ._batched import block
+    h, vb, eb = sweep(block, g, R, f, workers, harmonic, betweenness)
+    kw = dict(f=f, relevance_source=relevance_source, weighted=g.weighted)
+    hrep = vrep = erep = None
+    if harmonic:
+        hrep = _make_report(Metric.HARMONIC, "vertex", g.labels, h, **kw)
+    if betweenness:
+        vrep = _make_report(Metric.VERTEX_BETWEENNESS, "vertex", g.labels, vb, **kw)
+        erep = _make_report(Metric.EDGE_BETWEENNESS, "edge", _edge_ids(g), eb, **kw)
+    return hrep, vrep, erep
 
 
 # --- public metric entry points ---
@@ -319,24 +205,7 @@ def harmonic_centrality(
     on disconnected graphs. For path variants the per-pair weight is
     the mean of the path weight over all tied shortest paths.
     """
-    R, relevance_source = _resolve(g, R, relevance_source)
-    if g.weighted:
-        vals = _scalar_harmonic(g, R, f, workers)
-    else:
-        from ._batched import batched_harmonic
-
-        vals = batched_harmonic(g, R, f, workers)
-    return _make_report(
-        Metric.HARMONIC, "vertex", g.labels, vals, f, relevance_source, g.weighted
-    )
-
-
-def _betweenness_values(g, R, f, workers: int):
-    if g.weighted:
-        return _scalar_betweenness(g, R, f, workers)
-    from ._batched import batched_betweenness
-
-    return batched_betweenness(g, R, f, workers)
+    return _path_reports(g, R, f, workers, relevance_source, betweenness=False)[0]
 
 
 def betweenness_reports(
@@ -347,15 +216,7 @@ def betweenness_reports(
     relevance_source: str | None = None,
 ) -> tuple[CentralityReport, CentralityReport]:
     """Vertex and edge betweenness from a single sweep."""
-    R, relevance_source = _resolve(g, R, relevance_source)
-    vb, eb = _betweenness_values(g, R, f, workers)
-    vrep = _make_report(
-        Metric.VERTEX_BETWEENNESS, "vertex", g.labels, vb, f, relevance_source, g.weighted
-    )
-    erep = _make_report(
-        Metric.EDGE_BETWEENNESS, "edge", _edge_ids(g), eb, f, relevance_source, g.weighted
-    )
-    return vrep, erep
+    return _path_reports(g, R, f, workers, relevance_source, harmonic=False)[1:]
 
 
 def vertex_betweenness(

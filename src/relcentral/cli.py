@@ -18,9 +18,8 @@ from .centrality import (
     CentralityReport,
     Metric,
     _make_report,
-    betweenness_reports,
+    _path_reports,
     degree_centrality,
-    harmonic_centrality,
 )
 from .errors import (
     ExperimentCellError,
@@ -68,6 +67,11 @@ def _parse_f(selector: str, g: Graph) -> RelevanceFunction:
     return RelevanceFunction(variant)
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {workers}")
+
+
 def _print_top10(rep: CentralityReport) -> None:
     print(f"{rep.metric.value} (f={rep.f_label}, relevance={rep.relevance_source})")
     table = rep.as_dict()
@@ -103,6 +107,7 @@ def _oracle_reports(g, R, f, wanted: list[str], relevance_source: str):
 
 
 def cmd_compute(args) -> int:
+    _check_workers(args.workers)
     records = io_formats.load_edge_csv(args.edges)
     g = build_graph(records)
     if args.relevance:
@@ -132,18 +137,17 @@ def cmd_compute(args) -> int:
         reports = []
         if "degree" in wanted:
             reports.append(degree_centrality(g, R, f, relevance_source=relevance_source))
-        if "harmonic" in wanted:
-            reports.append(
-                harmonic_centrality(g, R, f, workers=args.workers, relevance_source=relevance_source)
+        betweenness = "betweenness" in wanted or "edge-betweenness" in wanted
+        if "harmonic" in wanted or betweenness:
+            hrep, vrep, erep = _path_reports(
+                g, R, f, args.workers, relevance_source,
+                harmonic="harmonic" in wanted, betweenness=betweenness,
             )
-        if "betweenness" in wanted or "edge-betweenness" in wanted:
-            vrep, erep = betweenness_reports(
-                g, R, f, workers=args.workers, relevance_source=relevance_source
-            )
-            if "betweenness" in wanted:
-                reports.append(vrep)
-            if "edge-betweenness" in wanted:
-                reports.append(erep)
+            reports += [
+                rep for name, rep in (
+                    ("harmonic", hrep), ("betweenness", vrep), ("edge-betweenness", erep)
+                ) if name in wanted
+            ]
 
     for rep in reports:
         _print_top10(rep)
@@ -175,6 +179,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    _check_workers(args.workers)
     grid = ExperimentGrid.from_json(args.grid) if args.grid else ExperimentGrid()
     records = run_grid(grid, workers=args.workers)
     write_correlation_csv(records, args.out)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .centrality import harmonic_centrality, vertex_betweenness
 from .errors import ExperimentCellError, LengthMismatchError
@@ -80,6 +79,8 @@ def spearman(x, y) -> float:
         raise LengthMismatchError(f"vectors of shape {x.shape} vs {y.shape}")
     if len(x) < 2:
         raise LengthMismatchError("correlation needs at least 2 samples")
+    from scipy.stats import rankdata  # scipy.stats takes most of a second to import
+
     return pearson(rankdata(x), rankdata(y))
 
 

@@ -127,6 +127,15 @@ class Graph:
             self._edge_uv = (u, v)
         return self._edge_uv
 
+    @property
+    def edge_weights(self) -> np.ndarray:
+        """Edge weights as an array, edge order."""
+        if not hasattr(self, "_edge_w"):
+            self._edge_w = np.fromiter(
+                (e.weight for e in self.edges), dtype=np.float64, count=self.edge_count
+            )
+        return self._edge_w
+
     def __repr__(self) -> str:  # pragma: no cover
         kind = "weighted" if self.weighted else "unweighted"
         return f"Graph({self.vertex_count} vertices, {self.edge_count} edges, {kind})"

@@ -290,7 +290,8 @@ def _normalize(values: np.ndarray) -> np.ndarray:
 
 
 def _quote(label: str) -> str:
-    return '"' + label.replace('"', '\\"') + '"'
+    escaped = label.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return '"' + escaped + '"'
 
 
 def export_dot(

@@ -4,7 +4,12 @@ Produces, per source, the distance vector, the number of distinct
 shortest paths sigma (exact integers, never floats), the predecessor
 DAG, and a deterministic settle order. BFS handles the unweighted
 case; Dijkstra handles positive weights, with a relative tolerance
-deciding when two candidate distances count as tied.
+(``TIE_TOL``) deciding when two candidate distances count as tied.
+
+This is the per-source reference form for inspecting one DAG or
+enumerating its paths. The metrics do not call it: they run the block
+engines in ``_batched`` (unweighted) and ``_weighted`` (weighted),
+which apply the same tie rule to whole blocks of sources at once.
 """
 
 from __future__ import annotations

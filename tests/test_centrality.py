@@ -12,9 +12,11 @@ from conftest import (
     square_graph,
     weighted_ring,
 )
-from relcentral import _batched
+from relcentral import _batched, _weighted
+from relcentral._sweep import BLOCK
 from relcentral.centrality import (
     Metric,
+    _path_reports,
     betweenness_reports,
     degree_centrality,
     edge_betweenness,
@@ -252,6 +254,74 @@ def test_workers_do_not_change_results():
             h1 = harmonic_centrality(g, R, f, workers=1)
             h4 = harmonic_centrality(g, R, f, workers=4)
             assert h1.values.tobytes() == h4.values.tobytes()
+
+
+def test_weighted_workers_do_not_change_results_across_blocks():
+    rng = np.random.default_rng(17)
+    n = BLOCK + 44
+    g = random_graph(rng, n, weighted=True)
+    R = random_relevance(rng, n)
+    for f in (PRODUCT, PATH_SUM):
+        one = _path_reports(g, R, f, 1, None)
+        four = _path_reports(g, R, f, 4, None)
+        for a, b in zip(one, four):
+            assert a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("f", [PRODUCT, PATH_PROD], ids=["pairwise", "path"])
+def test_shared_sweep_harmonic_matches_harmonic_alone(weighted, f):
+    rng = np.random.default_rng(23)
+    g = random_graph(rng, 40, weighted)
+    R = random_relevance(rng, 40)
+    hrep, vrep, erep = _path_reports(g, R, f, 1, None)
+    alone = harmonic_centrality(g, R, f)
+    assert hrep.values.tobytes() == alone.values.tobytes()
+    v, e = betweenness_reports(g, R, f)
+    assert vrep.values.tobytes() == v.values.tobytes()
+    assert erep.values.tobytes() == e.values.tobytes()
+
+
+def _reweighted(g, weight: float):
+    return build_graph([(a, b, weight) for a, b, _ in g.edge_records()])
+
+
+def _assert_uniform_weight_matches_unweighted(g1, R):
+    g2 = _reweighted(g1, 2.0)
+    assert g2.weighted and not g1.weighted
+    for f in ALL_FS:
+        h1, v1, e1 = _path_reports(g1, R, f, 1, None)
+        h2, v2, e2 = _path_reports(g2, R, f, 1, None)
+        np.testing.assert_allclose(v2.values, v1.values, rtol=1e-12)
+        np.testing.assert_allclose(e2.values, e1.values, rtol=1e-12)
+        np.testing.assert_allclose(h2.values, h1.values / 2.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_uniform_weight_two_matches_unweighted_engine(seed):
+    rng = np.random.default_rng(40 + seed)
+    n = int(rng.integers(8, 60))
+    _assert_uniform_weight_matches_unweighted(
+        random_graph(rng, n, weighted=False), random_relevance(rng, n)
+    )
+
+
+def test_uniform_weight_two_diamond_chain_uses_exact_counts(monkeypatch):
+    # sigma reaches 2^60, past the float64 integer range
+    counts = _weighted._StackedDag._counts
+    calls = []
+
+    def spy(dag):
+        sigma, exact = counts(dag)
+        calls.append(exact is not None)
+        return sigma, exact
+
+    monkeypatch.setattr(_weighted._StackedDag, "_counts", spy)
+    g = _diamond_chain(60)
+    _assert_uniform_weight_matches_unweighted(
+        g, random_relevance(np.random.default_rng(7), g.vertex_count)
+    )
+    assert any(calls)
 
 
 # --- overflow guards ---

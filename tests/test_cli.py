@@ -152,6 +152,31 @@ def test_generate_invalid_degree_is_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("graph", [RING, WRING], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("f", ["product", "path-prod"])
+def test_metric_all_harmonic_table_matches_harmonic_alone(tmp_path, graph, f):
+    edges = put(tmp_path, "g.csv", graph)
+    rel = put(tmp_path, "r.csv", REL)
+    tables = []
+    for metric in ("all", "harmonic"):
+        out = tmp_path / f"{metric}.json"
+        argv = ["compute", edges, "--relevance", rel, "--f", f, "--metric", metric]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        tables.append(json.dumps(json.loads(out.read_bytes())["vertices"]["harmonic"]))
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_nonpositive_workers_is_input_error(tmp_path, capsys, workers):
+    edges = put(tmp_path, "g.csv", RING)
+    assert main(["compute", edges, "--workers", workers]) == EXIT_INPUT
+    assert "--workers" in capsys.readouterr().err
+    out = tmp_path / "corr.csv"
+    assert main(["experiment", "--out", str(out), "--workers", workers]) == EXIT_INPUT
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_grid_to_csv(tmp_path):
     grid = put(tmp_path, "grid.json", json.dumps({
         "kinds": ["random"], "sizes": [20], "r": [0.0, 1.0],

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import relcentral
 from conftest import random_graph, random_relevance
 from relcentral.centrality import harmonic_centrality
 from relcentral.errors import ExperimentCellError, LengthMismatchError
@@ -177,3 +182,14 @@ def test_source_only_harmonic_ratio_tracks_relevance():
     ratio = ext / classic  # connected graph, no zero rows
     assert spearman(R.values, ratio) == pytest.approx(1.0)
     np.testing.assert_allclose(ratio, R.values, rtol=1e-12)
+
+
+def test_import_does_not_load_scipy_stats():
+    src = str(Path(relcentral.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, relcentral; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"

@@ -226,6 +226,15 @@ def test_export_dot_encodes_values():
     assert "#000000" in dot and "#00ffff" in dot
 
 
+def test_export_dot_escapes_backslash_quote_and_newline():
+    g = build_graph([('a\\b"c\nd', "plain")])
+    dot = export_dot(g)
+    assert '"a\\\\b\\"c\\nd";' in dot
+    assert '"a\\\\b\\"c\\nd" -- "plain";' in dot
+    # a raw newline inside a label would start a line of its own
+    assert all(line.startswith(("graph", "  ", "}")) for line in dot.splitlines())
+
+
 def test_export_dot_without_reports_lists_structure():
     g = build_graph([('we"ird', "b")])
     dot = export_dot(g)
