@@ -34,7 +34,7 @@ from .relevance import (
     PRODUCT,
     RelevanceFunction,
     RelevanceVector,
-    pair_values_for_source,
+    pair_values,
 )
 
 __all__ = [
@@ -100,7 +100,7 @@ def _make_report(
             f"{metric.value} accumulation overflowed to a non-finite value; "
             "the instance is beyond float64 range"
         )
-    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
+    order = np.argsort(-values, kind="stable")  # stable: ties keep index order
     values = values.copy()
     values.setflags(write=False)
     return CentralityReport(
@@ -108,7 +108,7 @@ def _make_report(
         kind=kind,
         ids=ids,
         values=values,
-        ranking=tuple(ids[i] for i in order),
+        ranking=tuple(map(ids.__getitem__, order.tolist())),
         f_label=f.label,
         relevance_source=relevance_source,
         weighted=weighted,
@@ -127,10 +127,6 @@ def _resolve(g: Graph, R: RelevanceVector | None, relevance_source: str | None):
     return R, relevance_source
 
 
-def _edge_ids(g: Graph) -> tuple:
-    return tuple((g.labels[e.u], g.labels[e.v]) for e in g.edges)
-
-
 # --- degree ---
 
 
@@ -146,11 +142,9 @@ def degree_centrality(
             f"{f.label} needs a path; degree only sees direct neighbors"
         )
     R, relevance_source = _resolve(g, R, relevance_source)
-    vals = np.zeros(g.vertex_count)
-    for s in range(g.vertex_count):
-        nbrs = [t for t, _, _ in g.adjacency[s]]
-        if nbrs:
-            vals[s] = pair_values_for_source(f, s, R)[nbrs].sum()
+    u, v = g.edge_endpoints
+    s, t = np.concatenate([u, v]), np.concatenate([v, u])  # both arcs of every edge
+    vals = np.bincount(s, weights=pair_values(f, s, t, R), minlength=g.vertex_count)
     return _make_report(
         Metric.DEGREE, "vertex", g.labels, vals, f, relevance_source, g.weighted
     )
@@ -185,7 +179,8 @@ def _path_reports(
         hrep = _make_report(Metric.HARMONIC, "vertex", g.labels, h, **kw)
     if betweenness:
         vrep = _make_report(Metric.VERTEX_BETWEENNESS, "vertex", g.labels, vb, **kw)
-        erep = _make_report(Metric.EDGE_BETWEENNESS, "edge", _edge_ids(g), eb, **kw)
+        ids = tuple(g.edge_labels())
+        erep = _make_report(Metric.EDGE_BETWEENNESS, "edge", ids, eb, **kw)
     return hrep, vrep, erep
 
 

@@ -101,8 +101,8 @@ def _oracle_reports(g, R, f, wanted: list[str], relevance_source: str):
                 _make_report(Metric.VERTEX_BETWEENNESS, "vertex", g.labels, vb, **kw)
             )
         if "edge-betweenness" in wanted:
-            ids = tuple((g.labels[e.u], g.labels[e.v]) for e in g.edges)
-            reports.append(_make_report(Metric.EDGE_BETWEENNESS, "edge", ids, eb, **kw))
+            reports.append(_make_report(
+                Metric.EDGE_BETWEENNESS, "edge", tuple(g.edge_labels()), eb, **kw))
     return reports
 
 

@@ -3,13 +3,20 @@
 Vertices carry external string labels and dense internal indices
 (0..V-1, assigned in first-appearance order). Edge weights are
 distances: lower weight means the endpoints are closer.
+
+A graph is stored as flat arrays: edge k joins ``u[k] < v[k]`` with
+weight ``w[k]``, edges in construction order, and the label->index
+dict is the only per-vertex Python structure. The symmetric CSR
+adjacency the engines use is derived from these arrays, and so are
+the ``Edge`` records, per-vertex adjacency lists and edge-id lookup
+that the per-source reference code walks; each is built on first use.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 from scipy import sparse
@@ -35,27 +42,16 @@ class Edge:
 
 class Graph:
     """Validated undirected simple graph. Immutable after construction;
-    safe to share across worker threads."""
+    safe to share across worker threads. Made by :func:`build_graph`.
+    """
 
-    def __init__(self, labels: Sequence[str], edges: Sequence[Edge]):
-        self.labels: tuple[str, ...] = tuple(labels)
-        self.edges: tuple[Edge, ...] = tuple(edges)
-        self._index: dict[str, int] = {lab: i for i, lab in enumerate(self.labels)}
-        n = len(self.labels)
-
-        adjacency: list[list[tuple[int, int, float]]] = [[] for _ in range(n)]
-        for ei, e in enumerate(self.edges):
-            adjacency[e.u].append((e.v, ei, e.weight))
-            adjacency[e.v].append((e.u, ei, e.weight))
-        for lst in adjacency:
-            lst.sort()
-        self.adjacency: tuple[tuple[tuple[int, int, float], ...], ...] = tuple(
-            tuple(lst) for lst in adjacency
-        )
-        self.weighted: bool = any(e.weight != 1.0 for e in self.edges)
-        self._edge_index: dict[tuple[int, int], int] = {
-            (e.u, e.v): ei for ei, e in enumerate(self.edges)
-        }
+    def __init__(self, index: dict[str, int], u: np.ndarray, v: np.ndarray, w: np.ndarray):
+        self._index = index
+        self.labels: tuple[str, ...] = tuple(index)
+        for a in (u, v, w):
+            a.setflags(write=False)
+        self._u, self._v, self._w = u, v, w
+        self.weighted: bool = bool(np.any(w != 1.0))
 
     # --- basic queries ---
 
@@ -65,7 +61,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self._u)
 
     def index_of(self, label: str) -> int:
         try:
@@ -83,58 +79,63 @@ class Graph:
 
     def edge_id(self, u: int, v: int) -> int:
         """Edge index for an internal endpoint pair (either order)."""
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self._edge_index[key]
-        except KeyError:
-            raise UnknownVertexError(f"no edge between indices {u} and {v}") from None
+        if 0 <= u < self.vertex_count:
+            for t, ei, _ in self.adjacency[u]:
+                if t == v:
+                    return ei
+        raise UnknownVertexError(f"no edge between indices {u} and {v}")
 
     def neighbors(self, label: str) -> list[tuple[str, float]]:
         """Adjacent vertices with edge weights, ascending by internal index."""
         i = self.index_of(label)
         return [(self.labels[j], w) for j, _, w in self.adjacency[i]]
 
+    def edge_labels(self) -> list[tuple[str, str]]:
+        """Edges as (label, label) pairs, in construction order."""
+        lab = self.labels.__getitem__
+        return list(zip(map(lab, self._u.tolist()), map(lab, self._v.tolist())))
+
     def edge_records(self) -> list[tuple[str, str, float]]:
         """Edges as (label, label, weight) triples, in construction order."""
-        return [(self.labels[e.u], self.labels[e.v], e.weight) for e in self.edges]
+        return [(a, b, w) for (a, b), w in zip(self.edge_labels(), self._w.tolist())]
 
-    def edge_labels(self) -> list[tuple[str, str]]:
-        return [(self.labels[e.u], self.labels[e.v]) for e in self.edges]
-
-    # --- array views used by the batched engine ---
-
-    @property
-    def adjacency_matrix(self) -> sparse.csr_array:
-        """Symmetric 0/1 CSR adjacency (built lazily, cached)."""
-        if not hasattr(self, "_adj_csr"):
-            n = self.vertex_count
-            rows, cols = [], []
-            for e in self.edges:
-                rows += [e.u, e.v]
-                cols += [e.v, e.u]
-            data = np.ones(len(rows))
-            self._adj_csr = sparse.csr_array(
-                (data, (rows, cols)), shape=(n, n), dtype=np.float64
-            )
-        return self._adj_csr
+    # --- arrays ---
 
     @property
     def edge_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Arrays (u[], v[]) of internal endpoint indices, edge order."""
-        if not hasattr(self, "_edge_uv"):
-            u = np.fromiter((e.u for e in self.edges), dtype=np.int64, count=self.edge_count)
-            v = np.fromiter((e.v for e in self.edges), dtype=np.int64, count=self.edge_count)
-            self._edge_uv = (u, v)
-        return self._edge_uv
+        """Read-only arrays (u[], v[]) of internal endpoint indices, edge order."""
+        return self._u, self._v
 
     @property
     def edge_weights(self) -> np.ndarray:
-        """Edge weights as an array, edge order."""
-        if not hasattr(self, "_edge_w"):
-            self._edge_w = np.fromiter(
-                (e.weight for e in self.edges), dtype=np.float64, count=self.edge_count
-            )
-        return self._edge_w
+        """Read-only edge weights, edge order."""
+        return self._w
+
+    @cached_property
+    def adjacency_matrix(self) -> sparse.csr_array:
+        """Symmetric 0/1 CSR adjacency."""
+        n = self.vertex_count
+        rows = np.concatenate([self._u, self._v])
+        cols = np.concatenate([self._v, self._u])
+        return sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+
+    # --- views for the per-source reference code, built on first use ---
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(map(Edge, self._u.tolist(), self._v.tolist(), self._w.tolist()))
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[tuple[int, int, float], ...], ...]:
+        """Per vertex, (neighbor, edge id, weight) ascending by neighbor."""
+        m = self.edge_count
+        src = np.concatenate([self._u, self._v])
+        dst = np.concatenate([self._v, self._u])
+        order = np.lexsort((dst, src))
+        arcs = list(zip(dst[order].tolist(), np.tile(np.arange(m), 2)[order].tolist(),
+                        np.tile(self._w, 2)[order].tolist()))
+        ends = np.cumsum(np.bincount(src, minlength=self.vertex_count)).tolist()
+        return tuple(tuple(arcs[a:b]) for a, b in zip([0] + ends, ends))
 
     def __repr__(self) -> str:  # pragma: no cover
         kind = "weighted" if self.weighted else "unweighted"
@@ -152,56 +153,72 @@ def build_graph(
     vertices are declared). A record of the form ``(label,)`` or
     ``(label, None)`` also declares a bare vertex. Missing weights
     default to 1.
+
+    The first faulty record decides the error; within a record the
+    label is checked first, then self-loop, weight and duplicate.
     """
-    labels: list[str] = []
     index: dict[str, int] = {}
-
-    def intern(label: str) -> int:
-        if label not in index:
-            index[label] = len(labels)
-            labels.append(label)
-        return index[label]
-
     for lab in vertices:
-        _check_label(lab, "vertex list")
-        intern(lab)
+        _check_label(lab, None)
+        index.setdefault(lab, len(index))
 
-    edges: list[Edge] = []
-    seen: set[tuple[int, int]] = set()
-    for pos, rec in enumerate(edge_records):
-        rec = tuple(rec)
-        if len(rec) >= 2 and rec[1] is None:
-            rec = rec[:1]
-        if len(rec) == 1:
-            _check_label(rec[0], f"record {pos}")
-            intern(rec[0])
-            continue
-        if len(rec) == 2:
-            a, b = rec
-            w = 1.0
-        elif len(rec) == 3:
-            a, b, w = rec
-            w = 1.0 if w is None else float(w)
-        else:
-            raise ValueError(f"record {pos}: expected 1-3 fields, got {rec!r}")
-        _check_label(a, f"record {pos}")
-        _check_label(b, f"record {pos}")
-        if a == b:
+    ends_a, ends_b, weights, record_pos = [], [], [], []
+    fault = None
+    try:
+        for pos, rec in enumerate(edge_records):
+            rec = tuple(rec)
+            if len(rec) >= 2 and rec[1] is None:
+                rec = rec[:1]
+            if len(rec) == 1:
+                _check_label(rec[0], pos)
+                index.setdefault(rec[0], len(index))
+                continue
+            if len(rec) == 2:
+                a, b = rec
+                w = 1.0
+            elif len(rec) == 3:
+                a, b, w = rec
+                w = 1.0 if w is None else float(w)
+            else:
+                raise ValueError(f"record {pos}: expected 1-3 fields, got {rec!r}")
+            _check_label(a, pos)
+            _check_label(b, pos)
+            ends_a.append(index.setdefault(a, len(index)))
+            ends_b.append(index.setdefault(b, len(index)))
+            weights.append(w)
+            record_pos.append(pos)
+    except Exception as exc:
+        # raised after the array checks, which only see the records
+        # before this one and so take precedence
+        fault = exc
+
+    n = len(index)
+    ia = np.array(ends_a, dtype=np.int64)
+    ib = np.array(ends_b, dtype=np.int64)
+    w = np.array(weights, dtype=np.float64)
+    u, v = np.minimum(ia, ib), np.maximum(ia, ib)
+    loop = ia == ib
+    bad_weight = ~(np.isfinite(w) & (w > 0.0))
+    repeat = np.ones(len(u), dtype=bool)  # every occurrence of a pair after its first
+    repeat[np.unique(u * n + v, return_index=True)[1]] = False
+    faulty = loop | bad_weight | repeat
+    if faulty.any():
+        k = int(np.argmax(faulty))
+        labels = list(index)
+        pos, a, b = record_pos[k], labels[ia[k]], labels[ib[k]]
+        if loop[k]:
             raise SelfLoopError(f"record {pos}: self-loop at {a!r}")
-        if not math.isfinite(w) or w <= 0.0:
-            raise NonPositiveWeightError(f"record {pos}: weight {w!r} for {a!r}-{b!r}")
-        ia, ib = intern(a), intern(b)
-        key = (ia, ib) if ia < ib else (ib, ia)
-        if key in seen:
-            raise DuplicateEdgeError(f"record {pos}: duplicate edge {a!r}-{b!r}")
-        seen.add(key)
-        edges.append(Edge(key[0], key[1], w))
-
-    return Graph(labels, edges)
+        if bad_weight[k]:
+            raise NonPositiveWeightError(f"record {pos}: weight {float(w[k])!r} for {a!r}-{b!r}")
+        raise DuplicateEdgeError(f"record {pos}: duplicate edge {a!r}-{b!r}")
+    if fault is not None:
+        raise fault
+    return Graph(index, u, v, w)
 
 
-def _check_label(label, where: str) -> None:
+def _check_label(label, pos: int | None) -> None:
     if not isinstance(label, str) or not label:
+        where = "vertex list" if pos is None else f"record {pos}"
         raise ValueError(f"{where}: vertex label must be a non-empty string, got {label!r}")
 
 

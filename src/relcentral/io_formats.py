@@ -96,10 +96,7 @@ def load_edge_csv(path) -> list[tuple]:
 
 def save_edge_csv(g: Graph, path) -> None:
     """Inverse of load_edge_csv; bare rows preserve isolated vertices."""
-    degree = [0] * g.vertex_count
-    for e in g.edges:
-        degree[e.u] += 1
-        degree[e.v] += 1
+    degree = np.bincount(np.concatenate(g.edge_endpoints), minlength=g.vertex_count)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["source", "target", "weight"])

@@ -38,7 +38,7 @@ __all__ = [
     "eval_pair",
     "eval_path",
     "validate_function",
-    "pair_values_for_source",
+    "pair_values",
     "pair_value_block",
 ]
 
@@ -259,52 +259,32 @@ def validate_function(f: RelevanceFunction) -> ValidationReport:
     return rep
 
 
-def pair_values_for_source(f: RelevanceFunction, s: int, R: RelevanceVector) -> np.ndarray:
-    """Vector of f(R_s, R_t) over all t, with the diagonal entry zeroed.
+def pair_values(f: RelevanceFunction, s, t, R: RelevanceVector) -> np.ndarray:
+    """f(R_s, R_t) elementwise over broadcastable index arrays s and t.
 
-    Engines use this to weight every target of one source in a single
-    array operation; the zero at t=s is harmless because no metric sums
+    This is the one array form of :func:`eval_pair` the engines use.
+    Entries where s == t are 0 rather than an error: no metric sums
     over the diagonal.
     """
     r = R.values
     v = f.variant
     if v is Variant.PRODUCT:
-        out = r[s] * r
+        out = r[s] * r[t]
     elif v is Variant.MEAN:
-        out = (r[s] + r) / 2.0
+        out = (r[s] + r[t]) / 2.0
     elif v is Variant.SOURCE_ONLY:
-        out = np.full(len(r), r[s])
+        out = r[s]
     elif v is Variant.MAX:
-        out = np.maximum(r[s], r)
+        out = np.maximum(r[s], r[t])
     elif v is Variant.MATRIX:
-        out = f.matrix[s].copy()
+        out = f.matrix[s, t]
     else:
         raise PathVariantRequiresPathError(
             f"{v.value} has no per-pair value independent of the path"
         )
-    out = np.asarray(out, dtype=np.float64)
-    out[s] = 0.0
-    return out
+    return np.where(np.equal(s, t), 0.0, out)
 
 
 def pair_value_block(f: RelevanceFunction, sources: np.ndarray, R: RelevanceVector) -> np.ndarray:
     """(len(sources), V) block of pair values, diagonal entries zeroed."""
-    r = R.values
-    rs = r[sources][:, None]
-    v = f.variant
-    if v is Variant.PRODUCT:
-        out = rs * r[None, :]
-    elif v is Variant.MEAN:
-        out = (rs + r[None, :]) / 2.0
-    elif v is Variant.SOURCE_ONLY:
-        out = np.broadcast_to(rs, (len(sources), len(r))).copy()
-    elif v is Variant.MAX:
-        out = np.maximum(rs, r[None, :])
-    elif v is Variant.MATRIX:
-        out = f.matrix[sources].copy()
-    else:
-        raise PathVariantRequiresPathError(
-            f"{v.value} has no per-pair value independent of the path"
-        )
-    out[np.arange(len(sources)), sources] = 0.0
-    return out
+    return pair_values(f, np.asarray(sources)[:, None], np.arange(len(R)), R)

@@ -16,6 +16,7 @@ from relcentral import _batched, _weighted
 from relcentral._sweep import BLOCK
 from relcentral.centrality import (
     Metric,
+    _make_report,
     _path_reports,
     betweenness_reports,
     degree_centrality,
@@ -32,11 +33,13 @@ from relcentral.errors import (
 from relcentral.graph import build_graph
 from relcentral.oracle import brute_betweenness, brute_degree, brute_harmonic
 from relcentral.relevance import (
+    MEAN,
     PATH_PROD,
     PATH_SUM,
     PRODUCT,
     SOURCE_ONLY,
     RelevanceVector,
+    matrix_function,
 )
 
 RA2 = RelevanceVector(np.array([2.0, 1.0, 1.0, 1.0]))
@@ -112,6 +115,18 @@ def test_report_metadata_and_ranking():
     assert rep.ranking == ("A", "B", "D", "C")  # tie B/D broken by index
     assert rank(rep) == list(rep.ranking)
     assert rep.value_of("C") == 2.0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ranking_matches_descending_value_then_index_key(seed):
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-2, 3, size=300).astype(np.float64)
+    values[rng.random(300) < 0.3] = 0.0
+    values[rng.random(300) < 0.3] = -0.0
+    ids = tuple(f"v{i}" for i in range(300))
+    rep = _make_report(Metric.DEGREE, "vertex", ids, values, PRODUCT, "x", False)
+    order = sorted(range(300), key=lambda i: (-values[i], i))
+    assert rep.ranking == tuple(ids[i] for i in order)
 
 
 def test_report_defaults_to_uniform_source():
@@ -322,6 +337,47 @@ def test_uniform_weight_two_diamond_chain_uses_exact_counts(monkeypatch):
         g, random_relevance(np.random.default_rng(7), g.vertex_count)
     )
     assert any(calls)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_degree_matches_matrix_forms_beyond_oracle_sizes(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(150, 400))
+    ends = np.sort(rng.integers(0, n, size=(3 * n, 2)), axis=1)
+    keys = np.unique(ends[:, 0] * n + ends[:, 1])
+    a, b = keys // n, keys % n
+    keep = a != b
+    labels = [f"v{i}" for i in range(n)]
+    records = [(labels[i], labels[j], float(w)) for i, j, w in
+               zip(a[keep], b[keep], rng.uniform(0.5, 2.0, size=keep.sum()))]
+    g = build_graph(records, vertices=labels)  # index i is label v{i}; some isolated
+    A = g.adjacency_matrix
+    R = RelevanceVector(rng.uniform(0.5, 4.0, size=n))
+    r, deg = R.values, A.sum(axis=1)
+    F = rng.uniform(0.1, 3.0, size=(n, n))
+    np.fill_diagonal(F, 0.0)
+    expected = {
+        PRODUCT: r * (A @ r),
+        SOURCE_ONLY: r * deg,
+        MEAN: (r * deg + A @ r) / 2.0,
+        "matrix": (A * F).sum(axis=1),
+    }
+    for f, want in expected.items():
+        f = matrix_function(F) if f == "matrix" else f
+        got = degree_centrality(g, R, f).values
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got, brute_degree(g, R, f), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(degree_centrality(g).values, deg)
+
+    # reordered records give new internal indices; values follow the labels
+    shuffled = [records[i] for i in rng.permutation(len(records))]
+    shuffled = [(y, x, w) if rng.random() < 0.5 else (x, y, w) for x, y, w in shuffled]
+    g2 = build_graph(shuffled, vertices=labels[::-1])
+    R2 = RelevanceVector.from_mapping(g2, dict(zip(labels, r)))
+    got1 = degree_centrality(g, R, PRODUCT).as_dict()
+    got2 = degree_centrality(g2, R2, PRODUCT).as_dict()
+    assert got2 == pytest.approx(got1, rel=1e-12, abs=0)
 
 
 # --- overflow guards ---

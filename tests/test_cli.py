@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from relcentral.cli import EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, main
+from relcentral.graph import Graph
 
 RING = "source,target\nA,B\nB,C\nC,D\nA,D\n"
 WRING = "source,target,weight\nA,B,0.5\nB,C,1\nC,D,1\nA,D,1\n"
@@ -164,6 +165,22 @@ def test_metric_all_harmonic_table_matches_harmonic_alone(tmp_path, graph, f):
         assert main(argv + ["--out", str(out)]) == EXIT_OK
         tables.append(json.dumps(json.loads(out.read_bytes())["vertices"]["harmonic"]))
     assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("graph", [RING, WRING], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("metric", ["degree", "all"])
+def test_compute_never_builds_the_reference_views(tmp_path, monkeypatch, graph, metric):
+    built = []
+    for name in ("edges", "adjacency"):
+        view = Graph.__dict__[name]
+        monkeypatch.setattr(Graph, name, property(
+            lambda self, name=name, view=view: built.append(name) or view.func(self)))
+    edges = put(tmp_path, "g.csv", graph)
+    rel = put(tmp_path, "r.csv", REL)
+    out = tmp_path / "res.json"
+    argv = ["compute", edges, "--relevance", rel, "--metric", metric, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert out.exists() and built == []
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

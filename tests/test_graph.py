@@ -119,3 +119,79 @@ def test_edge_records_and_labels():
     g = build_graph([("a", "b", 2.0), ("c",)])
     assert g.edge_records() == [("a", "b", 2.0)]
     assert g.edge_labels() == [("a", "b")]
+
+
+# --- validation order: pinned so the array form keeps it ---
+
+
+@pytest.mark.parametrize(
+    "records, error, message",
+    [
+        # the first faulty record decides, whatever its fault
+        ([("a", "b"), ("c", "c"), ("a", "b"), ("x", "y", -1.0)],
+         SelfLoopError, "record 1: self-loop at 'c'"),
+        ([("a", "b"), ("b", "a"), ("c", "c")],
+         DuplicateEdgeError, "record 1: duplicate edge 'b'-'a'"),
+        ([("a", "b"), ("c", "d", 0.0), ("a", "b")],
+         NonPositiveWeightError, "record 1: weight 0.0 for 'c'-'d'"),
+        ([("a", "b"), ("a", "b"), ("", "x")],
+         DuplicateEdgeError, "record 1: duplicate edge 'a'-'b'"),
+        ([("a", "b"), ("", "x"), ("c", "c")],
+         ValueError, "record 1: vertex label must be a non-empty string, got ''"),
+        ([("a", "a"), ("b", "c", "abc")], SelfLoopError, "record 0: self-loop at 'a'"),
+        ([("a", "b", -1.0), ("a", "b", 1.0, 2.0)],
+         NonPositiveWeightError, "record 0: weight -1.0 for 'a'-'b'"),
+        ([("a", "b"), ("a", "b", 1.0, 2.0), ("c", "c")],
+         ValueError, "record 1: expected 1-3 fields, got ('a', 'b', 1.0, 2.0)"),
+        ([("a", "b"), ("q",), ("c", "d"), ("",), ("d", "c")],
+         ValueError, "record 3: vertex label must be a non-empty string, got ''"),
+        ([("a", "b"), ("q",), ("c", "d"), ("r", None), ("d", "c"), ("e", "e")],
+         DuplicateEdgeError, "record 4: duplicate edge 'd'-'c'"),
+        ([("a", "b", float("nan")), ("c", "c")],
+         NonPositiveWeightError, "record 0: weight nan for 'a'-'b'"),
+        ([("a", "b"), ("b", "c", float("inf"))],
+         NonPositiveWeightError, "record 1: weight inf for 'b'-'c'"),
+        # within one record: label, then self-loop, then weight, then duplicate
+        ([("", "", -1.0)], ValueError, "record 0: vertex label must be a non-empty string"),
+        ([(1, 1)], ValueError, "record 0: vertex label must be a non-empty string, got 1"),
+        ([("a", "a", -1.0)], SelfLoopError, "record 0: self-loop at 'a'"),
+        ([("a", "b"), ("b", "a", -1.0)],
+         NonPositiveWeightError, "record 1: weight -1.0 for 'b'-'a'"),
+        ([("a", "b", 2.0), ("b", "a", 3.0)],
+         DuplicateEdgeError, "record 1: duplicate edge 'b'-'a'"),
+    ],
+)
+def test_first_faulty_record_decides_error_and_position(records, error, message):
+    with pytest.raises(error) as info:
+        build_graph(records)
+    assert str(info.value).startswith(message)
+    assert type(info.value) is error
+
+
+def test_unparsable_weight_raises_value_error_unless_an_earlier_record_fails():
+    with pytest.raises(ValueError):
+        build_graph([("a", "b"), ("c", "d", "abc"), ("b", "a")])
+    with pytest.raises(DuplicateEdgeError, match="record 1"):
+        build_graph([("a", "b"), ("b", "a"), ("c", "d", "abc")])
+
+
+def test_vertex_list_preseeds_labels_and_is_checked_first():
+    g = build_graph([("a", "b"), ("c", "a")], vertices=["z", "a", "z"])
+    assert g.labels == ("z", "a", "b", "c")
+    assert g.edge_records() == [("a", "b", 1.0), ("a", "c", 1.0)]
+    with pytest.raises(ValueError, match="^vertex list: vertex label"):
+        build_graph([("a", "a")], vertices=["x", ""])
+
+
+def test_bare_records_weight_forms_and_field_counts():
+    g = build_graph([("a",), ("b", None), ("c", None, 5.0), ("d", "a", None), ("e", "b", "2.5")])
+    assert g.labels == ("a", "b", "c", "d", "e")
+    assert g.edge_records() == [("a", "d", 1.0), ("b", "e", 2.5)]
+    assert g.weighted
+    assert not build_graph([("a", "b", None), ("b", "c", 1)]).weighted
+    with pytest.raises(ValueError, match="record 0: expected 1-3 fields"):
+        build_graph([("a", "b", 1.0, 2.0)])
+    with pytest.raises(ValueError):
+        build_graph([("a", "b", "abc")])
+    with pytest.raises(ValueError, match="^record 1: vertex label"):
+        build_graph([("a",), ("",)])

@@ -25,7 +25,7 @@ from relcentral.relevance import (
     eval_path,
     matrix_function,
     pair_value_block,
-    pair_values_for_source,
+    pair_values,
     validate_function,
 )
 
@@ -151,9 +151,30 @@ def test_validate_matrix_diagonal_and_negative():
     assert not rep.ok and any("negative" in w for w in rep.warnings)
 
 
-def test_pair_values_for_source_zero_diagonal():
-    out = pair_values_for_source(PRODUCT, 1, R4)
-    np.testing.assert_allclose(out, [6.0, 0.0, 15.0, 21.0])
+def test_pair_value_block_one_row_zero_diagonal():
+    out = pair_value_block(PRODUCT, np.array([1]), R4)
+    np.testing.assert_allclose(out, [[6.0, 0.0, 15.0, 21.0]])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_values_match_eval_pair_on_random_index_arrays(seed):
+    rng = np.random.default_rng(seed)
+    n = 9
+    R = RelevanceVector(rng.uniform(0.5, 3.0, size=n))
+    F = rng.uniform(0.1, 2.0, size=(n, n))  # nonzero diagonal: still 0 where s == t
+    s = rng.integers(0, n, size=60)
+    t = np.where(np.arange(60) % 5 == 0, s, rng.integers(0, n, size=60))
+    for f in (PRODUCT, MEAN, SOURCE_ONLY, MAX, matrix_function(F)):
+        out = pair_values(f, s, t, R)
+        assert out.shape == s.shape
+        want = [0.0 if a == b else eval_pair(f, a, b, R) for a, b in zip(s, t)]
+        np.testing.assert_array_equal(out, want)
+        # broadcast forms agree with the flat form
+        grid = pair_values(f, s[:, None], t[None, :], R)
+        np.testing.assert_array_equal(np.diagonal(grid), out)
+    for f in (PATH_SUM, PATH_PROD):
+        with pytest.raises(PathVariantRequiresPathError):
+            pair_values(f, s, t, R)
 
 
 def test_pair_value_block_matches_scalar_eval():
