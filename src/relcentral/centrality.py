@@ -74,7 +74,7 @@ class CentralityReport:
     weighted: bool
 
     def as_dict(self) -> dict:
-        return {i: float(v) for i, v in zip(self.ids, self.values)}
+        return dict(zip(self.ids, np.asarray(self.values, dtype=np.float64).tolist()))
 
     def value_of(self, element) -> float:
         return self.as_dict()[element]

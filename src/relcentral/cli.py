@@ -108,8 +108,8 @@ def _oracle_reports(g, R, f, wanted: list[str], relevance_source: str):
 
 def cmd_compute(args) -> int:
     _check_workers(args.workers)
-    records = io_formats.load_edge_csv(args.edges)
-    g = build_graph(records)
+    # no name keeps the records, so they are freed before the metrics run
+    g = build_graph(io_formats.load_edge_csv(args.edges))
     if args.relevance:
         R = io_formats.load_relevance_csv(args.relevance, g)
         relevance_source = os.path.basename(args.relevance)

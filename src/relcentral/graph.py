@@ -14,8 +14,11 @@ that the per-source reference code walks; each is built on first use.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, islice, repeat
+from operator import is_not, itemgetter
 from typing import Iterable
 
 import numpy as np
@@ -162,10 +165,95 @@ def build_graph(
         _check_label(lab, None)
         index.setdefault(lab, len(index))
 
-    ends_a, ends_b, weights, record_pos = [], [], [], []
-    fault = None
+    records, fault = edge_records, None
+    if not isinstance(records, (list, tuple)):
+        records = []
+        try:
+            records.extend(edge_records)
+        except Exception as exc:
+            fault = exc  # placed like a fault in the record after the last one read
+    cols = None if fault else _intern_columns(records, index)
+    if cols is None:
+        cols, fault = _intern_records(records, index, fault)
+    index, ia, ib, w, record_pos = cols
+
+    n = len(index)
+    u, v = np.minimum(ia, ib), np.maximum(ia, ib)
+    loop = ia == ib
+    bad_weight = ~(np.isfinite(w) & (w > 0.0))
+    repeated = np.ones(len(u), dtype=bool)  # every occurrence of a pair after its first
+    repeated[np.unique(u * n + v, return_index=True)[1]] = False
+    faulty = loop | bad_weight | repeated
+    if faulty.any():
+        k = int(np.argmax(faulty))
+        labels = list(index)
+        pos, a, b = int(record_pos[k]), labels[ia[k]], labels[ib[k]]
+        if loop[k]:
+            raise SelfLoopError(f"record {pos}: self-loop at {a!r}")
+        if bad_weight[k]:
+            raise NonPositiveWeightError(f"record {pos}: weight {float(w[k])!r} for {a!r}-{b!r}")
+        raise DuplicateEdgeError(f"record {pos}: duplicate edge {a!r}-{b!r}")
+    if fault is not None:
+        raise fault
+    return Graph(index, u, v, w)
+
+
+def _column(records: list, j: int, short: int, long: int) -> list:
+    """Field j of every record, None where a record is shorter."""
+    if j < short:
+        return list(map(itemgetter(j), records))
+    if j >= long:
+        return [None] * len(records)
+    return [r[j] if len(r) > j else None for r in records]
+
+
+def _intern_columns(records, seeded: dict[str, int]):
+    """(index, ia, ib, w, record positions) of tuple or list records, in
+    whole columns; None when a record breaks a rule before the array
+    checks, which only the per-record pass can place."""
+    n = len(records)
+    lens = set(map(len, records))
+    if not (set(map(type, records)) <= {tuple, list} and lens <= {1, 2, 3}):
+        return None
+    short, long = min(lens, default=3), max(lens, default=0)
+    # endpoints interleaved in record order; a bare record names its vertex twice
+    ends = [None] * (2 * n)
+    ends[0::2] = _column(records, 0, short, long)
+    ends[1::2] = _column(records, 1, short, long)
+    edge = np.fromiter(map(is_not, islice(ends, 1, None, 2), repeat(None)), bool, n)
+    pos = np.flatnonzero(edge)
+    for i in np.flatnonzero(~edge).tolist():
+        ends[2 * i + 1] = ends[2 * i]
+    index = defaultdict(None, seeded)
+    index.default_factory = index.__len__  # a new label takes the next index
     try:
-        for pos, rec in enumerate(edge_records):
+        ids = np.fromiter(map(index.__getitem__, ends), np.int64, 2 * n)
+    except TypeError:  # an unhashable label
+        return None
+    if "" in index or not set(map(type, index)) <= {str}:
+        return None
+    if long < 3:
+        w = np.ones(len(pos))
+    else:
+        try:
+            w = np.fromiter((1.0 if x is None else float(x)
+                             for x in compress(_column(records, 2, short, long), edge)),
+                            np.float64, len(pos))
+        except (TypeError, ValueError):  # a weight float() rejects
+            return None
+    ia, ib = ids[0::2], ids[1::2]
+    if len(pos) < n:
+        ia, ib = ia[pos], ib[pos]
+    return dict(index), ia, ib, w, pos
+
+
+def _intern_records(records, seeded: dict[str, int], fault):
+    """The per-record rules: the columns of the records before the first
+    one that breaks a rule, and that record's exception (else ``fault``)."""
+    index = dict(seeded)
+    ends_a, ends_b, weights, record_pos = [], [], [], []
+    try:
+        for pos, rec in enumerate(records):
             rec = tuple(rec)
             if len(rec) >= 2 and rec[1] is None:
                 rec = rec[:1]
@@ -191,29 +279,9 @@ def build_graph(
         # raised after the array checks, which only see the records
         # before this one and so take precedence
         fault = exc
-
-    n = len(index)
-    ia = np.array(ends_a, dtype=np.int64)
-    ib = np.array(ends_b, dtype=np.int64)
-    w = np.array(weights, dtype=np.float64)
-    u, v = np.minimum(ia, ib), np.maximum(ia, ib)
-    loop = ia == ib
-    bad_weight = ~(np.isfinite(w) & (w > 0.0))
-    repeat = np.ones(len(u), dtype=bool)  # every occurrence of a pair after its first
-    repeat[np.unique(u * n + v, return_index=True)[1]] = False
-    faulty = loop | bad_weight | repeat
-    if faulty.any():
-        k = int(np.argmax(faulty))
-        labels = list(index)
-        pos, a, b = record_pos[k], labels[ia[k]], labels[ib[k]]
-        if loop[k]:
-            raise SelfLoopError(f"record {pos}: self-loop at {a!r}")
-        if bad_weight[k]:
-            raise NonPositiveWeightError(f"record {pos}: weight {float(w[k])!r} for {a!r}-{b!r}")
-        raise DuplicateEdgeError(f"record {pos}: duplicate edge {a!r}-{b!r}")
-    if fault is not None:
-        raise fault
-    return Graph(index, u, v, w)
+    cols = (index, np.array(ends_a, dtype=np.int64), np.array(ends_b, dtype=np.int64),
+            np.array(weights, dtype=np.float64), record_pos)
+    return cols, fault
 
 
 def _check_label(label, pos: int | None) -> None:

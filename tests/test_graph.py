@@ -195,3 +195,58 @@ def test_bare_records_weight_forms_and_field_counts():
         build_graph([("a", "b", "abc")])
     with pytest.raises(ValueError, match="^record 1: vertex label"):
         build_graph([("a",), ("",)])
+
+
+def test_bare_and_edge_records_intern_in_first_appearance_order():
+    records = [("x",), ("c", "a"), ("y", None), ("a", "b", 2.0), ("z",), ("a",),
+               ("b", None, 7.0), ("d", "c")]
+    g = build_graph(records)
+    assert g.labels == ("x", "c", "a", "y", "b", "z", "d")
+    assert g.edge_records() == [("c", "a", 1.0), ("a", "b", 2.0), ("c", "d", 1.0)]
+    assert [g.index_of(lab) for lab in g.labels] == list(range(7))
+    g = build_graph(records, vertices=["b", "q", "x"])
+    assert g.labels == ("b", "q", "x", "c", "a", "y", "z", "d")
+    u, v = g.edge_endpoints
+    assert (u.tolist(), v.tolist()) == ([3, 0, 3], [4, 4, 7])
+    # a bare record names its vertex before the edge that repeats it
+    assert build_graph([("b",), ("a", "b")]).labels == ("b", "a")
+    assert build_graph([], vertices=["p"]).labels == ("p",)
+    assert build_graph([]).vertex_count == 0
+
+
+def test_records_may_be_lists_or_come_from_a_generator():
+    g = build_graph(iter([["a", "b"], ["b", "c", "2.5"], ["d"], ("e", None)]))
+    assert g.labels == ("a", "b", "c", "d", "e")
+    assert g.edge_records() == [("a", "b", 1.0), ("b", "c", 2.5)]
+
+
+@pytest.mark.parametrize(
+    "records, error, message",
+    [
+        ([("a", "b"), (None,), ("a", "a")], ValueError,
+         "record 1: vertex label must be a non-empty string, got None"),
+        ([("a", "b"), (None, "c"), ("a", "a")], ValueError,
+         "record 1: vertex label must be a non-empty string, got None"),
+        ([("a", "b"), ("c", ""), ("b", "a")], ValueError,
+         "record 1: vertex label must be a non-empty string, got ''"),
+        ([("a", "b"), ("b", "a"), ("c", 5)], DuplicateEdgeError,
+         "record 1: duplicate edge 'b'-'a'"),
+        ([("a", "b"), ("c", 5), ("b", "a")], ValueError,
+         "record 1: vertex label must be a non-empty string, got 5"),
+        ([("a", "b"), (), ("c", "c")], ValueError, "record 1: expected 1-3 fields, got ()"),
+        ([("a", "b", 1.0), ("b", None, "zz"), ("c", "a", "q")], ValueError,
+         "could not convert string to float: 'q'"),
+        ([("q",), ("a", "b", -2.0), ("c", "d", "zz")], NonPositiveWeightError,
+         "record 1: weight -2.0 for 'a'-'b'"),
+    ],
+)
+def test_mixed_records_first_fault_decides(records, error, message):
+    with pytest.raises(error) as info:
+        build_graph(records)
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)
+
+
+def test_bare_record_with_unparsable_third_field_is_still_bare():
+    g = build_graph([("a", "b"), ("c", None, "zz")])
+    assert g.labels == ("a", "b", "c") and g.edge_count == 1

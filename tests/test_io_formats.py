@@ -1,18 +1,24 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import weighted_ring
-from relcentral.centrality import betweenness_reports, harmonic_centrality
+from relcentral.centrality import betweenness_reports, degree_centrality, harmonic_centrality
 from relcentral.errors import (
     MalformedRowError,
     MatrixShapeMismatchError,
+    NonPositiveWeightError,
     NonzeroDiagonalError,
     UnknownVertexInRelevanceError,
 )
 from relcentral.graph import build_graph
 from relcentral.io_formats import (
+    ResultDocument,
     build_result_document,
     export_dot,
     load_edge_csv,
@@ -23,7 +29,7 @@ from relcentral.io_formats import (
     save_relevance_csv,
     write_results_json,
 )
-from relcentral.relevance import RelevanceVector, eval_pair
+from relcentral.relevance import PATH_PROD, RelevanceVector, eval_pair
 
 
 def write(tmp_path, name, text):
@@ -246,3 +252,262 @@ def test_export_dot_constant_values_use_midpoint():
     vrep, erep = betweenness_reports(g)
     dot = export_dot(g, vrep, erep)
     assert "[width=0.900];" in dot  # 0.3 + 1.2 * 0.5
+
+
+# --- edge csv: which line and which check decide, pinned for the column form ---
+
+
+HEADER3 = "source,target,weight\n"
+
+
+@pytest.mark.parametrize(
+    "body, line_no, message",
+    [
+        # the first faulty line wins, whatever its fault
+        ("a,b,1\n,b,1\nc,,2\n", 3, "missing source vertex"),
+        ("a,b,1\nc,,2\n,b,1\n", 3, "weight given without a target vertex"),
+        ("a,b,x\n,b,1\n", 2, "bad weight 'x'"),
+        (",b,1\na,b,x\n", 2, "missing source vertex"),
+        ("a,b,1,1\n,b,1\n", 2, "too many fields (4)"),
+        ("a,b,1\n,b,1\nc,d,1,1\n", 3, "missing source vertex"),
+        ("a,b,x\nc,d,1,1\n", 2, "bad weight 'x'"),
+        ("a,b,1\nc,d,1,1\na,b,x\n", 3, "too many fields (4)"),
+        ("a,b,1\nc,,2\nd,e,1,2,3\n", 3, "weight given without a target vertex"),
+        ("a,b,2\nc,d,3\ne,f,nope\ng,,1\n", 4, "bad weight 'nope'"),
+        # two faults on one line: fields, then source, then target, then weight
+        (",,2\n", 2, "missing source vertex"),
+        (",b,x\n", 2, "missing source vertex"),
+        (",b,1,1\n", 2, "too many fields (4)"),
+        ("a,,x\n", 2, "weight given without a target vertex"),
+        ("a,b,x,y\n", 2, "too many fields (4)"),
+        # line numbers count skipped blank rows; ',,,,' is blank despite 5 fields
+        ("a,b,1\n\n   ,  ,\n,,,,\nc,d,zz\n", 6, "bad weight 'zz'"),
+        (",,,,\n,b,1\n", 3, "missing source vertex"),
+        # a quoted newline keeps one record number for two physical lines
+        ('"a\nb",c,1\nx,,y\n', 3, "weight given without a target vertex"),
+        # the weight text is reported stripped
+        ("a,b,  1.2.3  \n", 2, "bad weight '1.2.3'"),
+        ("a,b,0x10\n", 2, "bad weight '0x10'"),
+    ],
+)
+def test_edge_csv_first_faulty_line_decides(tmp_path, body, line_no, message):
+    p = write(tmp_path, "e.csv", HEADER3 + body)
+    with pytest.raises(MalformedRowError) as info:
+        load_edge_csv(p)
+    assert info.value.line_no == line_no
+    assert str(info.value) == f"{p}:{line_no}: {message}"
+
+
+def test_edge_csv_two_column_header_rejects_a_weight_field(tmp_path):
+    p = write(tmp_path, "e.csv", "source,target\na,b\n\nc,d,1\n")
+    with pytest.raises(MalformedRowError) as info:
+        load_edge_csv(p)
+    assert str(info.value) == f"{p}:4: too many fields (3)"
+    # blank rows of any width are still skipped
+    p = write(tmp_path, "b.csv", "source,target\na,b\n,,\n , , , \nc,d\n")
+    assert load_edge_csv(p) == [("a", "b"), ("c", "d")]
+    # bare vertices among unweighted edges
+    p = write(tmp_path, "v.csv", "source,target\na,b\nlonely\nc,\nd,e\n")
+    assert load_edge_csv(p) == [("a", "b"), ("lonely",), ("c",), ("d", "e")]
+
+
+def test_edge_csv_record_shapes_and_stripping(tmp_path):
+    body = (
+        '"x,1","y ,z",2\n'     # quoted labels keep their commas
+        "  a , b ,  3 \n"       # cells are stripped
+        '" q ",r\n'             # quoted cells too
+        "lonely\n"              # one field: a bare vertex
+        "solo,\n"
+        "alone,,\n"
+        "s,t,\n"                # empty weight: an unweighted edge
+        ",,\n"
+    )
+    records = load_edge_csv(write(tmp_path, "e.csv", HEADER3 + body))
+    assert records == [
+        ("x,1", "y ,z", 2.0), ("a", "b", 3.0), ("q", "r"),
+        ("lonely",), ("solo",), ("alone",), ("s", "t"),
+    ]
+    assert all(type(r) is tuple for r in records)
+    assert type(records[0][2]) is float
+    g = build_graph(records)
+    assert g.labels == ("x,1", "y ,z", "a", "b", "q", "r", "lonely", "solo", "alone", "s", "t")
+    # the records are a list, so they can be built twice
+    assert build_graph(records).edge_records() == g.edge_records()
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("1e3", 1000.0), (" 2 ", 2.0), ("1_000", 1000.0), ("2.5E-1", 0.25),
+     (".5", 0.5), ("+7", 7.0), ("-1", -1.0), ("1e999", float("inf")),
+     ("nan", None), ("inf", float("inf")), ("-Infinity", float("-inf"))],
+)
+def test_edge_csv_weights_parse_as_python_floats(tmp_path, text, value):
+    (rec,) = load_edge_csv(write(tmp_path, "e.csv", f"{HEADER3}a,b,{text}\n"))
+    assert rec[:2] == ("a", "b")
+    if value is None:
+        assert np.isnan(rec[2])
+    else:
+        assert rec[2] == value
+    # non-positive or non-finite weights load, and build_graph rejects them
+    if not (np.isfinite(rec[2]) and rec[2] > 0):
+        with pytest.raises(NonPositiveWeightError, match="record 0"):
+            build_graph([rec])
+
+
+# --- relevance csv: which line and which check decide ---
+
+
+@pytest.mark.parametrize(
+    "body, error, line_no, message",
+    [
+        ("a,2\nb\n", MalformedRowError, 3, "expected 2 fields, got 1"),
+        ("a,2,3\n", MalformedRowError, 2, "expected 2 fields, got 3"),
+        ("ghost,1,2\n", MalformedRowError, 2, "expected 2 fields, got 3"),
+        ("ghost,x\n", UnknownVertexInRelevanceError, 2, "vertex 'ghost' is not in the graph"),
+        (",3\n", UnknownVertexInRelevanceError, 2, "vertex '' is not in the graph"),
+        ("a,1\na,x\n", MalformedRowError, 3, "duplicate vertex 'a'"),
+        ("a,1\na,-1\n", MalformedRowError, 3, "duplicate vertex 'a'"),
+        ("a,1\na,1\nb\n", MalformedRowError, 3, "duplicate vertex 'a'"),
+        ("a,x\n", MalformedRowError, 2, "bad relevance 'x'"),
+        ("a, 1.2.3 \n", MalformedRowError, 2, "bad relevance '1.2.3'"),
+        ("a,0\nb,x\n", MalformedRowError, 2, "relevance must be positive and finite, got 0"),
+        ("a,x\nb,0\n", MalformedRowError, 2, "bad relevance 'x'"),
+        ("a,1\nb,0\nghost,1\n", MalformedRowError, 3,
+         "relevance must be positive and finite, got 0"),
+        ("a,1\nghost,1\nb,0\n", UnknownVertexInRelevanceError, 3,
+         "vertex 'ghost' is not in the graph"),
+        ("b,2\nghost,1\nb,1\n", UnknownVertexInRelevanceError, 3,
+         "vertex 'ghost' is not in the graph"),
+        ("b,2\nc,-0.5\nb,1,1\n", MalformedRowError, 3,
+         "relevance must be positive and finite, got -0.5"),
+        ("a,1\n\n,\n , \n,,,\nb,nan\n", MalformedRowError, 7,
+         "relevance must be positive and finite, got nan"),
+        ("a, inf \n", MalformedRowError, 2, "relevance must be positive and finite, got inf"),
+        ("a,-inf\n", MalformedRowError, 2, "relevance must be positive and finite, got -inf"),
+    ],
+)
+def test_relevance_csv_first_faulty_line_decides(tmp_path, body, error, line_no, message):
+    g = build_graph([("a", "b"), ("b", "c")])
+    p = write(tmp_path, "r.csv", "vertex,relevance\n" + body)
+    with pytest.raises(error) as info:
+        load_relevance_csv(p, g)
+    assert type(info.value) is error
+    assert str(info.value) == f"{p}:{line_no}: {message}"
+
+
+def test_relevance_csv_quoting_stripping_and_float_syntax(tmp_path):
+    g = build_graph([("x,1", "b"), ("b", " c")])
+    body = '"x,1",1e1\n  b ,  1_5 \n\n,,\n'
+    R = load_relevance_csv(write(tmp_path, "r.csv", "vertex,relevance\n" + body), g)
+    np.testing.assert_array_equal(R.values, [10.0, 15.0, 1.0])
+    # labels are stripped before lookup, so ' c' cannot be named
+    with pytest.raises(UnknownVertexInRelevanceError, match="vertex 'c'"):
+        load_relevance_csv(write(tmp_path, "s.csv", 'vertex,relevance\n" c",2\n'), g)
+
+
+# --- result bytes: the writer against the json module's indent encoder ---
+
+
+def _round12(x):
+    if isinstance(x, float):
+        return float(f"{x:.12g}")
+    if isinstance(x, dict):
+        return {k: _round12(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_round12(v) for v in x]
+    return x
+
+
+def reference_json(doc) -> bytes:
+    payload = {
+        "metadata": doc.metadata,
+        "vertices": doc.vertex_tables,
+        "edges": doc.edge_tables,
+        "rankings": doc.rankings,
+    }
+    return (json.dumps(_round12(payload), sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, -2.5e-320, 2.2250738585072014e-308,
+                     1e12, 1e15, 1e16, 1e17, 123456789012.5, 999999999999.5,
+                     1.00000000000049, 0.1 + 0.2, 1 / 3, 7.0, -3.0]),
+    st.floats(min_value=1e12, max_value=1e17),
+    st.integers(-10**15, 10**15).map(float),
+)
+_labels = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\,\n\t\x00 /aZ'), st.characters()),
+    min_size=1,
+    max_size=6,
+)
+_metric = st.sampled_from(["degree", "harmonic", "betweenness", "edge-betweenness", "x\"y"])
+
+
+@st.composite
+def _documents(draw):
+    vertex_tables = draw(st.dictionaries(
+        _metric, st.dictionaries(_labels, _values, max_size=8), max_size=3))
+    edge_row = st.fixed_dictionaries(
+        {"source": _labels, "target": _labels, "value": _values})
+    edge_tables = draw(st.dictionaries(_metric, st.lists(edge_row, max_size=4), max_size=2))
+    rankings = {
+        "vertices": {m: sorted(t, key=str.lower) for m, t in vertex_tables.items()},
+        "edges": draw(st.dictionaries(
+            _metric, st.lists(st.lists(_labels, min_size=2, max_size=2), max_size=4), max_size=2)),
+    }
+    metadata = {
+        "tool": "relcentral",
+        "version": draw(_labels),
+        "graph": draw(_labels),
+        "weighted": draw(st.booleans()),
+        "f": draw(st.sampled_from(["product", "path-prod", "matrix"])),
+        "relevance": draw(_labels),
+        "extra": draw(st.one_of(st.none(), st.integers(), _values, _labels,
+                                st.lists(_values, max_size=3))),
+    }
+    return ResultDocument(metadata, vertex_tables, edge_tables, rankings)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_documents())
+def test_results_json_bytes_match_the_json_module(doc):
+    assert write_results_json(doc) == reference_json(doc)
+
+
+def test_results_json_bytes_match_for_every_metric_and_f():
+    g = weighted_ring()
+    for rel in (None, RelevanceVector(np.array([1.5, 3.25, 1.0, 7.125]))):
+        docs = [build_result_document(g, reports_for(g), "ring.csv"),
+                build_result_document(g, [], "empty.csv")]
+        if rel is not None:
+            vrep, erep = betweenness_reports(g, rel, PATH_PROD)
+            docs.append(build_result_document(
+                g, [degree_centrality(g, rel), harmonic_centrality(g, rel), vrep, erep], "g"))
+        for doc in docs:
+            assert write_results_json(doc) == reference_json(doc)
+
+
+def test_result_version_falls_back_to_the_package_version():
+    import relcentral
+
+    g = weighted_ring()
+    assert build_result_document(g, [], "g").metadata["version"] == relcentral.__version__
+
+
+# --- result csv ---
+
+
+def test_results_csv_quotes_labels_and_reads_back():
+    labels = ("x,1", 'say "hi"', "line\nbreak", "plain")
+    g = build_graph([(labels[0], labels[1]), (labels[1], labels[2]), (labels[2], labels[3])])
+    vrep, erep = betweenness_reports(g)
+    doc = build_result_document(g, [degree_centrality(g), vrep, erep], "g.csv")
+    rows = list(csv.reader(io.StringIO(results_csv_text(doc))))
+    assert rows[0] == ["metric", "source", "target", "value"]
+    assert all(len(r) == 4 for r in rows)
+    degree = {r[1]: float(r[3]) for r in rows if r[0] == "degree"}
+    assert degree == {lab: pytest.approx(doc.vertex_tables["degree"][lab]) for lab in labels}
+    assert all(r[2] == "" for r in rows if r[0] == "degree")
+    edges = [(r[1], r[2]) for r in rows if r[0] == "edge-betweenness"]
+    assert edges == list(zip(labels, labels[1:]))
