@@ -8,6 +8,9 @@ one weights every pair (or path) contribution through a chosen
 combination function.
 """
 
+# set before the submodules load: io_formats writes it into every result
+__version__ = "0.1.0"
+
 from . import errors
 from .centrality import (
     CentralityReport,
@@ -66,8 +69,6 @@ from .relevance import (
     matrix_function,
     validate_function,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "errors",

@@ -3,7 +3,8 @@
 Sources run in the fixed blocks of ``_sweep``; one block advances all
 its BFS frontiers level by level with sparse matmuls, then runs the
 backward credit pass the same way. Path counts live in float64 here;
-counts that overflow to inf raise instead of silently degrading.
+a block whose counts overflow to inf is handed to the weighted engine,
+which recounts them exactly, instead of silently degrading.
 """
 
 from __future__ import annotations
@@ -69,8 +70,18 @@ def _forward(g: Graph, R: RelevanceVector, f: RelevanceFunction, S: np.ndarray):
 
 
 def block(g, R, f, S: np.ndarray, harmonic: bool, betweenness: bool):
-    """Harmonic values of the sources S and their betweenness credit."""
-    L, sigma, fwd, maxlev = _forward(g, R, f, S)
+    """Harmonic values of the sources S and their betweenness credit.
+
+    A block whose path counts overflow float64 runs in the weighted
+    engine, whose exact integer counts answer pairwise f; path f still
+    raises ``SigmaOverflowError`` there.
+    """
+    try:
+        L, sigma, fwd, maxlev = _forward(g, R, f, S)
+    except SigmaOverflowError:
+        from . import _weighted  # scipy.sparse.linalg and csgraph: only when needed
+
+        return _weighted.block(g, R, f, S, harmonic, betweenness)
     hv = _harmonic(R, f, S, L, sigma, fwd) if harmonic else None
     if not betweenness:
         return hv, None, None

@@ -8,8 +8,6 @@ parallelism produces the same bytes.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 BLOCK = 256
@@ -32,6 +30,8 @@ def sweep(kernel, g, R, f, workers: int, harmonic: bool, betweenness: bool):
     if workers <= 1 or len(blocks) <= 1:
         parts = [run(S) for S in blocks]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, blocks))
 

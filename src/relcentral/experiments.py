@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -256,6 +255,8 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> list[CorrelationRecord]:
 
     if workers <= 1:
         return [run_cell(c) for c in cells]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_cell, cells))
 

@@ -10,6 +10,8 @@ dict is the only per-vertex Python structure. The symmetric CSR
 adjacency the engines use is derived from these arrays, and so are
 the ``Edge`` records, per-vertex adjacency lists and edge-id lookup
 that the per-source reference code walks; each is built on first use.
+scipy is imported only there, when a path metric first asks for the
+adjacency, so a degree-only request never loads it.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice, repeat
 from operator import is_not, itemgetter
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     DuplicateEdgeError,
@@ -30,6 +31,9 @@ from .errors import (
     SelfLoopError,
     UnknownVertexError,
 )
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["Edge", "Graph", "build_graph", "neighbors"]
 
@@ -117,6 +121,8 @@ class Graph:
     @cached_property
     def adjacency_matrix(self) -> sparse.csr_array:
         """Symmetric 0/1 CSR adjacency."""
+        from scipy import sparse  # only the path metrics need scipy
+
         n = self.vertex_count
         rows = np.concatenate([self._u, self._v])
         cols = np.concatenate([self._v, self._u])

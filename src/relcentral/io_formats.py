@@ -16,10 +16,10 @@ numbers are those of a row-by-row reader. Line numbers count CSV
 records, blank rows included.
 
 Result JSON is written without the json module's pure-Python indent
-encoder: tables of floats and lists of labels are formatted with one
-join each, every float cut to 12 significant digits once; the bytes
-equal ``json.dumps(..., sort_keys=True, indent=2)`` of the rounded
-document.
+encoder: tables of floats, lists of labels, edge rows and edge ranking
+pairs are formatted by columns with one join each, every float cut to
+12 significant digits once; the bytes equal
+``json.dumps(..., sort_keys=True, indent=2)`` of the rounded document.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from importlib import metadata as importlib_metadata
 from itertools import compress, islice, repeat
 from operator import itemgetter
 
 import numpy as np
 
+from . import __version__
 from .centrality import CentralityReport
 from .errors import (
     MalformedRowError,
@@ -56,15 +56,6 @@ __all__ = [
     "results_csv_text",
     "export_dot",
 ]
-
-
-def _tool_version() -> str:
-    try:
-        return importlib_metadata.version("relcentral")
-    except importlib_metadata.PackageNotFoundError:
-        from . import __version__  # run from source: the package's own version
-
-        return __version__
 
 
 # --- CSV tables, read by columns ---
@@ -309,7 +300,7 @@ def build_result_document(
 ) -> ResultDocument:
     meta = {
         "tool": "relcentral",
-        "version": _tool_version(),
+        "version": __version__,
         "graph": graph_name,
         "weighted": g.weighted,
         "f": reports[0].f_label if reports else "",
@@ -358,11 +349,38 @@ def _json_flat(values: list) -> list[str] | None:
     return None
 
 
+def _json_rows(rows: list, pad: str) -> list[str] | None:
+    """JSON texts, at indent ``pad``, of rows that are all dicts with the
+    same string keys or all lists of one length, written by columns with
+    one join (the edge tables and edge ranking pairs); None unless every
+    column is all strings or all finite floats."""
+    kinds, first = set(map(type, rows)), rows[0]
+    if kinds == {dict} and first and set(map(type, first)) == {str} \
+            and all(map(first.keys().__eq__, map(dict.keys, rows))):
+        keys = sorted(first)
+        # str.format template: literal braces doubled
+        open_, close = "{{", "}}"
+        lines = [_json_str(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in keys]
+    elif kinds == {list} and first and set(map(len, rows)) == {len(first)}:
+        keys = range(len(first))
+        open_, close = "[", "]"
+        lines = ["{}"] * len(first)
+    else:
+        return None
+    columns = [_json_flat(list(map(itemgetter(k), rows))) for k in keys]
+    if None in columns:
+        return None
+    inner = pad + "  "
+    template = open_ + "\n" + inner + (",\n" + inner).join(lines) + "\n" + pad + close
+    return list(map(template.format, *columns))
+
+
 def _json(x, pad: str) -> str:
     """``x`` as ``json.dumps(x, sort_keys=True, indent=2)`` writes it at
     indent ``pad``, each float cut to 12 significant digits first.
     Containers of strings or of finite floats (the vertex tables and the
-    ranking lists) are written with one join; anything else value by
+    ranking lists) and lists of such rows (the edge tables and edge
+    ranking pairs) are written with one join; anything else value by
     value. Dict keys must be strings."""
     if isinstance(x, str):
         return _json_str(x)
@@ -380,7 +398,7 @@ def _json(x, pad: str) -> str:
     if isinstance(x, (list, tuple)):
         if not x:
             return "[]"
-        items = _json_flat(x) or [_json(v, inner) for v in x]
+        items = _json_flat(x) or _json_rows(x, inner) or [_json(v, inner) for v in x]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if isinstance(x, dict):
         if not x:

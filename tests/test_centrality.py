@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import (
     ALL_FS,
     PAIRWISE_FS,
+    PATH_FS,
     random_graph,
     random_matrix_f,
     random_relevance,
@@ -414,6 +415,25 @@ def test_batched_sigma_overflow_detected():
     R = RelevanceVector.ones(g.vertex_count)
     with pytest.raises(SigmaOverflowError):
         _batched._forward(g, R, PRODUCT, np.array([0]))
+
+
+def test_batched_overflow_block_takes_exact_counts():
+    # sigma reaches 2^1100 at unit weight: the batched block hands the
+    # sources to the weighted engine, which answers as at weight 2.0
+    g1, g2 = _diamond_chain(1100), _diamond_chain(1100, weight=2.0)
+    R = random_relevance(np.random.default_rng(8), g1.vertex_count)
+    S = np.array([0, 5])
+    with pytest.raises(SigmaOverflowError):
+        _batched._forward(g1, R, PAIRWISE_FS[0], S)
+    for f in PAIRWISE_FS[:2]:
+        h1, v1, e1 = _batched.block(g1, R, f, S, True, True)
+        h2, v2, e2 = _weighted.block(g2, R, f, S, True, True)
+        np.testing.assert_array_equal(v1, v2)
+        np.testing.assert_array_equal(e1, e2)
+        np.testing.assert_array_equal(h1, 2.0 * h2)
+        assert v1.max() > 0
+    with pytest.raises(SigmaOverflowError):  # path f needs the counts as floats
+        _batched.block(g1, R, PATH_FS[0], S, True, True)
 
 
 def test_pairwise_scalar_engine_immune_to_sigma_overflow():

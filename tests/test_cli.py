@@ -1,10 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relcentral
+from relcentral import GeneratorConfig, assign_relevance, watts_strogatz
+from relcentral._sweep import BLOCK
 from relcentral.cli import EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, main
 from relcentral.graph import Graph
+from relcentral.io_formats import save_edge_csv, save_relevance_csv
 
 RING = "source,target\nA,B\nB,C\nC,D\nA,D\n"
 WRING = "source,target,weight\nA,B,0.5\nB,C,1\nC,D,1\nA,D,1\n"
@@ -227,3 +235,65 @@ def test_argparse_rejects_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["frobnicate"])
     assert ei.value.code == 2
+
+
+# --- fresh processes: start-up loads only what the request uses ---
+
+FLORENCE = ["data/florence/edges.csv", "--relevance", "data/florence/relevance.csv"]
+PROBED = ("scipy", "relcentral._weighted")
+# runs relcentral.cli as `python -m relcentral.cli` does, then reports the
+# exit code and which PROBED modules were loaded on its last stderr line
+RUN_CLI = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('relcentral.cli', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as exc:\n"
+    f"    print(exc.code, *[m for m in {PROBED!r} if m in sys.modules], file=sys.stderr)\n"
+)
+
+
+def _fresh_compute(tmp_path, args):
+    """(exit code, PROBED modules loaded, stdout, output bytes) of a fresh process."""
+    out = tmp_path / "fresh.out"
+    env = dict(os.environ, PYTHONPATH=str(Path(relcentral.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_CLI, "compute", *args, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    code, *loaded = done.stderr.splitlines()[-1].split()
+    return int(code), loaded, done.stdout, out.read_bytes()
+
+
+def _in_process_compute(tmp_path, capsys, args):
+    out = tmp_path / "here.out"
+    capsys.readouterr()
+    assert main(["compute", *args, "--out", str(out)]) == EXIT_OK
+    return capsys.readouterr().out, out.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_fresh_degree_request_never_loads_scipy(tmp_path, capsys, fmt):
+    args = FLORENCE + ["--metric", "degree", "--format", fmt]
+    code, loaded, stdout, data = _fresh_compute(tmp_path, args)
+    assert (code, loaded) == (EXIT_OK, [])
+    assert (stdout, data) == _in_process_compute(tmp_path, capsys, args)
+
+
+def test_fresh_path_requests_match_in_process_bytes(tmp_path, capsys):
+    g = watts_strogatz(GeneratorConfig(n=BLOCK + 44, d=4, p=1.0, seed=3))
+    large, large_rel = str(tmp_path / "large.csv"), str(tmp_path / "large_rel.csv")
+    save_edge_csv(g, large)
+    save_relevance_csv(assign_relevance(g.vertex_count, 4, 0.5, 5), g, large_rel)
+    # the weighted engine's scipy.sparse.linalg and csgraph load only for
+    # weighted graphs
+    cases = [
+        (FLORENCE + ["--metric", "all"], [], ["scipy"]),
+        ([put(tmp_path, "w.csv", WRING), "--relevance", put(tmp_path, "r.csv", REL),
+          "--metric", "all"], [], list(PROBED)),
+        ([large, "--relevance", large_rel, "--f", "path-prod", "--metric", "all"],
+         ["--workers", "2"], ["scipy"]),  # more than one block: a thread pool starts
+    ]
+    for args, fresh_only, modules in cases:
+        code, loaded, stdout, data = _fresh_compute(tmp_path, args + fresh_only)
+        assert (code, loaded) == (EXIT_OK, modules)
+        assert (stdout, data) == _in_process_compute(tmp_path, capsys, args + ["--workers", "1"])

@@ -185,11 +185,14 @@ def test_source_only_harmonic_ratio_tracks_relevance():
 
 
 def test_import_does_not_load_scipy_stats():
+    # nor anything else a request may not use: scipy loads with the first
+    # path metric, threads with the first pool
     src = str(Path(relcentral.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, relcentral; print('scipy.stats' in sys.modules)"
+    modules = ["scipy.stats", "scipy", "importlib.metadata", "concurrent.futures"]
+    probe = f"import sys, relcentral; print([m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         check=True, timeout=120,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

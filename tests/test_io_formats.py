@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,9 +437,14 @@ _values = st.one_of(
                      1.00000000000049, 0.1 + 0.2, 1 / 3, 7.0, -3.0]),
     st.floats(min_value=1e12, max_value=1e17),
     st.integers(-10**15, 10**15).map(float),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+)
+_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e12, 1e17, 999999999999.5, 7.0]),
 )
 _labels = st.text(
-    alphabet=st.one_of(st.sampled_from('"\\,\n\t\x00 /aZ'), st.characters()),
+    alphabet=st.one_of(st.sampled_from('"\\,\n\t\x00 /aZ{}é'), st.characters()),
     min_size=1,
     max_size=6,
 )
@@ -448,13 +455,15 @@ _metric = st.sampled_from(["degree", "harmonic", "betweenness", "edge-betweennes
 def _documents(draw):
     vertex_tables = draw(st.dictionaries(
         _metric, st.dictionaries(_labels, _values, max_size=8), max_size=3))
-    edge_row = st.fixed_dictionaries(
-        {"source": _labels, "target": _labels, "value": _values})
-    edge_tables = draw(st.dictionaries(_metric, st.lists(edge_row, max_size=4), max_size=2))
+    # all-finite tables take the by-column path, a NaN or inf the per-value one
+    finite_row, any_row = (st.fixed_dictionaries(
+        {"source": _labels, "target": _labels, "value": v}) for v in (_finite, _values))
+    edge_tables = draw(st.dictionaries(_metric, st.one_of(
+        st.lists(finite_row, max_size=8), st.lists(any_row, max_size=8)), max_size=2))
     rankings = {
         "vertices": {m: sorted(t, key=str.lower) for m, t in vertex_tables.items()},
         "edges": draw(st.dictionaries(
-            _metric, st.lists(st.lists(_labels, min_size=2, max_size=2), max_size=4), max_size=2)),
+            _metric, st.lists(st.lists(_labels, min_size=2, max_size=2), max_size=8), max_size=2)),
     }
     metadata = {
         "tool": "relcentral",
@@ -464,7 +473,9 @@ def _documents(draw):
         "f": draw(st.sampled_from(["product", "path-prod", "matrix"])),
         "relevance": draw(_labels),
         "extra": draw(st.one_of(st.none(), st.integers(), _values, _labels,
-                                st.lists(_values, max_size=3))),
+                                st.lists(_values, max_size=3),
+                                st.lists(st.fixed_dictionaries({"{x}": _finite, '"q"': _labels}),
+                                         max_size=4))),
     }
     return ResultDocument(metadata, vertex_tables, edge_tables, rankings)
 
@@ -493,6 +504,14 @@ def test_result_version_falls_back_to_the_package_version():
 
     g = weighted_ring()
     assert build_result_document(g, [], "g").metadata["version"] == relcentral.__version__
+
+
+def test_pyproject_version_is_the_package_version():
+    import relcentral
+
+    pyproject = Path(relcentral.__file__).resolve().parents[2] / "pyproject.toml"
+    found = re.findall(r'^version\s*=\s*"([^"]*)"', pyproject.read_text(), re.MULTILINE)
+    assert found == [relcentral.__version__]
 
 
 # --- result csv ---
