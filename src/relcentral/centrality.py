@@ -9,11 +9,14 @@ including the ones touching its endpoints.
 
 Harmonic closeness and betweenness run over fixed blocks of sources
 (``_sweep``), so one sweep serves both when both are asked for.
-Unweighted graphs go through the lockstep BFS engine in ``_batched``;
-weighted graphs through the array engine in ``_weighted``: compiled
-Dijkstra, the shortest-path DAG as an edge mask, and each recurrence
-over it as one sparse triangular solve. Block partials are always
-merged in block order, so results do not depend on the worker count.
+Unweighted graphs go through the BFS engine in ``_batched``: one
+direction-optimizing BFS per block records the shortest-path DAG arcs
+level by level, and each recurrence over them is one ``bincount`` per
+level, with numpy alone. Weighted graphs go through the array engine in
+``_weighted``: compiled Dijkstra, the shortest-path DAG as an edge mask,
+and each recurrence over it as one sparse triangular solve. Block
+partials are always merged in block order, so results do not depend on
+the worker count.
 """
 
 from __future__ import annotations

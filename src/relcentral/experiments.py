@@ -187,6 +187,12 @@ class CorrelationRecord:
     constant_flag: bool  # some input vector was constant; 0.0 sentinels inside
 
 
+def _graph_key(c: ExperimentCell) -> tuple:
+    """The cells that share a graph: the ring lattice does not depend on
+    the seed, so one lattice and its classic baselines serve every seed."""
+    return (c.kind, c.n) if c.kind == "regular" else (c.kind, c.n, c.seed)
+
+
 def _build_network(kind: str, n: int, d: int, seed: int) -> Graph:
     if kind == "regular":
         return ring_lattice(n, d)
@@ -214,7 +220,7 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> list[CorrelationRecord]:
     relevances: dict = {}
     for c in cells:
         try:
-            gk = (c.kind, c.n, c.seed)
+            gk = _graph_key(c)
             if gk not in graphs:
                 graphs[gk] = _build_network(c.kind, c.n, grid.d, c.seed)
             ck = gk + (c.metric,)
@@ -230,8 +236,8 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> list[CorrelationRecord]:
 
     def run_cell(c: ExperimentCell) -> CorrelationRecord:
         try:
-            g = graphs[(c.kind, c.n, c.seed)]
-            base = classic[(c.kind, c.n, c.seed, c.metric)]
+            g = graphs[_graph_key(c)]
+            base = classic[_graph_key(c) + (c.metric,)]
             R = relevances[(c.n, c.r, c.seed)]
             ext = _metric_values(g, R, RelevanceFunction(c.f), c.metric)
             return CorrelationRecord(

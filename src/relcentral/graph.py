@@ -6,12 +6,12 @@ distances: lower weight means the endpoints are closer.
 
 A graph is stored as flat arrays: edge k joins ``u[k] < v[k]`` with
 weight ``w[k]``, edges in construction order, and the label->index
-dict is the only per-vertex Python structure. The symmetric CSR
-adjacency the engines use is derived from these arrays, and so are
-the ``Edge`` records, per-vertex adjacency lists and edge-id lookup
-that the per-source reference code walks; each is built on first use.
-scipy is imported only there, when a path metric first asks for the
-adjacency, so a degree-only request never loads it.
+dict is the only per-vertex Python structure. Everything else is
+derived from these arrays on first use: the CSR neighbor lists the BFS
+engine walks (built with numpy alone), the ``Edge`` records, per-vertex
+adjacency lists and edge-id lookup that the per-source reference code
+walks, and a scipy adjacency matrix for tests and inspection. No metric
+reads that matrix; scipy loads only with the weighted engine.
 """
 
 from __future__ import annotations
@@ -119,14 +119,29 @@ class Graph:
         return self._w
 
     @cached_property
-    def adjacency_matrix(self) -> sparse.csr_array:
-        """Symmetric 0/1 CSR adjacency."""
-        from scipy import sparse  # only the path metrics need scipy
+    def neighbor_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Neighbor lists as CSR arrays (indptr, neighbor, edge id): the
+        slots of vertex x are ``indptr[x]:indptr[x + 1]``, ascending by
+        neighbor. Built with numpy alone; the BFS engine walks it."""
+        n, m = self.vertex_count, self.edge_count
+        src = np.concatenate([self._u, self._v])
+        dst = np.concatenate([self._v, self._u])
+        order = np.lexsort((dst, src))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        out = (indptr, dst[order], np.tile(np.arange(m), 2)[order])
+        for a in out:
+            a.setflags(write=False)
+        return out
 
+    @cached_property
+    def adjacency_matrix(self) -> sparse.csr_array:
+        """Symmetric 0/1 CSR adjacency (scipy), for tests and inspection."""
+        from scipy import sparse
+
+        indptr, nbr, _ = self.neighbor_csr
         n = self.vertex_count
-        rows = np.concatenate([self._u, self._v])
-        cols = np.concatenate([self._v, self._u])
-        return sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+        return sparse.csr_array((np.ones(len(nbr)), nbr, indptr), shape=(n, n))
 
     # --- views for the per-source reference code, built on first use ---
 
@@ -137,14 +152,10 @@ class Graph:
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int, float], ...], ...]:
         """Per vertex, (neighbor, edge id, weight) ascending by neighbor."""
-        m = self.edge_count
-        src = np.concatenate([self._u, self._v])
-        dst = np.concatenate([self._v, self._u])
-        order = np.lexsort((dst, src))
-        arcs = list(zip(dst[order].tolist(), np.tile(np.arange(m), 2)[order].tolist(),
-                        np.tile(self._w, 2)[order].tolist()))
-        ends = np.cumsum(np.bincount(src, minlength=self.vertex_count)).tolist()
-        return tuple(tuple(arcs[a:b]) for a, b in zip([0] + ends, ends))
+        indptr, nbr, eid = self.neighbor_csr
+        arcs = list(zip(nbr.tolist(), eid.tolist(), self._w[eid].tolist()))
+        bounds = indptr.tolist()
+        return tuple(tuple(arcs[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def __repr__(self) -> str:  # pragma: no cover
         kind = "weighted" if self.weighted else "unweighted"

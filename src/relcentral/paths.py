@@ -8,8 +8,9 @@ case; Dijkstra handles positive weights, with a relative tolerance
 
 This is the per-source reference form for inspecting one DAG or
 enumerating its paths. The metrics do not call it: they run the block
-engines in ``_batched`` (unweighted) and ``_weighted`` (weighted),
-which apply the same tie rule to whole blocks of sources at once.
+engines over whole blocks of sources at once, ``_batched`` (unweighted:
+BFS levels, where ties are exact) and ``_weighted`` (weighted: the same
+``TIE_TOL`` rule).
 """
 
 from __future__ import annotations

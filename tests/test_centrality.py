@@ -31,6 +31,7 @@ from relcentral.errors import (
     PathVariantNotApplicableError,
     SigmaOverflowError,
 )
+from relcentral.generators import GeneratorConfig, ring_lattice, watts_strogatz
 from relcentral.graph import build_graph
 from relcentral.oracle import brute_betweenness, brute_degree, brute_harmonic
 from relcentral.relevance import (
@@ -299,7 +300,8 @@ def test_shared_sweep_harmonic_matches_harmonic_alone(weighted, f):
 
 
 def _reweighted(g, weight: float):
-    return build_graph([(a, b, weight) for a, b, _ in g.edge_records()])
+    # vertices= keeps every index, and isolated vertices, where they were
+    return build_graph([(a, b, weight) for a, b, _ in g.edge_records()], vertices=g.labels)
 
 
 def _assert_uniform_weight_matches_unweighted(g1, R):
@@ -338,6 +340,69 @@ def test_uniform_weight_two_diamond_chain_uses_exact_counts(monkeypatch):
         g, random_relevance(np.random.default_rng(7), g.vertex_count)
     )
     assert any(calls)
+
+
+def _two_components_and_isolated():
+    a = watts_strogatz(GeneratorConfig(n=150, d=6, p=0.2, seed=9))
+    b = ring_lattice(90, 4)
+    records = [("a" + x, "a" + y) for x, y in a.edge_labels()]
+    records += [("b" + x, "b" + y) for x, y in b.edge_labels()]
+    return build_graph(records, vertices=["isolated"])
+
+
+# beyond the oracle's 12 vertices: a deep ring (many top-down BFS steps),
+# a low-diameter WS graph (a bottom-up step) and a disconnected graph
+BEYOND_ORACLE = {
+    "ring600": lambda: ring_lattice(600, 4),
+    "ws300": lambda: watts_strogatz(GeneratorConfig(n=300, d=10, p=1.0, seed=4)),
+    "split": _two_components_and_isolated,
+}
+
+
+@pytest.mark.parametrize("name", BEYOND_ORACLE)
+def test_classic_metrics_match_networkx(name):
+    nx = pytest.importorskip("networkx")
+    g = BEYOND_ORACLE[name]()
+    G = nx.Graph()
+    G.add_nodes_from(range(g.vertex_count))
+    u, v = g.edge_endpoints
+    G.add_edges_from(zip(u.tolist(), v.tolist()))
+    h, vb, eb = _path_reports(g, None, PRODUCT, 1, None)
+    want_h = nx.harmonic_centrality(G)
+    want_vb = nx.betweenness_centrality(G, normalized=False)
+    want_eb = {frozenset(e): x for e, x in nx.edge_betweenness_centrality(G, normalized=False).items()}
+    nodes = range(g.vertex_count)
+    np.testing.assert_allclose(h.values, [want_h[i] for i in nodes], rtol=1e-9)
+    # relcentral sums over ordered pairs, networkx over unordered ones
+    np.testing.assert_allclose(vb.values, [2 * want_vb[i] for i in nodes], rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(
+        eb.values, [2 * want_eb[frozenset(e)] for e in zip(u.tolist(), v.tolist())], rtol=1e-9
+    )
+
+
+@pytest.mark.parametrize("name", BEYOND_ORACLE)
+def test_uniform_weight_two_matches_unweighted_beyond_oracle_sizes(name):
+    g = BEYOND_ORACLE[name]()
+    _assert_uniform_weight_matches_unweighted(
+        g, random_relevance(np.random.default_rng(len(name)), g.vertex_count)
+    )
+
+
+def test_bfs_takes_both_directions(monkeypatch):
+    steps = []
+    for direction in ("_top_down", "_bottom_up"):
+        def spy(*args, _step=getattr(_batched, direction), _name=direction):
+            steps.append(_name)
+            return _step(*args)
+
+        monkeypatch.setattr(_batched, direction, spy)
+    g = BEYOND_ORACLE["ws300"]()
+    _batched.block(g, RelevanceVector.ones(g.vertex_count), PRODUCT, np.arange(BLOCK), True, True)
+    assert {"_top_down", "_bottom_up"} == set(steps)
+    steps.clear()
+    g = BEYOND_ORACLE["ring600"]()
+    _batched.block(g, RelevanceVector.ones(g.vertex_count), PRODUCT, np.arange(BLOCK), True, True)
+    assert steps.count("_top_down") > 100  # diameter 150
 
 
 @settings(max_examples=20, deadline=None)
@@ -403,28 +468,52 @@ def test_scalar_path_sum_overflow_detected():
         vertex_betweenness(g, R, PATH_SUM)
 
 
-def test_batched_sigma_overflow_detected():
-    # layered complete bipartite stack: sigma multiplies by 20 per layer
-    width, depth = 20, 240
+def _bipartite_stack(width: int, depth: int, weight: float = 1.0):
     records = []
     for lay in range(depth - 1):
         for a in range(width):
             for b in range(width):
-                records.append((f"x{lay}_{a}", f"x{lay + 1}_{b}"))
-    g = build_graph(records)
-    R = RelevanceVector.ones(g.vertex_count)
-    with pytest.raises(SigmaOverflowError):
-        _batched._forward(g, R, PRODUCT, np.array([0]))
+                records.append((f"x{lay}_{a}", f"x{lay + 1}_{b}", weight))
+    return build_graph(records)
 
 
-def test_batched_overflow_block_takes_exact_counts():
+def _spy_on_weighted_block(monkeypatch) -> list:
+    calls, weighted_block = [], _weighted.block
+
+    def spy(*args):
+        calls.append(args[3].tolist())
+        return weighted_block(*args)
+
+    monkeypatch.setattr(_weighted, "block", spy)
+    return calls
+
+
+def test_batched_sigma_overflow_detected(monkeypatch):
+    # layered complete bipartite stack: sigma multiplies by 20 per layer
+    # and passes float64 range; the block says so instead of going silent
+    g1, g2 = _bipartite_stack(20, 240), _bipartite_stack(20, 240, weight=2.0)
+    R = RelevanceVector.ones(g1.vertex_count)
+    S = np.array([0])
+    calls = _spy_on_weighted_block(monkeypatch)
+    for f in PATH_FS:
+        with pytest.raises(SigmaOverflowError):
+            _batched.block(g1, R, f, S, True, True)
+    h1, v1, e1 = _batched.block(g1, R, PRODUCT, S, True, True)
+    assert calls == [[0]] * (len(PATH_FS) + 1)
+    h2, v2, e2 = _weighted.block(g2, R, PRODUCT, S, True, True)
+    assert np.all(np.isfinite(v1)) and np.all(np.isfinite(e1))
+    np.testing.assert_array_equal(v1, v2)
+    np.testing.assert_array_equal(e1, e2)
+    np.testing.assert_array_equal(h1, 2.0 * h2)
+
+
+def test_batched_overflow_block_takes_exact_counts(monkeypatch):
     # sigma reaches 2^1100 at unit weight: the batched block hands the
     # sources to the weighted engine, which answers as at weight 2.0
     g1, g2 = _diamond_chain(1100), _diamond_chain(1100, weight=2.0)
     R = random_relevance(np.random.default_rng(8), g1.vertex_count)
     S = np.array([0, 5])
-    with pytest.raises(SigmaOverflowError):
-        _batched._forward(g1, R, PAIRWISE_FS[0], S)
+    calls = _spy_on_weighted_block(monkeypatch)
     for f in PAIRWISE_FS[:2]:
         h1, v1, e1 = _batched.block(g1, R, f, S, True, True)
         h2, v2, e2 = _weighted.block(g2, R, f, S, True, True)
@@ -432,6 +521,7 @@ def test_batched_overflow_block_takes_exact_counts():
         np.testing.assert_array_equal(e1, e2)
         np.testing.assert_array_equal(h1, 2.0 * h2)
         assert v1.max() > 0
+    assert len(calls) == 4  # each batched block went to the weighted engine
     with pytest.raises(SigmaOverflowError):  # path f needs the counts as floats
         _batched.block(g1, R, PATH_FS[0], S, True, True)
 

@@ -284,14 +284,14 @@ def test_fresh_path_requests_match_in_process_bytes(tmp_path, capsys):
     large, large_rel = str(tmp_path / "large.csv"), str(tmp_path / "large_rel.csv")
     save_edge_csv(g, large)
     save_relevance_csv(assign_relevance(g.vertex_count, 4, 0.5, 5), g, large_rel)
-    # the weighted engine's scipy.sparse.linalg and csgraph load only for
-    # weighted graphs
+    # unweighted path requests run on numpy alone; scipy and the weighted
+    # engine load only for weighted graphs
     cases = [
-        (FLORENCE + ["--metric", "all"], [], ["scipy"]),
+        (FLORENCE + ["--metric", "all"], [], []),
         ([put(tmp_path, "w.csv", WRING), "--relevance", put(tmp_path, "r.csv", REL),
           "--metric", "all"], [], list(PROBED)),
         ([large, "--relevance", large_rel, "--f", "path-prod", "--metric", "all"],
-         ["--workers", "2"], ["scipy"]),  # more than one block: a thread pool starts
+         ["--workers", "2"], []),  # more than one block: a thread pool starts
     ]
     for args, fresh_only, modules in cases:
         code, loaded, stdout, data = _fresh_compute(tmp_path, args + fresh_only)

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import relcentral
+from relcentral import experiments
 from conftest import random_graph, random_relevance
 from relcentral.centrality import harmonic_centrality
 from relcentral.errors import ExperimentCellError, LengthMismatchError
@@ -133,6 +134,28 @@ def test_run_grid_workers_deterministic():
     r1 = run_grid(small_grid(), workers=1)
     r4 = run_grid(small_grid(), workers=4)
     assert r1 == r4
+
+
+def test_run_grid_builds_each_ring_lattice_once(tmp_path, monkeypatch):
+    grid = small_grid(kinds=("regular", "random"), seeds=(0, 1, 2),
+                      fs=(Variant.PRODUCT, Variant.PATH_SUM), metrics=("betweenness", "harmonic"))
+    built, build = [], experiments._build_network
+
+    def spy(kind, n, d, seed):
+        built.append(kind)
+        return build(kind, n, d, seed)
+
+    monkeypatch.setattr(experiments, "_build_network", spy)
+    shared = run_grid(grid)
+    assert (built.count("regular"), built.count("random")) == (1, 3)
+    # the same grid with one graph, and one classic baseline, per seed
+    monkeypatch.setattr(experiments, "_graph_key", lambda c: (c.kind, c.n, c.seed))
+    per_seed = run_grid(grid)
+    assert built.count("regular") == 1 + 3
+    assert shared == per_seed
+    write_correlation_csv(shared, tmp_path / "shared.csv")
+    write_correlation_csv(per_seed, tmp_path / "per_seed.csv")
+    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "per_seed.csv").read_bytes()
 
 
 def test_run_grid_annotates_failing_cell():
