@@ -3,12 +3,15 @@
 Sources run in the fixed blocks of ``_sweep``. One BFS runs over the
 block's flat nodes s*V + x (vertex x seen from block source s) and
 records, level by level, the node list and the shortest-path DAG arcs
-into the next level: tail position, head position and edge. Each step
-expands from whichever side has fewer neighbor slots, the frontier
-(top-down) or the unvisited nodes (bottom-up), after Beamer, Asanovic
-and Patterson (SC 2012). Every node is a frontier once, and a bottom-up
-step costs less than the frontier it replaces, so a block of b sources
-costs O(b*m) plus a few numpy calls per level, at any graph depth.
+into the next level: tail position, head position and edge. Every node
+is a frontier once, so top-down steps alone cost O(b*(V+m)) for a block
+of b sources, plus a few numpy calls per level, at any graph depth.
+Each step expands from whichever side has fewer neighbor slots, the
+frontier (top-down) or the unvisited nodes of positive degree
+(bottom-up), after Beamer, Asanovic and Patterson (SC 2012). A
+bottom-up step costs less than the frontier it replaces, so the bound
+holds; on low-diameter graphs, whose middle levels hold most nodes, it
+builds and frees far fewer candidate arcs than a top-down step would.
 Neighbor lists come from ``Graph.neighbor_csr``; no scipy.
 
 Every recurrence over the DAGs (Brandes 2001; the path variants follow
@@ -66,15 +69,15 @@ def _bfs(g: Graph, S: np.ndarray):
     level[nodes] = 0
     pos[nodes] = np.arange(b)
     unvisited_slots = b * len(nbr) - int(deg[S].sum())
-    unvisited = None  # flat ids, listed on the first bottom-up step
+    unvisited = None  # flat ids of degree > 0, listed on the first bottom-up step
     levels, arcs = [nodes], []
     while True:
         depth = len(arcs)
         if deg[x].sum() <= unvisited_slots:
             step = _top_down(g, level, pos, nodes, x)
         else:
-            unvisited = (np.flatnonzero(level < 0) if unvisited is None
-                         else unvisited[level[unvisited] < 0])
+            unvisited = (np.flatnonzero((level < 0) & np.tile(deg > 0, b))
+                         if unvisited is None else unvisited[level[unvisited] < 0])
             step = _bottom_up(g, level, pos, unvisited, depth)
         nodes = step[0]
         if not len(nodes):
@@ -143,20 +146,22 @@ def block(g, R, f, S: np.ndarray, harmonic: bool, betweenness: bool):
 
     A block whose path counts overflow float64 runs in the weighted
     engine, whose exact integer counts answer pairwise f; path f still
-    raises ``SigmaOverflowError`` there.
+    raises ``SigmaOverflowError`` there. The counts are checked even
+    when nothing asked uses them (pairwise harmonic alone), so such a
+    block's harmonic comes from the weighted engine too, the same with
+    or without betweenness.
     """
     n, b = g.vertex_count, len(S)
     r, variant = R.values, f.variant
     levels, arcs = _bfs(g, S)
     owners, verts = zip(*(np.divmod(nodes, n) for nodes in levels))
-    sigma = fwd = fv = None
-    if betweenness or variant.is_path:
-        try:
-            sigma, fwd = _forward(r, variant, S, verts, arcs)
-        except SigmaOverflowError:
-            from . import _weighted  # scipy.sparse.linalg and csgraph: only when needed
+    try:
+        sigma, fwd = _forward(r, variant, S, verts, arcs)
+    except SigmaOverflowError:
+        from . import _weighted  # scipy.sparse.linalg and csgraph: only when needed
 
-            return _weighted.block(g, R, f, S, harmonic, betweenness)
+        return _weighted.block(g, R, f, S, harmonic, betweenness)
+    fv = None
     if variant.is_pairwise:
         fv = [pair_values(f, S[s], x, R) for s, x in zip(owners, verts)]
 

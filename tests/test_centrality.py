@@ -526,6 +526,17 @@ def test_batched_overflow_block_takes_exact_counts(monkeypatch):
         _batched.block(g1, R, PATH_FS[0], S, True, True)
 
 
+def test_shared_sweep_harmonic_matches_harmonic_alone_when_counts_overflow():
+    # 2^1030 paths from the chain's first vertices: those blocks overflow
+    # whether or not betweenness is asked, so harmonic has one engine
+    g = _diamond_chain(1030)
+    R = random_relevance(np.random.default_rng(8), g.vertex_count)
+    hrep, vrep, _ = _path_reports(g, R, PRODUCT, 1, None)
+    alone = harmonic_centrality(g, R, PRODUCT)
+    assert hrep.values.tobytes() == alone.values.tobytes()
+    assert np.all(np.isfinite(vrep.values)) and vrep.values.max() > 0
+
+
 def test_pairwise_scalar_engine_immune_to_sigma_overflow():
     # same doubling chain, but pairwise fractions are ratios of big ints
     g = _diamond_chain(400, weight=2.0)
