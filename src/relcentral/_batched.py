@@ -1,45 +1,96 @@
-"""Level-synchronous BFS engine for unweighted graphs.
+"""Block engine for harmonic closeness and betweenness, any positive weights.
 
-Sources run in the fixed blocks of ``_sweep``. One BFS runs over the
-block's flat nodes s*V + x (vertex x seen from block source s) and
-records, level by level, the node list and the shortest-path DAG arcs
-into the next level: tail position, head position and edge. Every node
-is a frontier once, so top-down steps alone cost O(b*(V+m)) for a block
-of b sources, plus a few numpy calls per level, at any graph depth.
-Each step expands from whichever side has fewer neighbor slots, the
-frontier (top-down) or the unvisited nodes of positive degree
-(bottom-up), after Beamer, Asanovic and Patterson (SC 2012). A
-bottom-up step costs less than the frontier it replaces, so the bound
-holds; on low-diameter graphs, whose middle levels hold most nodes, it
-builds and frees far fewer candidate arcs than a top-down step would.
-Neighbor lists come from ``Graph.neighbor_csr``; no scipy.
+Sources run in the fixed blocks of ``_sweep``. The b sources of a block
+see the graph as flat nodes s*V + x (vertex x seen from source s), and
+one of two front-ends lays their shortest-path DAGs out level by level:
+the reached nodes of each level and the DAG arcs, every arc running from
+a lower to a higher level.
+
+- Unit weights (``_bfs``): one BFS over the flat nodes; level k holds
+  the nodes at distance k, and every arc joins consecutive levels. Each
+  node is a frontier once, so a block costs O(b*(V+m)) at any depth. A
+  step expands from whichever side has fewer neighbor slots, the
+  frontier (top-down) or the unvisited nodes (bottom-up; Beamer,
+  Asanovic and Patterson, SC 2012); on low-diameter graphs that builds
+  and frees far fewer candidate arcs.
+- Any weights (``_by_distance``): lockstep label-correcting distances
+  over the flat nodes (``_distances``), the arcs p -> w where d[p] < d[w]
+  and d[p] + weight ties d[w] within ``TIE_TOL`` (the rule of
+  ``paths.sssp``), and a node's level the hop count of its longest DAG
+  path, so an arc may skip levels.
 
 Every recurrence over the DAGs (Brandes 2001; the path variants follow
-Brandes 2008) is then one ``np.bincount`` per level: the path counts
-sigma and the path-variant forward state from the sources down, the
-backward credit from the deepest level up, and harmonic closeness.
-Vertex and edge credit are one ``bincount`` each over all levels. Path
-counts live in float64; a block whose counts overflow to inf is
-handed to the weighted engine, which recounts them exactly, instead of
-silently degrading.
+Brandes 2008) is then one ``np.bincount`` per level: the path counts and
+the path-variant forward state from the sources down, over the arcs into
+each level, and the backward credit from the deepest level up, over the
+arcs out of each level. Edge credit gathers per CSR slot level by level,
+so no arc-sized array outlives its level. numpy only; no scipy.
+
+Path counts are float64, exact integers while below 2**53, so that
+sigma_p / sigma_w is the correctly rounded ratio of the exact counts. A
+weighted block whose counts reach 2**53, and a unit-weight block whose
+counts overflow (run again on the distance front-end, so that it answers
+as the graph with every weight 2.0 does), recount them as Python
+integers over the same arcs (``_exact_counts``). Pairwise f then takes
+the exact ratios, while path f needs the counts as floats and raises
+``SigmaOverflowError`` when one does not fit.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._sweep import sweep
 from .errors import SigmaOverflowError
 from .graph import Graph
+from .paths import TIE_TOL
 from .relevance import RelevanceFunction, RelevanceVector, Variant, pair_values
+
+EXACT_LIMIT = 2.0**53
+# slots per chunk of the distance front-end: its temporaries stay a few
+# hundred KB, in cache and recycled by the allocator instead of paged in
+_CHUNK = 1 << 16
+
+
+@dataclass
+class _Dag:
+    """Shortest-path DAGs of one source block, laid out by level.
+
+    Level k holds positions ``cut[k]:cut[k + 1]``; position i is flat
+    node ``node[i]`` at distance ``dist[i]`` (k on level k when ``dist``
+    is None), and position i < b is block source i. ``into[k - 1]`` holds
+    the arcs into level k as (base, tail, head): tail indexes positions
+    from ``base`` on, head the positions of level k. ``out[k]`` holds the
+    arcs out of level k as (tail, base, head, slot): tail indexes the
+    positions of level k, head positions from ``base`` on, and slot is
+    the edge's CSR slot.
+    """
+
+    node: np.ndarray
+    cut: np.ndarray
+    dist: np.ndarray | None
+    into: list
+    out: list
+
+
+def _offsets(sizes) -> np.ndarray:
+    out = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=out[1:])
+    return out
+
+
+def _ranges(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] .. starts[i] + counts[i], concatenated."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
 
 
 def _ragged(counts: np.ndarray, starts: np.ndarray):
     """(owner, slot) over the ranges starts[i] .. starts[i] + counts[i]."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    return owner, np.arange(total) + np.repeat(starts - (ends - counts), counts)
+    return np.repeat(np.arange(len(counts)), counts), _ranges(counts, starts)
 
 
 def _firsts(a: np.ndarray) -> np.ndarray:
@@ -49,20 +100,19 @@ def _firsts(a: np.ndarray) -> np.ndarray:
     return first
 
 
-def _bfs(g: Graph, S: np.ndarray):
+# --- unit weights: BFS levels ---
+
+
+def _bfs(g: Graph, S: np.ndarray) -> _Dag:
     """BFS from every source of the block over its flat nodes.
 
-    Returns (levels, arcs): ``levels[k]`` holds the flat nodes at
-    distance k in ascending order, and ``arcs[k]`` the DAG arcs from
-    level k into level k + 1 as (tail position in level k, head
-    position in level k + 1, CSR slot of the edge). Which side a step
+    Each level lists its flat nodes in ascending order. Which side a step
     expands from depends only on the block, so the arcs, and the
     summation order over them, are the same on every run.
     """
     indptr, nbr, _ = g.neighbor_csr
-    n = g.vertex_count
+    n, b = g.vertex_count, len(S)
     deg = np.diff(indptr)
-    b = len(S)
     level = np.full(b * n, -1, dtype=np.int32)
     pos = np.empty(b * n, dtype=np.int64)  # a node's position in its level
     nodes, x = n * np.arange(b) + S, S
@@ -70,23 +120,27 @@ def _bfs(g: Graph, S: np.ndarray):
     pos[nodes] = np.arange(b)
     unvisited_slots = b * len(nbr) - int(deg[S].sum())
     unvisited = None  # flat ids of degree > 0, listed on the first bottom-up step
-    levels, arcs = [nodes], []
+    levels, into, out = [nodes], [], []
+    start = 0  # the first position of the deepest level so far
     while True:
-        depth = len(arcs)
+        depth = len(out)
         if deg[x].sum() <= unvisited_slots:
             step = _top_down(g, level, pos, nodes, x)
         else:
             unvisited = (np.flatnonzero((level < 0) & np.tile(deg > 0, b))
                          if unvisited is None else unvisited[level[unvisited] < 0])
             step = _bottom_up(g, level, pos, unvisited, depth)
-        nodes = step[0]
-        if not len(nodes):
-            return levels, arcs
+        if not len(step[0]):
+            break
+        nodes, tp, hp, slot = step
         level[nodes] = depth + 1
         x = nodes % n
         unvisited_slots -= int(deg[x].sum())
+        into.append((start, tp, hp))
+        start += len(levels[-1])
+        out.append((tp, start, hp, slot))
         levels.append(nodes)
-        arcs.append(step[1:])
+    return _Dag(np.concatenate(levels), _offsets(list(map(len, levels))), None, into, out)
 
 
 def _top_down(g: Graph, level, pos, nodes, x):
@@ -119,90 +173,237 @@ def _bottom_up(g: Graph, level, pos, unvisited, depth: int):
     return new, pos[tail], np.cumsum(first) - 1, slot
 
 
-def _forward(r: np.ndarray, variant: Variant, S: np.ndarray, verts, arcs):
-    """Path counts and the path-variant forward state (total path weight
-    per node, None for pairwise f), one array per level."""
-    sigma = [np.ones(len(S))]
-    fwd = [r[S]] if variant.is_path else None
-    # sigma may run past float64 range; the isinf check turns that into
-    # a typed error, so the intermediate noise is muted
+# --- any positive weights: distances, then longest-hop levels ---
+
+
+def _distances(g: Graph, S: np.ndarray) -> np.ndarray:
+    """Distances from every source of the block, flat over s*V + x.
+
+    Label-correcting rounds in lockstep over the block: each round
+    relaxes the neighbor slots of the nodes that improved in the round
+    before, about ``_CHUNK`` slots at a time, and a head keeps the least
+    of its candidates (``np.minimum.at``) before the next chunk reads
+    it. The result is the least float sum over the paths to a node, as
+    Dijkstra's is, whatever the order of the relaxations.
+    """
+    indptr, nbr, eid = g.neighbor_csr
+    w = g.edge_weights[eid]
+    n, b = g.vertex_count, len(S)
+    deg = np.diff(indptr)
+    step = max(1, _CHUNK * n // max(1, len(nbr)))  # nodes per chunk
+    dist = np.full(b * n, np.inf)
+    last = np.empty(b * n, dtype=np.int64)  # a head's last candidate in a round
+    active = n * np.arange(b) + S
+    dist[active] = 0.0
+    while len(active):
+        improved = []
+        for i in range(0, len(active), step):
+            nodes = active[i:i + step]
+            x = nodes % n
+            tp, slot = _ragged(deg[x], indptr[x])
+            head = (nodes - x)[tp] + nbr[slot]
+            via = dist[nodes][tp] + w[slot]
+            keep = np.flatnonzero(via < dist[head])
+            np.minimum.at(dist, head[keep], via[keep])
+            improved.append(head[keep])
+        head = np.concatenate(improved)  # each improved head once, at its last candidate
+        idx = np.arange(len(head))
+        last[head] = idx
+        active = head[last[head] == idx]
+    return dist
+
+
+def _by_distance(g: Graph, S: np.ndarray) -> _Dag:
+    """The block's DAGs from its distances, at longest-hop levels: a node
+    joins level k + 1 once the arcs out of levels 0..k have reached it
+    by all its DAG arcs (Kahn's order, a level at a time), and each level
+    lists its flat nodes in ascending order."""
+    indptr, nbr, eid = g.neighbor_csr
+    n, b = g.vertex_count, len(S)
+    deg, w = np.diff(indptr), g.edge_weights[eid]
+    dist = _distances(g, S)
+    # candidate slots first, a chunk of sources at a time: d[p] + weight -
+    # d[w] within a bound above every tolerance the rule can allow
+    reach = float(np.max(dist, where=np.isfinite(dist), initial=0.0))
+    bound = TIE_TOL * max(1.0, reach + float(w.max(initial=0.0)))
+    D, rows, found = dist.reshape(b, n), max(1, _CHUNK // max(1, len(nbr))), []
+    for i in range(0, b, rows):
+        gap = np.repeat(D[i:i + rows], deg, axis=1)
+        gap += w
+        with np.errstate(invalid="ignore"):  # inf - inf: unreached slots
+            gap -= D[i:i + rows, nbr]
+            found.append(np.flatnonzero(gap <= bound) + i * len(nbr))
+    s, slot = np.divmod(np.concatenate(found), len(nbr))  # ascending by flat tail
+    tail, head = n * s + np.repeat(np.arange(n), deg)[slot], n * s + nbr[slot]
+    dp, dw = dist[tail], dist[head]
+    via = dp + w[slot]
+    arc = (dp < dw) & (np.abs(via - dw) <= TIE_TOL * np.maximum(np.maximum(via, dw), 1.0))
+    tail, head, slot = tail[arc], head[arc], slot[arc]
+
+    first = _offsets(np.bincount(tail, minlength=b * n))  # a node's first arc out
+    indeg = np.bincount(head, minlength=b * n)
+    levels, groups = [n * np.arange(b) + S], []
+    while True:
+        nodes = levels[-1]
+        arcs = _ranges(first[nodes + 1] - first[nodes], first[nodes])
+        if not len(arcs):
+            break
+        groups.append(arcs)
+        h, c = np.unique(head[arcs], return_counts=True)
+        indeg[h] -= c
+        levels.append(h[indeg[h] == 0])
+    node, sizes = np.concatenate(levels), list(map(len, levels))
+    cut = _offsets(sizes)
+    pos = np.empty(b * n, dtype=np.int64)
+    pos[node] = np.arange(len(node))
+    tail, head = pos[tail], pos[head]
+    out = [(tail[a] - cut[k], 0, head[a], slot[a]) for k, a in enumerate(groups)]
+    level = np.repeat(np.arange(len(levels)), sizes)[head]
+    by_head = np.split(np.argsort(level, kind="stable"), _offsets(np.bincount(level))[1:-1])
+    into = [(0, tail[a], head[a] - cut[k]) for k, a in enumerate(by_head) if k]
+    return _Dag(node, cut, dist[node], into, out)
+
+
+# --- recurrences over the levels ---
+
+
+def _path_counts(dag: _Dag) -> np.ndarray:
+    """sigma per position, in float64."""
+    cut, sigma = dag.cut, np.empty(len(dag.node))
+    sigma[:cut[1]] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # callers check for inf
+        for k, (base, t, h) in enumerate(dag.into, 1):
+            sigma[cut[k]:cut[k + 1]] = np.bincount(h, sigma[base:][t], cut[k + 1] - cut[k])
+    return sigma
+
+
+def _exact_counts(dag: _Dag) -> list:
+    """sigma per position as Python integers."""
+    cut = dag.cut
+    exact = [1] * int(cut[1]) + [0] * int(cut[-1] - cut[1])
+    # level by level, and every tail sits in a lower level than its head,
+    # so a count is complete before it is propagated
+    for k, (base, t, h) in enumerate(dag.into, 1):
+        for p, w in zip((t + base).tolist(), (h + cut[k]).tolist()):
+            exact[w] += exact[p]
+    return exact
+
+
+def _path_state(dag: _Dag, variant: Variant, sigma, r, vert) -> np.ndarray:
+    """Per position, over the shortest paths to the node, the sum of
+    their R products (PATH_PROD) or of their R totals (PATH_SUM); ``r``
+    is R per vertex and ``vert`` the vertex per position."""
+    cut, fwd = dag.cut, np.empty(len(dag.node))
+    fwd[:cut[1]] = r[vert[:cut[1]]]
+    # an overflow to inf reaches the reports, which raise SigmaOverflowError
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (tp, hp, _) in enumerate(arcs):
-            size = len(verts[k + 1])
-            sigma.append(np.bincount(hp, sigma[k][tp], size))
-            if np.isinf(sigma[-1]).any():
-                raise SigmaOverflowError(
-                    "shortest-path counts exceed float64 range in the batched engine"
-                )
+        for k, (base, t, h) in enumerate(dag.into, 1):
+            lo, hi = cut[k], cut[k + 1]
+            into = np.bincount(h, fwd[base:][t], hi - lo)
             if variant is Variant.PATH_PROD:
-                fwd.append(r[verts[k + 1]] * np.bincount(hp, fwd[k][tp], size))
-            elif variant is Variant.PATH_SUM:
-                fwd.append(np.bincount(hp, fwd[k][tp], size) + sigma[-1] * r[verts[k + 1]])
-    return sigma, fwd
+                fwd[lo:hi] = r[vert[lo:hi]] * into
+            else:
+                fwd[lo:hi] = into + sigma[lo:hi] * r[vert[lo:hi]]
+    return fwd
 
 
 def block(g, R, f, S: np.ndarray, harmonic: bool, betweenness: bool):
     """Harmonic values of the sources S and their betweenness credit.
 
-    A block whose path counts overflow float64 runs in the weighted
-    engine, whose exact integer counts answer pairwise f; path f still
-    raises ``SigmaOverflowError`` there. The counts are checked even
-    when nothing asked uses them (pairwise harmonic alone), so such a
-    block's harmonic comes from the weighted engine too, the same with
-    or without betweenness.
+    The path counts are checked even when nothing asked uses them
+    (pairwise harmonic alone), so a unit-weight block that overflows
+    takes its harmonic from the same DAG with or without betweenness.
     """
-    n, b = g.vertex_count, len(S)
-    r, variant = R.values, f.variant
-    levels, arcs = _bfs(g, S)
-    owners, verts = zip(*(np.divmod(nodes, n) for nodes in levels))
-    try:
-        sigma, fwd = _forward(r, variant, S, verts, arcs)
-    except SigmaOverflowError:
-        from . import _weighted  # scipy.sparse.linalg and csgraph: only when needed
-
-        return _weighted.block(g, R, f, S, harmonic, betweenness)
-    fv = None
+    n, b, variant, r = g.vertex_count, len(S), f.variant, R.values
+    exact = None
+    if not g.weighted:
+        dag = _bfs(g, S)
+        sigma = _path_counts(dag)
+    if g.weighted or not np.isfinite(sigma).all():
+        dag = _by_distance(g, S)
+        sigma = _path_counts(dag)
+        if not np.all(sigma < EXACT_LIMIT):  # also false for inf and nan
+            exact = _exact_counts(dag)
+    cut, vert = dag.cut, dag.node % n
+    fv = fwd = None
     if variant.is_pairwise:
-        fv = [pair_values(f, S[s], x, R) for s, x in zip(owners, verts)]
+        fv = pair_values(f, S[dag.node // n], vert, R)
+    else:
+        if exact is not None:
+            try:
+                sigma = np.array(exact, dtype=np.float64)
+            except OverflowError as exc:
+                raise SigmaOverflowError(
+                    f"shortest-path counts exceed float64 range: {exc}"
+                ) from exc
+        fwd = _path_state(dag, variant, sigma, r, vert)
 
     hv = None
     if harmonic:
-        hv = np.zeros(b)
-        for k in range(1, len(levels)):
-            w = fv[k] if fwd is None else fwd[k] / sigma[k]
-            hv += np.bincount(owners[k], w / k, b)
+        w = fv[b:] if fwd is None else fwd[b:] / sigma[b:]
+        if dag.dist is None:
+            dist = np.repeat(np.arange(1, len(cut) - 1, dtype=np.float64), np.diff(cut[1:]))
+        else:
+            dist = dag.dist[b:]
+        hv = np.bincount(dag.node[b:] // n, w / dist, b)
     if not betweenness:
         return hv, None, None
-    if not arcs:  # no source reaches another vertex
-        return hv, np.zeros(n), np.zeros(g.edge_count)
 
-    # backward from the deepest level: credit per arc and per node
-    arc_credit, node_credit = [None] * len(arcs), [None] * len(arcs)
-    below = [np.zeros(len(levels[-1]))] * (2 if variant is Variant.PATH_SUM else 1)
-    for k in range(len(arcs) - 1, -1, -1):
-        tp, hp, _ = arcs[k]
-        size, inv = len(levels[k]), 1.0 / sigma[k + 1]
+    # backward from the deepest level: credit per arc, and per node the
+    # suffix aggregates (below) and the coefficients its in-arcs read
+    below = [np.empty(len(vert)) for _ in range(1 + (variant is Variant.PATH_SUM))]
+    for x in below:  # the deepest level has no arcs out; the loop fills the rest
+        x[cut[-2]:] = 0.0
+    if fwd is None:
+        coef = [fv]  # f + delta, over sigma for float counts; f is not read again
+        if exact is not None:
+            ratio = [np.array([exact[p] / exact[w] for p, w in
+                               zip((t + lo).tolist(), (h + base).tolist())])
+                     for (t, base, h, _), lo in zip(dag.out, cut.tolist())]
+    else:  # PATH_PROD: r * (1/sigma + below); PATH_SUM: the path-count mass
+        coef = [np.empty(len(vert)) for _ in below]  # and the sum-of-R mass
+
+    def settle(lo, hi):
+        """The coefficients of the nodes lo:hi, once their below is complete."""
         if fwd is None:
-            coef = (fv[k + 1] + below[0]) * inv
-            arc_credit[k] = sigma[k][tp] * coef[hp]
-            below = [np.bincount(tp, arc_credit[k], size)]
-            node_credit[k] = below[0]
-        elif variant is Variant.PATH_PROD:
-            K = r[verts[k + 1]] * (inv + below[0])
-            arc_credit[k] = fwd[k][tp] * K[hp]
-            below = [np.bincount(tp, K[hp], size)]
-            node_credit[k] = fwd[k] * below[0]
-        else:  # PATH_SUM: suffix path-count mass and suffix sum-of-R mass
-            kc = inv + below[0]
-            ks = r[verts[k + 1]] * kc + below[1]
-            arc_credit[k] = fwd[k][tp] * kc[hp] + sigma[k][tp] * ks[hp]
-            below = [np.bincount(tp, kc[hp], size), np.bincount(tp, ks[hp], size)]
-            node_credit[k] = fwd[k] * below[0] + sigma[k] * below[1]
-    # the sources earn no vertex credit; the deepest level has no arcs out
-    node_credit[0] = np.zeros(b)
-    vb = np.bincount(np.concatenate(verts[:-1]), np.concatenate(node_credit), n)
-    edge = g.neighbor_csr[2][np.concatenate([slot for *_, slot in arcs])]
-    return hv, vb, np.bincount(edge, np.concatenate(arc_credit), g.edge_count)
+            c = coef[0][lo:hi]
+            c += below[0][lo:hi]
+            if exact is None:
+                c /= sigma[lo:hi]
+            return
+        inv, rv = 1.0 / sigma[lo:hi], r[vert[lo:hi]]
+        if variant is Variant.PATH_PROD:
+            coef[0][lo:hi] = rv * (inv + below[0][lo:hi])
+        else:
+            coef[0][lo:hi] = kc = inv + below[0][lo:hi]
+            coef[1][lo:hi] = rv * kc + below[1][lo:hi]
+
+    settle(cut[-2], cut[-1])
+    edge = g.neighbor_csr[2]
+    credit = np.zeros(len(edge))  # per CSR slot; each edge has two
+    for k in range(len(dag.out) - 1, -1, -1):
+        t, base, h, slot = dag.out[k]
+        lo, hi = cut[k], cut[k + 1]
+        at_head = [c[base:][h] for c in coef]
+        if fwd is None and exact is not None:
+            arc_credit = ratio[k] * at_head[0]
+        else:  # sigma (pairwise) or the forward state at the tail
+            arc_credit = (sigma if fwd is None else fwd)[lo:hi][t]
+            arc_credit *= at_head[0]
+        if variant is Variant.PATH_SUM:
+            arc_credit += sigma[lo:hi][t] * at_head[1]
+        np.add.at(credit, slot, arc_credit)
+        if not k:  # the sources earn no vertex credit
+            break
+        for x, y in zip(below, [arc_credit] if fwd is None else at_head):
+            x[lo:hi] = np.bincount(t, y, hi - lo)
+        settle(lo, hi)
+    node_credit = below[0][b:]
+    if fwd is not None:
+        node_credit *= fwd[b:]
+    if variant is Variant.PATH_SUM:
+        node_credit += sigma[b:] * below[1][b:]
+    return hv, np.bincount(vert[b:], node_credit, n), np.bincount(edge, credit, g.edge_count)
 
 
 def batched_betweenness(g: Graph, R: RelevanceVector, f: RelevanceFunction, workers: int = 1):

@@ -8,15 +8,12 @@ interior vertices only, edge betweenness credits every edge of a path
 including the ones touching its endpoints.
 
 Harmonic closeness and betweenness run over fixed blocks of sources
-(``_sweep``), so one sweep serves both when both are asked for.
-Unweighted graphs go through the BFS engine in ``_batched``: one
-direction-optimizing BFS per block records the shortest-path DAG arcs
-level by level, and each recurrence over them is one ``bincount`` per
-level, with numpy alone. Weighted graphs go through the array engine in
-``_weighted``: compiled Dijkstra, the shortest-path DAG as an edge mask,
-and each recurrence over it as one sparse triangular solve. Block
-partials are always merged in block order, so results do not depend on
-the worker count.
+(``_sweep``) in one engine, ``_batched``, so one sweep serves both when
+both are asked for. Per block it lays the shortest-path DAGs out level
+by level, from a BFS on unit weights and from label-correcting
+distances on any others, and each recurrence over them is one
+``bincount`` per level, with numpy alone. Block partials are always
+merged in block order, so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -171,10 +168,8 @@ def _path_reports(
     whether or not betweenness rides along.
     """
     R, relevance_source = _resolve(g, R, relevance_source)
-    if g.weighted:
-        from ._weighted import block
-    else:
-        from ._batched import block
+    from ._batched import block  # loaded by the first path request, not at import
+
     h, vb, eb = sweep(block, g, R, f, workers, harmonic, betweenness)
     kw = dict(f=f, relevance_source=relevance_source, weighted=g.weighted)
     hrep = vrep = erep = None

@@ -48,36 +48,57 @@ ALL_VARIANTS = (
 )
 
 
+# A vector counts as constant when its spread, max - min, is at most
+# CONSTANT_ULPS * n * eps times its largest magnitude. The engines sum a
+# vertex's value over about n positive terms, and two such sums taken in
+# different orders differ by up to about 2 * n * eps relative, so equal
+# values (every vertex of a ring lattice has the same harmonic closeness
+# and betweenness) come out within this spread; at n = 1000 it is 9e-13
+# relative, far below any real difference such as one part in 1e6.
+CONSTANT_ULPS = 4
+
+
 def constant_input(x) -> bool:
-    x = np.asarray(x)
-    return bool(len(x)) and bool(np.all(x == x[0]))
+    """True when the vector is constant up to rounding (``CONSTANT_ULPS``)."""
+    x = np.asarray(x, dtype=np.float64)
+    if not len(x):
+        return False
+    spread = float(np.max(x) - np.min(x))
+    return spread <= CONSTANT_ULPS * len(x) * np.finfo(np.float64).eps * float(np.max(np.abs(x)))
 
 
 def pearson(x, y) -> float:
-    """Sample correlation; 0.0 (by definition here) when either side is flat."""
+    """Sample correlation; 0.0 (by definition here) when either side is
+    constant (``constant_input``)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
         raise LengthMismatchError(f"vectors of shape {x.shape} vs {y.shape}")
     if len(x) < 2:
         raise LengthMismatchError("correlation needs at least 2 samples")
+    if constant_input(x) or constant_input(y):
+        return 0.0
     xc = x - x.mean()
     yc = y - y.mean()
     sx = float(xc @ xc) ** 0.5
     sy = float(yc @ yc) ** 0.5
-    if sx == 0.0 or sy == 0.0:
+    if sx == 0.0 or sy == 0.0:  # squares below the float64 range
         return 0.0
     return float(np.clip((xc @ yc) / (sx * sy), -1.0, 1.0))
 
 
 def spearman(x, y) -> float:
-    """Pearson over fractional ranks; tied values share their average rank."""
+    """Pearson over fractional ranks; tied values share their average rank.
+    0.0 when either side is constant, as for ``pearson``: the ranks of a
+    vector that is constant up to rounding would rank the rounding."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
         raise LengthMismatchError(f"vectors of shape {x.shape} vs {y.shape}")
     if len(x) < 2:
         raise LengthMismatchError("correlation needs at least 2 samples")
+    if constant_input(x) or constant_input(y):
+        return 0.0
     from scipy.stats import rankdata  # scipy.stats takes most of a second to import
 
     return pearson(rankdata(x), rankdata(y))
@@ -269,7 +290,7 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> list[CorrelationRecord]:
 
 CSV_COLUMNS = (
     "kind", "n", "p", "r", "f", "metric", "seed",
-    "pearson", "spearman", "pearson_R", "spearman_R",
+    "pearson", "spearman", "pearson_R", "spearman_R", "constant_flag",
 )
 
 
@@ -291,5 +312,6 @@ def write_correlation_csv(records: list[CorrelationRecord], path) -> None:
                     f"{rec.spearman:.12g}",
                     f"{rec.pearson_R:.12g}",
                     f"{rec.spearman_R:.12g}",
+                    int(rec.constant_flag),
                 ]
             )

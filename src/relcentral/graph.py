@@ -11,7 +11,7 @@ derived from these arrays on first use: the CSR neighbor lists the BFS
 engine walks (built with numpy alone), the ``Edge`` records, per-vertex
 adjacency lists and edge-id lookup that the per-source reference code
 walks, and a scipy adjacency matrix for tests and inspection. No metric
-reads that matrix; scipy loads only with the weighted engine.
+reads that matrix, and no metric imports scipy.
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ case; Dijkstra handles positive weights, with a relative tolerance
 (``TIE_TOL``) deciding when two candidate distances count as tied.
 
 This is the per-source reference form for inspecting one DAG or
-enumerating its paths. The metrics do not call it: they run the block
-engines over whole blocks of sources at once, ``_batched`` (unweighted:
-BFS levels, where ties are exact) and ``_weighted`` (weighted: the same
-``TIE_TOL`` rule).
+enumerating its paths. The metrics do not call it: the block engine
+``_batched`` runs whole blocks of sources at once, on BFS levels for
+unit weights (ties are exact) and on distances with the same
+``TIE_TOL`` rule for any others.
 """
 
 from __future__ import annotations

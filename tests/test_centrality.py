@@ -13,7 +13,7 @@ from conftest import (
     square_graph,
     weighted_ring,
 )
-from relcentral import _batched, _weighted
+from relcentral import _batched
 from relcentral._sweep import BLOCK
 from relcentral.centrality import (
     Metric,
@@ -326,15 +326,7 @@ def test_uniform_weight_two_matches_unweighted_engine(seed):
 
 def test_uniform_weight_two_diamond_chain_uses_exact_counts(monkeypatch):
     # sigma reaches 2^60, past the float64 integer range
-    counts = _weighted._StackedDag._counts
-    calls = []
-
-    def spy(dag):
-        sigma, exact = counts(dag)
-        calls.append(exact is not None)
-        return sigma, exact
-
-    monkeypatch.setattr(_weighted._StackedDag, "_counts", spy)
+    calls = _spy_on_exact_counts(monkeypatch)
     g = _diamond_chain(60)
     _assert_uniform_weight_matches_unweighted(
         g, random_relevance(np.random.default_rng(7), g.vertex_count)
@@ -380,6 +372,69 @@ def test_classic_metrics_match_networkx(name):
     )
 
 
+def _random_weights(g, seed: int, weights=None):
+    """g with every weight drawn from U(0.5, 2), or from ``weights``."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 2.0, g.edge_count) if weights is None else rng.choice(weights, g.edge_count)
+    records = [(a, b, float(x)) for (a, b), x in zip(g.edge_labels(), w)]
+    return build_graph(records, vertices=g.labels)
+
+
+def _weighted_split():
+    a = watts_strogatz(GeneratorConfig(n=250, d=6, p=0.3, seed=11))
+    b = ring_lattice(150, 4)
+    records = [("a" + x, "a" + y) for x, y in a.edge_labels()]
+    records += [("b" + x, "b" + y) for x, y in b.edge_labels()]
+    return _random_weights(build_graph(records, vertices=["isolated"]), 3)
+
+
+# weighted graphs beyond the oracle's 12 vertices: continuous weights, a
+# disconnected graph with an isolated vertex, and weights in {1, 2},
+# whose tied path lengths exercise the TIE_TOL rule
+WEIGHTED_BEYOND_ORACLE = {
+    "ws400": lambda: _random_weights(watts_strogatz(GeneratorConfig(n=400, d=10, p=1.0, seed=5)), 1),
+    "split": _weighted_split,
+    "ring300_1or2": lambda: _random_weights(ring_lattice(300, 6), 2, weights=[1.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("name", WEIGHTED_BEYOND_ORACLE)
+def test_weighted_classic_metrics_match_networkx(name):
+    nx = pytest.importorskip("networkx")
+    g = WEIGHTED_BEYOND_ORACLE[name]()
+    assert g.weighted
+    G = nx.Graph()
+    G.add_nodes_from(range(g.vertex_count))
+    u, v = g.edge_endpoints
+    G.add_weighted_edges_from(zip(u.tolist(), v.tolist(), g.edge_weights.tolist()))
+    h, vb, eb = _path_reports(g, None, PRODUCT, 1, None)
+    want_h = nx.harmonic_centrality(G, distance="weight")
+    want_vb = nx.betweenness_centrality(G, normalized=False, weight="weight")
+    want_eb = {frozenset(e): x for e, x in
+               nx.edge_betweenness_centrality(G, normalized=False, weight="weight").items()}
+    nodes = range(g.vertex_count)
+    np.testing.assert_allclose(h.values, [want_h[i] for i in nodes], rtol=1e-9)
+    np.testing.assert_allclose(vb.values, [2 * want_vb[i] for i in nodes], rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(
+        eb.values, [2 * want_eb[frozenset(e)] for e in zip(u.tolist(), v.tolist())], rtol=1e-9
+    )
+
+
+@pytest.mark.parametrize("name", WEIGHTED_BEYOND_ORACLE)
+def test_block_distances_equal_dijkstra(name):
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    g = WEIGHTED_BEYOND_ORACLE[name]()
+    n = g.vertex_count
+    u, v = g.edge_endpoints
+    W = np.zeros((n, n))
+    W[u, v] = W[v, u] = g.edge_weights
+    want = csgraph.dijkstra(W, directed=False)
+    for start in range(0, n, BLOCK):
+        S = np.arange(start, min(start + BLOCK, n))
+        got = _batched._distances(g, S).reshape(len(S), n)
+        assert got.tobytes() == want[S].tobytes()
+
+
 @pytest.mark.parametrize("name", BEYOND_ORACLE)
 def test_uniform_weight_two_matches_unweighted_beyond_oracle_sizes(name):
     g = BEYOND_ORACLE[name]()
@@ -405,6 +460,48 @@ def test_bfs_takes_both_directions(monkeypatch):
     assert steps.count("_top_down") > 100  # diameter 150
 
 
+def _by_label(values, ids):
+    return {frozenset(i) if isinstance(i, tuple) else i: x for i, x in zip(ids, values.tolist())}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), weighted=st.booleans())
+def test_path_metrics_follow_relabelling_and_weight_scaling(seed, weighted):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 151))
+    ends = np.sort(rng.integers(0, n, size=(2 * n, 2)), axis=1)
+    keys = np.unique(ends[:, 0] * n + ends[:, 1])
+    a, b = keys // n, keys % n
+    keep = a != b
+    labels = [f"v{i}" for i in range(n)]
+    w = rng.uniform(0.5, 2.0, size=keep.sum()) if weighted else np.ones(keep.sum())
+    records = [(labels[i], labels[j], float(x)) for i, j, x in zip(a[keep], b[keep], w)]
+    g = build_graph(records, vertices=labels)  # some vertices may be isolated
+    R = RelevanceVector(rng.uniform(0.5, 4.0, size=n))
+
+    # new internal indices, edge order and endpoint order; values follow the labels
+    shuffled = [records[i] for i in rng.permutation(len(records))]
+    shuffled = [(y, x, c) if rng.random() < 0.5 else (x, y, c) for x, y, c in shuffled]
+    g2 = build_graph(shuffled, vertices=[labels[i] for i in rng.permutation(n)])
+    R2 = RelevanceVector.from_mapping(g2, dict(zip(labels, R.values)))
+    # every weight times c: the same shortest paths, every distance times c;
+    # unit weights run on BFS levels, the scaled ones on distances
+    scaled = {c: build_graph([(x, y, c * z) for x, y, z in records], vertices=labels)
+              for c in (0.5, 3.0)}
+    for f in ALL_FS:
+        reports = _path_reports(g, R, f, 1, None)
+        for rep, rep2 in zip(reports, _path_reports(g2, R2, f, 1, None)):
+            got, want = _by_label(rep2.values, rep2.ids), _by_label(rep.values, rep.ids)
+            assert got.keys() == want.keys()
+            np.testing.assert_allclose([got[k] for k in want], list(want.values()), rtol=1e-12)
+        h, vb, eb = reports
+        for c, gc in scaled.items():
+            hc, vc, ec = _path_reports(gc, R, f, 1, None)
+            np.testing.assert_allclose(hc.values, h.values / c, rtol=1e-12)
+            np.testing.assert_allclose(vc.values, vb.values, rtol=1e-12)
+            np.testing.assert_allclose(ec.values, eb.values, rtol=1e-12)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_degree_matches_matrix_forms_beyond_oracle_sizes(seed):
@@ -420,14 +517,15 @@ def test_degree_matches_matrix_forms_beyond_oracle_sizes(seed):
     g = build_graph(records, vertices=labels)  # index i is label v{i}; some isolated
     A = g.adjacency_matrix
     R = RelevanceVector(rng.uniform(0.5, 4.0, size=n))
-    r, deg = R.values, A.sum(axis=1)
+    # sparse-array reductions return (n,) or (n, 1) by scipy version
+    r, deg = R.values, np.asarray(A.sum(axis=1)).ravel()
     F = rng.uniform(0.1, 3.0, size=(n, n))
     np.fill_diagonal(F, 0.0)
     expected = {
         PRODUCT: r * (A @ r),
         SOURCE_ONLY: r * deg,
         MEAN: (r * deg + A @ r) / 2.0,
-        "matrix": (A * F).sum(axis=1),
+        "matrix": np.asarray((A * F).sum(axis=1)).ravel(),
     }
     for f, want in expected.items():
         f = matrix_function(F) if f == "matrix" else f
@@ -477,14 +575,15 @@ def _bipartite_stack(width: int, depth: int, weight: float = 1.0):
     return build_graph(records)
 
 
-def _spy_on_weighted_block(monkeypatch) -> list:
-    calls, weighted_block = [], _weighted.block
+def _spy_on_exact_counts(monkeypatch) -> list:
+    """Records the flat source nodes of every block recounted exactly."""
+    calls, exact_counts = [], _batched._exact_counts
 
-    def spy(*args):
-        calls.append(args[3].tolist())
-        return weighted_block(*args)
+    def spy(dag):
+        calls.append(dag.node[: dag.cut[1]].tolist())
+        return exact_counts(dag)
 
-    monkeypatch.setattr(_weighted, "block", spy)
+    monkeypatch.setattr(_batched, "_exact_counts", spy)
     return calls
 
 
@@ -494,13 +593,13 @@ def test_batched_sigma_overflow_detected(monkeypatch):
     g1, g2 = _bipartite_stack(20, 240), _bipartite_stack(20, 240, weight=2.0)
     R = RelevanceVector.ones(g1.vertex_count)
     S = np.array([0])
-    calls = _spy_on_weighted_block(monkeypatch)
+    calls = _spy_on_exact_counts(monkeypatch)
     for f in PATH_FS:
         with pytest.raises(SigmaOverflowError):
             _batched.block(g1, R, f, S, True, True)
     h1, v1, e1 = _batched.block(g1, R, PRODUCT, S, True, True)
     assert calls == [[0]] * (len(PATH_FS) + 1)
-    h2, v2, e2 = _weighted.block(g2, R, PRODUCT, S, True, True)
+    h2, v2, e2 = _batched.block(g2, R, PRODUCT, S, True, True)
     assert np.all(np.isfinite(v1)) and np.all(np.isfinite(e1))
     np.testing.assert_array_equal(v1, v2)
     np.testing.assert_array_equal(e1, e2)
@@ -508,20 +607,20 @@ def test_batched_sigma_overflow_detected(monkeypatch):
 
 
 def test_batched_overflow_block_takes_exact_counts(monkeypatch):
-    # sigma reaches 2^1100 at unit weight: the batched block hands the
-    # sources to the weighted engine, which answers as at weight 2.0
+    # sigma reaches 2^1100 at unit weight: the block runs again on the
+    # distance front-end with exact counts and answers as at weight 2.0
     g1, g2 = _diamond_chain(1100), _diamond_chain(1100, weight=2.0)
     R = random_relevance(np.random.default_rng(8), g1.vertex_count)
     S = np.array([0, 5])
-    calls = _spy_on_weighted_block(monkeypatch)
+    calls = _spy_on_exact_counts(monkeypatch)
     for f in PAIRWISE_FS[:2]:
         h1, v1, e1 = _batched.block(g1, R, f, S, True, True)
-        h2, v2, e2 = _weighted.block(g2, R, f, S, True, True)
+        h2, v2, e2 = _batched.block(g2, R, f, S, True, True)
         np.testing.assert_array_equal(v1, v2)
         np.testing.assert_array_equal(e1, e2)
         np.testing.assert_array_equal(h1, 2.0 * h2)
         assert v1.max() > 0
-    assert len(calls) == 4  # each batched block went to the weighted engine
+    assert len(calls) == 4  # each block, unit weight or 2.0, was recounted
     with pytest.raises(SigmaOverflowError):  # path f needs the counts as floats
         _batched.block(g1, R, PATH_FS[0], S, True, True)
 

@@ -240,7 +240,7 @@ def test_argparse_rejects_unknown_subcommand(capsys):
 # --- fresh processes: start-up loads only what the request uses ---
 
 FLORENCE = ["data/florence/edges.csv", "--relevance", "data/florence/relevance.csv"]
-PROBED = ("scipy", "relcentral._weighted")
+PROBED = ("scipy",)
 # runs relcentral.cli as `python -m relcentral.cli` does, then reports the
 # exit code and which PROBED modules were loaded on its last stderr line
 RUN_CLI = (
@@ -284,12 +284,11 @@ def test_fresh_path_requests_match_in_process_bytes(tmp_path, capsys):
     large, large_rel = str(tmp_path / "large.csv"), str(tmp_path / "large_rel.csv")
     save_edge_csv(g, large)
     save_relevance_csv(assign_relevance(g.vertex_count, 4, 0.5, 5), g, large_rel)
-    # unweighted path requests run on numpy alone; scipy and the weighted
-    # engine load only for weighted graphs
+    # path requests run on numpy alone, weighted graphs included
     cases = [
         (FLORENCE + ["--metric", "all"], [], []),
         ([put(tmp_path, "w.csv", WRING), "--relevance", put(tmp_path, "r.csv", REL),
-          "--metric", "all"], [], list(PROBED)),
+          "--metric", "all"], [], []),
         ([large, "--relevance", large_rel, "--f", "path-prod", "--metric", "all"],
          ["--workers", "2"], []),  # more than one block: a thread pool starts
     ]
@@ -297,3 +296,12 @@ def test_fresh_path_requests_match_in_process_bytes(tmp_path, capsys):
         code, loaded, stdout, data = _fresh_compute(tmp_path, args + fresh_only)
         assert (code, loaded) == (EXIT_OK, modules)
         assert (stdout, data) == _in_process_compute(tmp_path, capsys, args + ["--workers", "1"])
+
+
+@pytest.mark.parametrize("f", ["product", "mean", "source", "max", "path-sum", "path-prod"])
+def test_fresh_weighted_request_never_loads_scipy(tmp_path, capsys, f):
+    args = [put(tmp_path, "w.csv", WRING), "--relevance", put(tmp_path, "r.csv", REL),
+            "--f", f, "--metric", "all"]
+    code, loaded, stdout, data = _fresh_compute(tmp_path, args)
+    assert (code, loaded) == (EXIT_OK, [])
+    assert (stdout, data) == _in_process_compute(tmp_path, capsys, args)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import relcentral
 from relcentral import experiments
 from conftest import random_graph, random_relevance
-from relcentral.centrality import harmonic_centrality
+from relcentral.centrality import harmonic_centrality, vertex_betweenness
 from relcentral.errors import ExperimentCellError, LengthMismatchError
 from relcentral.experiments import (
     CSV_COLUMNS,
@@ -24,6 +24,7 @@ from relcentral.experiments import (
     spearman,
     write_correlation_csv,
 )
+from relcentral.generators import GeneratorConfig, ring_lattice, watts_strogatz
 from relcentral.relevance import SOURCE_ONLY, Variant
 
 
@@ -172,14 +173,39 @@ def test_write_correlation_csv(tmp_path):
     write_correlation_csv(recs, out)
     lines = out.read_text().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
+    assert CSV_COLUMNS[-1] == "constant_flag"
     assert len(lines) == 1 + len(recs)
     first = lines[1].split(",")
     assert first[:7] == ["random", "24", "1", "0", "path-prod", "betweenness", "0"]
+    # r = 0 gives every vertex relevance 1: a constant input, flagged
+    flags = {(rec.f, rec.r): line.split(",")[-1] for rec, line in zip(recs, lines[1:])}
+    assert flags[("product", 0.0)] == "1" and flags[("product", 1.0)] == "0"
 
 
 def test_constant_input():
     assert constant_input(np.full(5, 3.3))
     assert not constant_input(np.arange(5.0))
+    assert not constant_input(np.zeros(0))
+
+
+def test_constant_input_by_relative_spread():
+    # every vertex of a ring lattice has the same classic value; the engine
+    # returns betweenness with rounding noise, which must count as constant
+    ring = vertex_betweenness(ring_lattice(1000, 10)).values
+    assert len(np.unique(ring)) > 1
+    assert constant_input(ring)
+    assert constant_input(harmonic_centrality(ring_lattice(100, 10)).values)
+    ws = watts_strogatz(GeneratorConfig(n=200, d=10, p=1.0, seed=3))
+    assert not constant_input(vertex_betweenness(ws).values)
+    assert not constant_input(harmonic_centrality(ws).values)
+    off = ring.copy()
+    off[7] *= 1 + 1e-6
+    assert not constant_input(off)
+    # pearson and spearman give their 0.0 sentinel, not a correlation of noise
+    y = np.arange(1000.0)
+    assert pearson(ring, y) == pearson(y, ring) == 0.0
+    assert spearman(ring, y) == spearman(y, ring) == 0.0
+    assert spearman(off, y) != 0.0
 
 
 @given(
