@@ -179,24 +179,31 @@ def _bottom_up(g: Graph, level, pos, unvisited, depth: int):
 def _distances(g: Graph, S: np.ndarray) -> np.ndarray:
     """Distances from every source of the block, flat over s*V + x.
 
-    Label-correcting rounds in lockstep over the block: each round
-    relaxes the neighbor slots of the nodes that improved in the round
-    before, about ``_CHUNK`` slots at a time, and a head keeps the least
-    of its candidates (``np.minimum.at``) before the next chunk reads
-    it. The result is the least float sum over the paths to a node, as
-    Dijkstra's is, whatever the order of the relaxations.
+    Label-correcting in lockstep over the block, nearest nodes first, as
+    in Dial's buckets and in Meyer and Sanders' delta-stepping: each
+    round relaxes the pending nodes (improved since they were last
+    relaxed) within the least edge weight of the nearest one, which no
+    later round can improve, or the nearest quarter of them when that is
+    more, so that deep graphs neither relax a node many times nor take
+    many small rounds. Relaxations run about ``_CHUNK`` slots at a time,
+    and a head keeps the least of its candidates (``np.minimum.at``)
+    before the next chunk reads it. The result is the least float sum
+    over the paths to a node, as Dijkstra's is, in any order.
     """
     indptr, nbr, eid = g.neighbor_csr
     w = g.edge_weights[eid]
     n, b = g.vertex_count, len(S)
-    deg = np.diff(indptr)
+    deg, lightest = np.diff(indptr), float(w.min(initial=np.inf))
     step = max(1, _CHUNK * n // max(1, len(nbr)))  # nodes per chunk
     dist = np.full(b * n, np.inf)
-    last = np.empty(b * n, dtype=np.int64)  # a head's last candidate in a round
-    active = n * np.arange(b) + S
-    dist[active] = 0.0
-    while len(active):
-        improved = []
+    last = np.empty(b * n, dtype=np.int64)  # a node's last place in a list
+    pending = n * np.arange(b) + S
+    dist[pending] = 0.0
+    while len(pending):
+        d = dist[pending]
+        q = len(d) // 4
+        now = d <= max(d.min() + lightest, np.partition(d, q)[q])
+        active, improved = pending[now], [pending[~now]]
         for i in range(0, len(active), step):
             nodes = active[i:i + step]
             x = nodes % n
@@ -206,10 +213,10 @@ def _distances(g: Graph, S: np.ndarray) -> np.ndarray:
             keep = np.flatnonzero(via < dist[head])
             np.minimum.at(dist, head[keep], via[keep])
             improved.append(head[keep])
-        head = np.concatenate(improved)  # each improved head once, at its last candidate
-        idx = np.arange(len(head))
-        last[head] = idx
-        active = head[last[head] == idx]
+        pending = np.concatenate(improved)  # each pending node once
+        idx = np.arange(len(pending))
+        last[pending] = idx
+        pending = pending[last[pending] == idx]
     return dist
 
 
@@ -283,9 +290,10 @@ def _exact_counts(dag: _Dag) -> list:
     exact = [1] * int(cut[1]) + [0] * int(cut[-1] - cut[1])
     # level by level, and every tail sits in a lower level than its head,
     # so a count is complete before it is propagated
-    for k, (base, t, h) in enumerate(dag.into, 1):
-        for p, w in zip((t + base).tolist(), (h + cut[k]).tolist()):
-            exact[w] += exact[p]
+    tail = np.concatenate([np.zeros(0, dtype=np.int64)] + [t + base for base, t, _ in dag.into])
+    head = np.concatenate([np.zeros(0, dtype=np.int64)] + [h + c for (_, _, h), c in zip(dag.into, cut[1:])])
+    for p, w in zip(tail.tolist(), head.tolist()):
+        exact[w] += exact[p]
     return exact
 
 
@@ -356,10 +364,11 @@ def block(g, R, f, S: np.ndarray, harmonic: bool, betweenness: bool):
         x[cut[-2]:] = 0.0
     if fwd is None:
         coef = [fv]  # f + delta, over sigma for float counts; f is not read again
-        if exact is not None:
-            ratio = [np.array([exact[p] / exact[w] for p, w in
-                               zip((t + lo).tolist(), (h + base).tolist())])
-                     for (t, base, h, _), lo in zip(dag.out, cut.tolist())]
+        if exact is not None:  # sigma[tail] / sigma[head] per arc, correctly rounded
+            tail = np.concatenate([t + lo for (t, *_), lo in zip(dag.out, cut)]).tolist()
+            head = np.concatenate([h + base for _, base, h, _ in dag.out]).tolist()
+            ratio = np.array([exact[p] / exact[w] for p, w in zip(tail, head)])
+            ratio = np.split(ratio, np.cumsum([len(t) for t, *_ in dag.out])[:-1])
     else:  # PATH_PROD: r * (1/sigma + below); PATH_SUM: the path-count mass
         coef = [np.empty(len(vert)) for _ in below]  # and the sum-of-R mass
 

@@ -48,13 +48,10 @@ ALL_VARIANTS = (
 )
 
 
-# A vector counts as constant when its spread, max - min, is at most
-# CONSTANT_ULPS * n * eps times its largest magnitude. The engines sum a
-# vertex's value over about n positive terms, and two such sums taken in
-# different orders differ by up to about 2 * n * eps relative, so equal
-# values (every vertex of a ring lattice has the same harmonic closeness
-# and betweenness) come out within this spread; at n = 1000 it is 9e-13
-# relative, far below any real difference such as one part in 1e6.
+# A vector is constant when max - min <= CONSTANT_ULPS * n * eps * max|x|:
+# two sums of the same n positive terms in different orders differ by up
+# to about 2 * n * eps relative, so the equal values of a ring lattice pass
+# (9e-13 relative at n = 1000) and a real difference, say 1e-6, does not.
 CONSTANT_ULPS = 4
 
 

@@ -389,12 +389,14 @@ def _weighted_split():
 
 
 # weighted graphs beyond the oracle's 12 vertices: continuous weights, a
-# disconnected graph with an isolated vertex, and weights in {1, 2},
-# whose tied path lengths exercise the TIE_TOL rule
+# disconnected graph with an isolated vertex, weights in {1, 2}, whose
+# tied path lengths exercise the TIE_TOL rule, and weights over three
+# decades on a deep graph, where rounds take the nearest quarter
 WEIGHTED_BEYOND_ORACLE = {
     "ws400": lambda: _random_weights(watts_strogatz(GeneratorConfig(n=400, d=10, p=1.0, seed=5)), 1),
     "split": _weighted_split,
     "ring300_1or2": lambda: _random_weights(ring_lattice(300, 6), 2, weights=[1.0, 2.0]),
+    "ring300_wide": lambda: _random_weights(ring_lattice(300, 6), 4, weights=np.geomspace(1e-3, 1.0, 50)),
 }
 
 
