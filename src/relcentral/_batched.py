@@ -290,8 +290,8 @@ def _exact_counts(dag: _Dag) -> list:
     exact = [1] * int(cut[1]) + [0] * int(cut[-1] - cut[1])
     # level by level, and every tail sits in a lower level than its head,
     # so a count is complete before it is propagated
-    tail = np.concatenate([np.zeros(0, dtype=np.int64)] + [t + base for base, t, _ in dag.into])
-    head = np.concatenate([np.zeros(0, dtype=np.int64)] + [h + c for (_, _, h), c in zip(dag.into, cut[1:])])
+    tail = np.concatenate([t + base for base, t, _ in dag.into])
+    head = np.concatenate([h + c for (_, _, h), c in zip(dag.into, cut[1:])])
     for p, w in zip(tail.tolist(), head.tolist()):
         exact[w] += exact[p]
     return exact

@@ -280,9 +280,9 @@ def test_weighted_workers_do_not_change_results_across_blocks():
     R = random_relevance(rng, n)
     for f in (PRODUCT, PATH_SUM):
         one = _path_reports(g, R, f, 1, None)
-        four = _path_reports(g, R, f, 4, None)
-        for a, b in zip(one, four):
-            assert a.values.tobytes() == b.values.tobytes()
+        for workers in (2, 4):
+            for a, b in zip(one, _path_reports(g, R, f, workers, None)):
+                assert a.values.tobytes() == b.values.tobytes()
 
 
 @pytest.mark.parametrize("weighted", [False, True])
