@@ -31,7 +31,7 @@ from .errors import (
 )
 from .experiments import ExperimentGrid, run_grid, write_correlation_csv
 from .generators import GeneratorConfig, assign_relevance, ring_lattice, watts_strogatz
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph_columns
 from .oracle import (
     all_pairs_shortest_paths,
     brute_betweenness,
@@ -108,8 +108,8 @@ def _oracle_reports(g, R, f, wanted: list[str], relevance_source: str):
 
 def cmd_compute(args) -> int:
     _check_workers(args.workers)
-    # no name keeps the records, so they are freed before the metrics run
-    g = build_graph(io_formats.load_edge_csv(args.edges))
+    # no name keeps the columns, so they are freed before the metrics run
+    g = build_graph_columns(*io_formats.load_edge_columns(args.edges))
     if args.relevance:
         R = io_formats.load_relevance_csv(args.relevance, g)
         relevance_source = os.path.basename(args.relevance)
@@ -178,10 +178,14 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _print_progress(done: int, total: int, cell, seconds: float) -> None:
+    print(f"[{done}/{total}] {cell.cell_id} {seconds:.3f} s", file=sys.stderr, flush=True)
+
+
 def cmd_experiment(args) -> int:
     _check_workers(args.workers)
     grid = ExperimentGrid.from_json(args.grid) if args.grid else ExperimentGrid()
-    records = run_grid(grid, workers=args.workers)
+    records = run_grid(grid, workers=args.workers, progress=_print_progress)
     write_correlation_csv(records, args.out)
     print(f"wrote {len(records)} correlation rows to {args.out}")
     return EXIT_OK

@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import csv
 import json
+import threading
+import time
 from dataclasses import dataclass
+from itertools import count
 from itertools import product as iproduct
 
 import numpy as np
@@ -224,12 +227,15 @@ def _metric_values(g: Graph, R: RelevanceVector | None, f: RelevanceFunction, me
     return harmonic_centrality(g, R, f).values
 
 
-def run_grid(grid: ExperimentGrid, workers: int = 1) -> list[CorrelationRecord]:
+def run_grid(grid: ExperimentGrid, workers: int = 1, progress=None) -> list[CorrelationRecord]:
     """Evaluate every cell; rows come back sorted by cell id.
 
     Graphs, classic baselines, and relevance vectors are shared across
     the cells that agree on them, then weighted metrics run per cell
     (possibly in parallel; the output order is fixed either way).
+    ``progress(done, total, cell, seconds)``, if given, is called as each
+    cell finishes, with the number of cells finished so far and the
+    cell's own wall time; calls never overlap, even with ``workers`` > 1.
     """
     cells = grid.cells()
 
@@ -277,12 +283,23 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> list[CorrelationRecord]:
         except Exception as exc:
             raise ExperimentCellError(c.cell_id, str(exc)) from exc
 
+    finished, reporting = count(1), threading.Lock()
+
+    def timed_cell(c: ExperimentCell) -> CorrelationRecord:
+        t0 = time.perf_counter()
+        rec = run_cell(c)
+        if progress is not None:
+            seconds = time.perf_counter() - t0
+            with reporting:  # one report at a time, numbered in the order they are made
+                progress(next(finished), len(cells), c, seconds)
+        return rec
+
     if workers <= 1:
-        return [run_cell(c) for c in cells]
+        return [timed_cell(c) for c in cells]
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_cell, cells))
+        return list(pool.map(timed_cell, cells))
 
 
 CSV_COLUMNS = (

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from operator import is_not, itemgetter
 from typing import TYPE_CHECKING, Iterable
 
@@ -35,7 +35,7 @@ from .errors import (
 if TYPE_CHECKING:
     from scipy import sparse
 
-__all__ = ["Edge", "Graph", "build_graph", "neighbors"]
+__all__ = ["Edge", "Graph", "build_graph", "build_graph_columns", "neighbors"]
 
 
 @dataclass(frozen=True)
@@ -192,14 +192,40 @@ def build_graph(
     cols = None if fault else _intern_columns(records, index)
     if cols is None:
         cols, fault = _intern_records(records, index, fault)
-    index, ia, ib, w, record_pos = cols
+    return _checked_graph(cols, fault)
 
+
+def build_graph_columns(source: list, target: list, weight: list | None = None) -> Graph:
+    """Build a validated graph from records held as columns.
+
+    Record k is ``(source[k],)``, a bare vertex, when ``target[k]`` is
+    None, else ``(source[k], target[k], weight[k])``; a weight is 1 when
+    ``weight`` or ``weight[k]`` is None. The graph, and the error of a
+    faulty record, are those of :func:`build_graph` on the records, but
+    no record tuple is made unless a record breaks a label or weight
+    rule. This is the form the edge CSV reader returns.
+    """
+    cols = _intern(source, target, weight, {})
+    if cols is None:
+        return build_graph(list(zip(source, target, weight or repeat(None))))
+    return _checked_graph(cols, None)
+
+
+def _checked_graph(cols, fault) -> Graph:
+    """The graph of interned columns after the array checks (self-loop,
+    weight, duplicate), whose first faulty record decides the error;
+    ``fault``, from a later record, is raised when they pass."""
+    index, ia, ib, w, record_pos = cols
     n = len(index)
     u, v = np.minimum(ia, ib), np.maximum(ia, ib)
     loop = ia == ib
     bad_weight = ~(np.isfinite(w) & (w > 0.0))
-    repeated = np.ones(len(u), dtype=bool)  # every occurrence of a pair after its first
-    repeated[np.unique(u * n + v, return_index=True)[1]] = False
+    key = u * n + v
+    repeated = np.zeros(len(u), dtype=bool)  # every occurrence of a pair after its first
+    ordered = np.sort(key)
+    if (ordered[1:] == ordered[:-1]).any():
+        repeated[:] = True
+        repeated[np.unique(key, return_index=True)[1]] = False
     faulty = loop | bad_weight | repeated
     if faulty.any():
         k = int(np.argmax(faulty))
@@ -225,19 +251,28 @@ def _column(records: list, j: int, short: int, long: int) -> list:
 
 
 def _intern_columns(records, seeded: dict[str, int]):
-    """(index, ia, ib, w, record positions) of tuple or list records, in
-    whole columns; None when a record breaks a rule before the array
-    checks, which only the per-record pass can place."""
-    n = len(records)
+    """:func:`_intern` of the columns of tuple or list records; None also
+    when a record has no column form."""
     lens = set(map(len, records))
     if not (set(map(type, records)) <= {tuple, list} and lens <= {1, 2, 3}):
         return None
     short, long = min(lens, default=3), max(lens, default=0)
+    weight = _column(records, 2, short, long) if long == 3 else None
+    return _intern(_column(records, 0, short, long), _column(records, 1, short, long),
+                   weight, seeded)
+
+
+def _intern(source: list, target: list, weight, seeded: dict[str, int]):
+    """(index, ia, ib, w, record positions) of the records of the columns
+    (a None target: a bare vertex; a None ``weight`` or weight: 1), in
+    whole columns; None when a record breaks a rule before the array
+    checks, which only the per-record pass can place."""
+    n = len(source)
     # endpoints interleaved in record order; a bare record names its vertex twice
     ends = [None] * (2 * n)
-    ends[0::2] = _column(records, 0, short, long)
-    ends[1::2] = _column(records, 1, short, long)
-    edge = np.fromiter(map(is_not, islice(ends, 1, None, 2), repeat(None)), bool, n)
+    ends[0::2] = source
+    ends[1::2] = target
+    edge = np.fromiter(map(is_not, target, repeat(None)), bool, n)
     pos = np.flatnonzero(edge)
     for i in np.flatnonzero(~edge).tolist():
         ends[2 * i + 1] = ends[2 * i]
@@ -249,12 +284,11 @@ def _intern_columns(records, seeded: dict[str, int]):
         return None
     if "" in index or not set(map(type, index)) <= {str}:
         return None
-    if long < 3:
+    if weight is None:
         w = np.ones(len(pos))
     else:
         try:
-            w = np.fromiter((1.0 if x is None else float(x)
-                             for x in compress(_column(records, 2, short, long), edge)),
+            w = np.fromiter((1.0 if x is None else float(x) for x in compress(weight, edge)),
                             np.float64, len(pos))
         except (TypeError, ValueError):  # a weight float() rejects
             return None

@@ -6,14 +6,22 @@ how isolated vertices enter a graph. Relevance files carry
 ``vertex,relevance`` and default every unlisted vertex to 1. All files
 are UTF-8 and floats accept what Python's ``float`` accepts.
 
-Edge and relevance files are read by columns: one ``csv.reader`` pass
-collects the rows, the cells are stripped column by column, and each
-row check (field count, missing source, weight without target,
-unparsable or non-positive value, unknown or repeated vertex) is a mask
-over all rows. The first faulty line decides the error, and within a
-line the checks apply in the order just listed, so messages and line
-numbers are those of a row-by-row reader. Line numbers count CSV
-records, blank rows included.
+Edge, relevance and matrix files are read by columns, without a list or
+tuple per row. A file that ``csv.reader`` would read as the
+``str.split(",")`` of each line, every line as wide as the header (no
+quote, no NUL, no \\r outside \\r\\n, no line over
+``csv.field_size_limit()``), is split into cells in one pass; column j
+is every width-th cell from j. Lines are split at \\n alone, never at the
+other line breaks of ``str.splitlines``, which csv keeps inside a
+field. Any other file, quoted
+labels included, goes through ``csv.reader``, whose errors are reported
+as a MalformedRowError at its line. Either way the cells are stripped
+column by column, and each row check (field count, missing source,
+weight without target, unparsable or non-positive value, unknown or
+repeated vertex, matrix cell) is a mask over all rows. The first faulty
+line decides the error, and within a line the checks apply in the
+order just listed, so messages and line numbers are those of a
+row-by-row reader. Line numbers count CSV records, blank rows included.
 
 Result JSON is written without the json module's pure-Python indent
 encoder: tables of floats, lists of labels, edge rows and edge ranking
@@ -28,7 +36,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -45,6 +53,7 @@ from .graph import Graph
 from .relevance import RelevanceFunction, RelevanceVector, matrix_function
 
 __all__ = [
+    "load_edge_columns",
     "load_edge_csv",
     "save_edge_csv",
     "load_relevance_csv",
@@ -61,39 +70,113 @@ __all__ = [
 # --- CSV tables, read by columns ---
 
 
-def _read_rows(
-    path, headers: tuple[list[str], ...], expected: str
-) -> tuple[int, list[list[str]]]:
-    """Header width and data rows of a CSV file; row i is record i + 2."""
+# the separators of an unquoted CSV line: ',' and '\n', as UTF-8 bytes
+_COMMA, _NEWLINE = 44, 10
+
+
+def _plain_cells(text: str) -> tuple[int, list[str]] | None:
+    """The field count of the first line of ``text`` and the cells of all
+    its lines in one list, when ``csv.reader`` would read every line as
+    its ``str.split(",")`` and all lines have that field count; else None.
+
+    That holds when the text has no quote, no NUL and no \\r outside
+    \\r\\n, every line has the first line's number of commas, and no line
+    is longer than ``csv.field_size_limit()`` (counted in UTF-8 bytes,
+    never fewer than its characters). Lines end at \\n alone: csv keeps
+    \\x0b, \\x0c, \\x1c-\\x1e, \\x85 and \\u2028 inside a field, where
+    ``str.splitlines`` would break.
+    """
+    if not text or '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    if not text.endswith("\n"):
+        text += "\n"
+    width = text.count(",", 0, text.index("\n")) + 1
+    b = np.frombuffer(text.encode(), np.uint8)
+    sep = np.flatnonzero((b == _COMMA) | (b == _NEWLINE))
+    if len(sep) % width:
+        return None
+    pattern = np.full(width, _COMMA, np.uint8)
+    pattern[-1] = _NEWLINE
+    if not (b[sep].reshape(-1, width) == pattern).all():
+        return None
+    if np.diff(sep[width - 1::width], prepend=-1).max() - 1 > csv.field_size_limit():
+        return None
+    del b, sep  # freed before the cells are made
+    return width, text[:-1].replace("\n", ",").split(",")
+
+
+def _read_columns(path, check_header, fits) -> tuple[list[str], list[list[str]], int, int | None]:
+    """Read a CSV file by columns: its header, the stripped cells of its
+    data rows as one column per header field, the number of data rows,
+    and the field count of the row that ends the columns (None if none
+    does). Row i of the columns is record i + 2.
+
+    ``check_header`` gets the header (None for an empty file) before any
+    data row is read, and raises if it is wrong. Rows shorter than the
+    header are padded with empty cells; the first row of another length
+    that ``fits(row, width)`` rejects ends the columns. A text that
+    ``_plain_cells`` splits is read without per-row objects; any other
+    goes through ``csv.reader``, whose errors become a MalformedRowError
+    at its line.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        text = fh.read()
+    plain = _plain_cells(text)
+    if plain is not None:
+        del text
+        width, cells = plain
+        header = cells[:width]
+        check_header(header)
+        columns = [list(map(str.strip, cells[j::width])) for j in range(width, 2 * width)]
+        return header, columns, len(columns[0]), None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    del text
+    try:
         header = next(reader, None)
+        check_header(header)
+        rows = list(reader)
+    except csv.Error as exc:
+        raise MalformedRowError(path, reader.line_num, str(exc)) from None
+    columns, end = _columns(rows, len(header), fits)
+    return header, columns, len(rows), len(rows[end]) if end < len(rows) else None
+
+
+def _header_check(path, headers: tuple[list[str], ...], expected: str):
+    """check_header for a file whose header, stripped and lowercased, is one of ``headers``."""
+    def check(header: list[str] | None) -> None:
         if header is None:
             raise MalformedRowError(path, 1, "empty file, expected a header row")
         if [c.strip().lower() for c in header] not in headers:
             raise MalformedRowError(
                 path, 1, f"expected header {expected}, got {','.join(header)!r}"
             )
-        return len(header), list(reader)
+    return check
 
 
 def _columns(rows: list[list[str]], width: int, fits) -> tuple[list[list[str]], int]:
     """Stripped cells of ``rows`` as ``width`` columns, and where they end.
 
-    Shorter rows are padded with empty cells. A row whose field count
-    ``fits`` rejects ends the columns unless it is blank; the index of
-    the first such row that is not blank is returned (len(rows) if
-    none). Edits ``rows`` in place.
+    Shorter rows are padded with empty cells. A row of another length
+    that ``fits(row, width)`` rejects ends the columns; the index of the
+    first such row is returned (len(rows) if none). Edits ``rows`` in place.
     """
     end = len(rows)
     lens = np.fromiter(map(len, rows), np.intp, end)
     for i in np.flatnonzero(lens != width).tolist():
         row = rows[i]
-        if not fits(len(row)) and any(map(str.strip, row)):
+        if not fits(row, width):
             end = i
             break
         rows[i] = row + [""] * (width - len(row))
     return [list(map(str.strip, map(itemgetter(j), islice(rows, end)))) for j in range(width)], end
+
+
+def _blank(row: list[str]) -> bool:
+    return not any(map(str.strip, row))
 
 
 def _filled(column: list[str]) -> np.ndarray:
@@ -124,15 +207,21 @@ def _first(mask: np.ndarray) -> int:
 # --- edges ---
 
 
-def load_edge_csv(path) -> list[tuple]:
-    """Edge records plus bare-vertex records, ready for build_graph."""
-    width, rows = _read_rows(
+def load_edge_columns(path) -> tuple[list[str], list, list | None]:
+    """The records of an edge file as columns (source, target, weight),
+    the form :func:`graph.build_graph_columns` takes: a None target is a
+    bare vertex, a None weight column or weight is 1."""
+    check = _header_check(
         path, (["source", "target", "weight"], ["source", "target"]), "source,target[,weight]"
     )
-    cols, end = _columns(rows, width, lambda n: n <= width)
+    _, cols, _, wide = _read_columns(
+        path, check, lambda row, width: len(row) < width or _blank(row)
+    )
     src, tgt = cols[0], cols[1]
-    wtxt = cols[2] if width == 3 else [""] * end
-    has_s, has_t, has_w = _filled(src), _filled(tgt), _filled(wtxt)
+    end = len(src)
+    wtxt = cols[2] if len(cols) == 3 else [""] * end
+    has_s, has_t = _filled(src), _filled(tgt)
+    has_w = _filled(wtxt) if len(cols) == 3 else np.zeros(end, dtype=bool)
     # per row, in the order the checks apply: source, then target, then weight
     no_source = ~has_s & (has_t | has_w)
     orphan_weight = has_s & ~has_t & has_w
@@ -149,17 +238,26 @@ def load_edge_csv(path) -> list[tuple]:
         if orphan_weight[k]:
             raise MalformedRowError(path, k + 2, "weight given without a target vertex")
         raise MalformedRowError(path, k + 2, f"bad weight {wtxt[k]!r}")
-    if end < len(rows):
-        raise MalformedRowError(path, end + 2, f"too many fields ({len(rows[end])})")
-    del rows  # the row lists go before the records are made
-    if has_s.all() and has_t.all():  # every row an edge
-        if len(weights) == end:
-            return list(zip(src, tgt, weights))
-        if not weights:
-            return list(zip(src, tgt))
+    if wide is not None:
+        raise MalformedRowError(path, end + 2, f"too many fields ({wide})")
+    if has_s.all() and has_t.all() and len(weights) in (0, end):  # every row a record alike
+        return src, tgt, weights or None
+    # a row without a source is blank; one without a target a bare vertex
     w = iter(weights)
-    return [(s, t, next(w)) if x else (s, t) if t else (s,)
-            for s, t, x in zip(src, tgt, wtxt) if s]
+    weight = [next(w) if x else None for x in compress(weighted.tolist(), has_s)]
+    return (list(compress(src, has_s)), [t or None for t in compress(tgt, has_s)],
+            weight if weights else None)
+
+
+def load_edge_csv(path) -> list[tuple]:
+    """Edge records plus bare-vertex records, ready for build_graph:
+    ``(source, target, weight)``, ``(source, target)`` where the weight
+    is empty, ``(source,)`` for a bare vertex."""
+    src, tgt, weight = load_edge_columns(path)
+    if None not in tgt and (weight is None or None not in weight):
+        return list(zip(src, tgt) if weight is None else zip(src, tgt, weight))
+    return [(s,) if t is None else (s, t) if x is None else (s, t, x)
+            for s, t, x in zip(src, tgt, weight or repeat(None))]
 
 
 def save_edge_csv(g: Graph, path) -> None:
@@ -179,8 +277,9 @@ def save_edge_csv(g: Graph, path) -> None:
 
 
 def load_relevance_csv(path, g: Graph) -> RelevanceVector:
-    _, rows = _read_rows(path, (["vertex", "relevance"],), "vertex,relevance")
-    (labels, vtxt), end = _columns(rows, 2, lambda n: n in (0, 2))
+    check = _header_check(path, (["vertex", "relevance"],), "vertex,relevance")
+    _, (labels, vtxt), _, wrong = _read_columns(path, check, lambda row, width: _blank(row))
+    end = len(labels)
     listed = _filled(labels) | _filled(vtxt)
     idx = np.fromiter(map(g._index.get, labels, repeat(-1)), np.intp, end)
     unknown = listed & (idx < 0)
@@ -210,8 +309,8 @@ def load_relevance_csv(path, g: Graph) -> RelevanceVector:
         raise MalformedRowError(
             path, k + 2, f"relevance must be positive and finite, got {vtxt[k]}"
         )
-    if end < len(rows):
-        raise MalformedRowError(path, end + 2, f"expected 2 fields, got {len(rows[end])}")
+    if wrong is not None:
+        raise MalformedRowError(path, end + 2, f"expected 2 fields, got {wrong}")
     R = np.ones(g.vertex_count)
     R[idx[at]] = values
     return RelevanceVector(R)
@@ -230,57 +329,82 @@ def save_relevance_csv(R: RelevanceVector, g: Graph, path) -> None:
 # --- matrix f ---
 
 
-def _float(path, line_no: int, text: str, what: str) -> float:
+def _float_cells(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """float() of every cell, 0.0 where float rejects it, and a mask of those cells."""
     try:
-        return float(text)
+        return np.fromiter(map(float, cells), np.float64, len(cells)), np.zeros(len(cells), bool)
     except ValueError:
-        raise MalformedRowError(path, line_no, f"bad {what} {text!r}") from None
+        values, bad = np.zeros(len(cells)), np.zeros(len(cells), bool)
+        for i, text in enumerate(cells):
+            try:
+                values[i] = float(text)
+            except ValueError:
+                bad[i] = True
+        return values, bad
 
 
 def load_f_matrix_csv(path, g: Graph) -> RelevanceFunction:
-    """Dense F table with vertex labels on the header row and first column."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise MalformedRowError(path, 1, "empty file, expected a label header")
-    col_labels = [c.strip() for c in rows[0][1:]]
+    """Dense F table with vertex labels on the header row and first column.
+
+    The first faulty row decides the error; within a row the checks
+    apply in the order field count, row label, then each cell in column
+    order (a bad float, a nonzero diagonal or a negative entry).
+    """
     n = g.vertex_count
-    if len(col_labels) != n or sorted(col_labels) != sorted(g.labels):
-        raise MatrixShapeMismatchError(
-            f"{path}: column labels do not match the graph's {n} vertices"
-        )
-    if len(rows) - 1 != n:
-        raise MatrixShapeMismatchError(
-            f"{path}: expected {n} data rows, found {len(rows) - 1}"
-        )
-    F = np.zeros((n, n))
-    seen: set[str] = set()
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != n + 1:
-            raise MalformedRowError(path, line_no, f"expected {n + 1} fields, got {len(row)}")
-        row_label = row[0].strip()
-        if not g.has_vertex(row_label):
+
+    def check_header(header: list[str] | None) -> None:
+        if header is None:
+            raise MalformedRowError(path, 1, "empty file, expected a label header")
+        col_labels = [c.strip() for c in header[1:]]
+        if len(col_labels) != n or sorted(col_labels) != sorted(g.labels):
             raise MatrixShapeMismatchError(
-                f"{path}:{line_no}: row label {row_label!r} is not in the graph"
+                f"{path}: column labels do not match the graph's {n} vertices"
             )
-        if row_label in seen:
-            raise MalformedRowError(path, line_no, f"duplicate row label {row_label!r}")
-        seen.add(row_label)
-        i = g.index_of(row_label)
-        for col_label, cell in zip(col_labels, row[1:]):
-            val = _float(path, line_no, cell.strip(), "matrix entry")
-            j = g.index_of(col_label)
-            if i == j:
-                if val != 0.0:
-                    raise NonzeroDiagonalError(
-                        f"{path}:{line_no}: diagonal entry F[{row_label}][{row_label}] "
-                        f"must be 0, got {val:g}"
-                    )
-            elif val < 0.0:
-                raise MalformedRowError(
-                    path, line_no, f"negative entry {val:g} at column {col_label!r}"
-                )
-            F[i, j] = val
+
+    header, (labels, *columns), n_rows, wrong = _read_columns(
+        path, check_header, lambda row, width: False
+    )
+    if n_rows != n:
+        raise MatrixShapeMismatchError(f"{path}: expected {n} data rows, found {n_rows}")
+    end = len(labels)
+    col_labels = [c.strip() for c in header[1:]]
+    col = np.fromiter(map(g._index.__getitem__, col_labels), np.intp, n)
+    row = np.fromiter(map(g._index.get, labels, repeat(-1)), np.intp, end)
+    unknown = row < 0
+    duplicate = np.ones(end, dtype=bool)
+    duplicate[np.unique(row, return_index=True)[1]] = False
+    # one float pass over the cells, column by column; then row-major views
+    values, bad = _float_cells(list(chain.from_iterable(columns)))
+    values, bad = values.reshape(n, end).T, bad.reshape(n, end).T
+    diagonal = row[:, None] == col
+    nonzero_diagonal = diagonal & (values != 0.0)
+    negative = ~diagonal & (values < 0.0)
+    faulty = bad | nonzero_diagonal | negative  # a bad cell holds 0.0
+
+    k = _first(unknown | duplicate | faulty.any(axis=1))
+    if k < end:
+        line_no, label = k + 2, labels[k]
+        if unknown[k]:
+            raise MatrixShapeMismatchError(
+                f"{path}:{line_no}: row label {label!r} is not in the graph"
+            )
+        if duplicate[k]:
+            raise MalformedRowError(path, line_no, f"duplicate row label {label!r}")
+        j = _first(faulty[k])
+        val = float(values[k, j])
+        if bad[k, j]:
+            raise MalformedRowError(path, line_no, f"bad matrix entry {columns[j][k]!r}")
+        if nonzero_diagonal[k, j]:
+            raise NonzeroDiagonalError(
+                f"{path}:{line_no}: diagonal entry F[{label}][{label}] must be 0, got {val:g}"
+            )
+        raise MalformedRowError(
+            path, line_no, f"negative entry {val:g} at column {col_labels[j]!r}"
+        )
+    if wrong is not None:
+        raise MalformedRowError(path, end + 2, f"expected {n + 1} fields, got {wrong}")
+    F = np.zeros((n, n))
+    F[row[:, None], col] = values
     return matrix_function(F)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -112,6 +113,15 @@ def test_compute_malformed_csv_is_input_error(tmp_path):
     assert main(["compute", edges]) == EXIT_INPUT
 
 
+def test_compute_field_over_the_csv_limit_is_input_error(tmp_path, capsys):
+    # csv.reader rejects a field longer than csv.field_size_limit()
+    edges = put(tmp_path, "g.csv", "source,target\nA,B\n" + "x" * 131073 + ",A\n")
+    assert main(["compute", edges, "--metric", "degree"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {edges}:3: field larger than field limit")
+    assert "Traceback" not in err
+
+
 def test_oracle_engine_matches_fast(tmp_path):
     edges = put(tmp_path, "g.csv", WRING)
     rel = put(tmp_path, "r.csv", REL)
@@ -212,6 +222,29 @@ def test_experiment_grid_to_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("kind,n,p,r,f,metric,seed")
     assert len(lines) == 1 + 4
+
+
+def test_experiment_reports_progress_on_stderr(tmp_path, capsys):
+    spec = {"kinds": ["random"], "sizes": [20], "r": [0.0, 1.0],
+            "f": ["product"], "metrics": ["harmonic"], "seeds": [0, 1], "d": 4}
+    grid = put(tmp_path, "grid.json", json.dumps(spec))
+    out = tmp_path / "corr.csv"
+    assert main(["experiment", "--grid", grid, "--out", str(out), "--workers", "2"]) == EXIT_OK
+    got = capsys.readouterr()
+    lines = got.err.splitlines()
+    cells = [c.cell_id for c in relcentral.ExperimentGrid.from_json(grid).cells()]
+    assert len(lines) == len(cells)
+    pattern = re.compile(r"\[(\d+)/4\] (\S+) \d+\.\d{3} s")
+    matches = [pattern.fullmatch(line) for line in lines]
+    assert all(matches)
+    assert sorted(int(m[1]) for m in matches) == [1, 2, 3, 4]
+    assert sorted(m[2] for m in matches) == sorted(cells)
+    assert "wrote 4 correlation rows" in got.out
+    # the progress lines leave the CSV bytes as they were
+    ref = tmp_path / "ref.csv"
+    relcentral.write_correlation_csv(
+        relcentral.run_grid(relcentral.ExperimentGrid.from_json(grid)), ref)
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_experiment_bad_grid_is_input_error(tmp_path, capsys):

@@ -137,6 +137,31 @@ def test_run_grid_workers_deterministic():
     assert r1 == r4
 
 
+def test_run_grid_progress_counts_every_cell_once_across_threads():
+    grid = small_grid(seeds=(0, 1))
+    reports, overlapping, busy = [], [], []
+
+    def progress(done, total, cell, seconds):
+        overlapping.append(bool(busy))
+        busy.append(1)
+        reports.append((done, total, cell.cell_id, seconds))
+        busy.pop()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        recs = run_grid(grid, workers=8, progress=progress)
+    finally:
+        sys.setswitchinterval(old)
+    cells = grid.cells()
+    assert recs == run_grid(grid)
+    assert not any(overlapping)
+    assert [r[0] for r in reports] == list(range(1, len(cells) + 1))
+    assert {r[1] for r in reports} == {len(cells)}
+    assert sorted(r[2] for r in reports) == sorted(c.cell_id for c in cells)
+    assert all(r[3] >= 0.0 for r in reports)
+
+
 def test_run_grid_builds_each_ring_lattice_once(tmp_path, monkeypatch):
     grid = small_grid(kinds=("regular", "random"), seeds=(0, 1, 2),
                       fs=(Variant.PRODUCT, Variant.PATH_SUM), metrics=("betweenness", "harmonic"))

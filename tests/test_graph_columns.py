@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcentral.graph import _intern_columns, _intern_records
+from relcentral.graph import _intern_columns, _intern_records, build_graph, build_graph_columns
 
 
 _label = st.sampled_from("abcdefgh") | st.text(min_size=1, max_size=3)
@@ -30,3 +30,26 @@ def test_column_pass_matches_the_per_record_rules(records, vertices):
     assert list(fast[0].items()) == list(index.items())
     for got, want in zip(fast[1:], (ia, ib, w, pos)):
         np.testing.assert_array_equal(got, want)
+
+
+def _outcome(build, *args):
+    try:
+        g = build(*args)
+    except Exception as exc:  # every error must match, whatever its type
+        return type(exc), str(exc)
+    return g.labels, g.edge_records()
+
+
+_cell_label = _label | st.sampled_from(["", None])
+_weight = st.none() | st.floats(-1.0, 4.0) | st.sampled_from(["2.5", "x", float("nan")])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_cell_label, _label | st.none(), _weight), max_size=30),
+       st.booleans())
+def test_columns_build_the_graph_of_their_records(rows, weighted):
+    source, target, weight = (list(c) for c in zip(*rows)) if rows else ([], [], [])
+    weight = weight if weighted else None
+    records = [(s,) if t is None else (s, t) if w is None else (s, t, w)
+               for s, t, w in zip(source, target, weight or [None] * len(rows))]
+    assert _outcome(build_graph_columns, source, target, weight) == _outcome(build_graph, records)
