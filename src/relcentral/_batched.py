@@ -1,10 +1,10 @@
 """Block engine for harmonic closeness and betweenness, any positive weights.
 
-Sources run in the fixed blocks of ``_sweep``. The b sources of a block
-see the graph as flat nodes s*V + x (vertex x seen from source s), and
-one of two front-ends lays their shortest-path DAGs out level by level:
-the reached nodes of each level and the DAG arcs, every arc running from
-a lower to a higher level.
+Sources run in the blocks of ``_sweep``, whose size comes from the graph.
+The b sources of a block see the graph as flat nodes s*V + x (vertex x
+seen from source s), and one of two front-ends lays their shortest-path
+DAGs out level by level: the reached nodes of each level and the DAG
+arcs, every arc running from a lower to a higher level.
 
 - Unit weights (``_bfs``): one BFS over the flat nodes; level k holds
   the nodes at distance k, and every arc joins consecutive levels. Each
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sweep import sweep
+from ._sweep import _firsts, _ranges, sweep
 from .errors import SigmaOverflowError
 from .graph import Graph
 from .paths import TIE_TOL
@@ -81,23 +81,9 @@ def _offsets(sizes) -> np.ndarray:
     return out
 
 
-def _ranges(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The ranges starts[i] .. starts[i] + counts[i], concatenated."""
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
-
-
 def _ragged(counts: np.ndarray, starts: np.ndarray):
     """(owner, slot) over the ranges starts[i] .. starts[i] + counts[i]."""
     return np.repeat(np.arange(len(counts)), counts), _ranges(counts, starts)
-
-
-def _firsts(a: np.ndarray) -> np.ndarray:
-    """Where an ascending array starts a run of equal values."""
-    first = np.ones(len(a), dtype=bool)
-    np.not_equal(a[1:], a[:-1], out=first[1:])
-    return first
 
 
 # --- unit weights: BFS levels ---

@@ -7,13 +7,14 @@ pairs, so both (s,t) and (t,s) contribute; vertex betweenness credits
 interior vertices only, edge betweenness credits every edge of a path
 including the ones touching its endpoints.
 
-Harmonic closeness and betweenness run over fixed blocks of sources
-(``_sweep``) in one engine, ``_batched``, so one sweep serves both when
-both are asked for. Per block it lays the shortest-path DAGs out level
-by level, from a BFS on unit weights and from label-correcting
-distances on any others, and each recurrence over them is one
-``bincount`` per level, with numpy alone. Block partials are always
-merged in block order, so results do not depend on the worker count.
+Harmonic closeness and betweenness run over blocks of sources sized
+from the graph (``_sweep``) in one engine, ``_batched``, so one sweep
+serves both when both are asked for. Per block it lays the shortest-path
+DAGs out level by level, from a BFS on unit weights and from
+label-correcting distances on any others, and each recurrence over them
+is one ``bincount`` per level, with numpy alone. Block partials are
+always merged in block order, so results do not depend on the worker
+count.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from .errors import (
     PathExplosionError,
     PathVariantNotApplicableError,
     RelcentralError,
+    ResourceLimitError,
     SigmaOverflowError,
     TooLargeError,
 )
@@ -47,6 +48,7 @@ EXIT_COMPUTE = 3
 # flag/file problems exit 2; blown limits during the run exit 3
 _COMPUTE_ERRORS = (
     PathExplosionError,
+    ResourceLimitError,
     SigmaOverflowError,
     TooLargeError,
     ExperimentCellError,

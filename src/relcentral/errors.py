@@ -62,6 +62,10 @@ class SigmaOverflowError(RelcentralError):
     """A fixed-width shortest-path counter overflowed."""
 
 
+class ResourceLimitError(RelcentralError):
+    """Even one source's shortest-path DAG exceeds the memory budget."""
+
+
 # --- generators ---
 
 

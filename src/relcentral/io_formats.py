@@ -468,9 +468,19 @@ def _json_flat(values: list) -> list[str] | None:
     kinds = set(map(type, values))
     if kinds == {str}:
         return list(map(_json_str, values))
-    if kinds == {float} and np.isfinite(values).all():
-        return list(map(float.__repr__, map(float, map("{:.12g}".format, values))))
-    return None
+    if kinds != {float}:
+        return None
+    a = np.abs(values)
+    if not np.isfinite(a).all():
+        return None
+    # "{:.12g}" writes what float.__repr__ writes for the 12-digit value,
+    # except ".0" on whole numbers and in two bands, which keep the float
+    # and repr round trip: exponents 12 to 15, which repr writes without
+    # one, and subnormals, whose repr can be shorter (both with a margin)
+    texts = list(map("{:.12g}".format, values))
+    for i in np.flatnonzero(((a >= 9e11) & (a < 1e16)) | ((a > 0) & (a < 1e-307))).tolist():
+        texts[i] = float.__repr__(float(texts[i]))
+    return [t if "." in t or "e" in t else t + ".0" for t in texts]
 
 
 def _json_rows(rows: list, pad: str) -> list[str] | None:

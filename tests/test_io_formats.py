@@ -21,6 +21,7 @@ from relcentral.errors import (
 from relcentral.graph import build_graph
 from relcentral.io_formats import (
     ResultDocument,
+    _json_flat,
     build_result_document,
     export_dot,
     load_edge_csv,
@@ -484,6 +485,24 @@ def _documents(draw):
 @given(_documents())
 def test_results_json_bytes_match_the_json_module(doc):
     assert write_results_json(doc) == reference_json(doc)
+
+
+_flat_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e11, max_value=1e17),  # where .12g and repr switch notation
+    st.floats(min_value=-1e17, max_value=-1e11),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),  # subnormals
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 999999999999.5,
+                     9999999999999999.0, 1e16, 1e12, 1e-5, 1e-4, 0.000099999999999999]),
+    st.integers(-10**17, 10**17).map(float),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_flat_floats, min_size=1, max_size=12))
+def test_json_flat_floats_match_float_repr_of_the_12_digit_value(values):
+    want = [float.__repr__(float(f"{x:.12g}")) for x in values]
+    assert _json_flat(values) == want
 
 
 def test_results_json_bytes_match_for_every_metric_and_f():
