@@ -144,8 +144,10 @@ def degree_centrality(
         )
     R, relevance_source = _resolve(g, R, relevance_source)
     u, v = g.edge_endpoints
-    s, t = np.concatenate([u, v]), np.concatenate([v, u])  # both arcs of every edge
-    vals = np.bincount(s, weights=pair_values(f, s, t, R), minlength=g.vertex_count)
+    # the arcs u->v, then v->u, each added in edge order: the per-vertex
+    # sums of one bincount over both arcs, bit for bit
+    vals = np.bincount(u, weights=pair_values(f, u, v, R), minlength=g.vertex_count)
+    np.add.at(vals, v, pair_values(f, v, u, R))
     return _make_report(
         Metric.DEGREE, "vertex", g.labels, vals, f, relevance_source, g.weighted
     )

@@ -13,6 +13,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import io_formats
 from .centrality import (
     CentralityReport,
@@ -32,7 +34,7 @@ from .errors import (
 )
 from .experiments import ExperimentGrid, run_grid, write_correlation_csv
 from .generators import GeneratorConfig, assign_relevance, ring_lattice, watts_strogatz
-from .graph import Graph, build_graph_columns
+from .graph import Graph, build_graph_chunks
 from .oracle import (
     all_pairs_shortest_paths,
     brute_betweenness,
@@ -76,10 +78,10 @@ def _check_workers(workers: int) -> None:
 
 def _print_top10(rep: CentralityReport) -> None:
     print(f"{rep.metric.value} (f={rep.f_label}, relevance={rep.relevance_source})")
-    table = rep.as_dict()
-    for pos, element in enumerate(rep.ranking[:10], start=1):
+    top = rep.values[np.argsort(-rep.values, kind="stable")[:10]].tolist()  # rep.ranking's order
+    for pos, (element, value) in enumerate(zip(rep.ranking, top), start=1):
         name = element if rep.kind == "vertex" else f"{element[0]} -- {element[1]}"
-        print(f"  {pos:2d}. {name}  {table[element]:.6g}")
+        print(f"  {pos:2d}. {name}  {value:.6g}")
 
 
 def _oracle_reports(g, R, f, wanted: list[str], relevance_source: str):
@@ -110,8 +112,8 @@ def _oracle_reports(g, R, f, wanted: list[str], relevance_source: str):
 
 def cmd_compute(args) -> int:
     _check_workers(args.workers)
-    # no name keeps the columns, so they are freed before the metrics run
-    g = build_graph_columns(*io_formats.load_edge_columns(args.edges))
+    # labels are interned a chunk of the file at a time
+    g = build_graph_chunks(io_formats.load_edge_chunks(args.edges))
     if args.relevance:
         R = io_formats.load_relevance_csv(args.relevance, g)
         relevance_source = os.path.basename(args.relevance)

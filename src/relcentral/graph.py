@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from operator import is_not, itemgetter
 from typing import TYPE_CHECKING, Iterable
 
@@ -35,7 +35,7 @@ from .errors import (
 if TYPE_CHECKING:
     from scipy import sparse
 
-__all__ = ["Edge", "Graph", "build_graph", "build_graph_columns", "neighbors"]
+__all__ = ["Edge", "Graph", "build_graph", "build_graph_chunks", "build_graph_columns", "neighbors"]
 
 
 @dataclass(frozen=True)
@@ -189,10 +189,31 @@ def build_graph(
             records.extend(edge_records)
         except Exception as exc:
             fault = exc  # placed like a fault in the record after the last one read
-    cols = None if fault else _intern_columns(records, index)
+    interner = _Interner(index)
+    cols = None if fault else _record_columns(records)
     if cols is None:
-        cols, fault = _intern_records(records, index, fault)
-    return _checked_graph(cols, fault)
+        interner.add_records(records, fault)
+    else:
+        interner.add(*cols)
+    return interner.graph()
+
+
+def build_graph_chunks(chunks: Iterable[tuple[list, list, list | None]]) -> Graph:
+    """Build a validated graph from records that arrive as chunks of
+    columns, each in the form :func:`build_graph_columns` takes.
+
+    Labels are numbered as each chunk arrives and only its endpoint ids,
+    weights and a mask of its edge records are kept, so no label column
+    outlives its chunk. Every chunk is drawn before any array check
+    runs, so an error raised while drawing one (the edge reader's row
+    checks) comes before any graph error. The graph, and the error of a
+    faulty record, are those of :func:`build_graph` on all the records.
+    This is the form the edge CSV reader yields.
+    """
+    interner = _Interner({})
+    for source, target, weight in chunks:
+        interner.add(source, target, weight)
+    return interner.graph()
 
 
 def build_graph_columns(source: list, target: list, weight: list | None = None) -> Graph:
@@ -203,34 +224,33 @@ def build_graph_columns(source: list, target: list, weight: list | None = None) 
     ``weight`` or ``weight[k]`` is None. The graph, and the error of a
     faulty record, are those of :func:`build_graph` on the records, but
     no record tuple is made unless a record breaks a label or weight
-    rule. This is the form the edge CSV reader returns.
+    rule.
     """
-    cols = _intern(source, target, weight, {})
-    if cols is None:
-        return build_graph(list(zip(source, target, weight or repeat(None))))
-    return _checked_graph(cols, None)
+    return build_graph_chunks([(source, target, weight)])
 
 
 def _checked_graph(cols, fault) -> Graph:
-    """The graph of interned columns after the array checks (self-loop,
-    weight, duplicate), whose first faulty record decides the error;
-    ``fault``, from a later record, is raised when they pass."""
-    index, ia, ib, w, record_pos = cols
+    """The graph of interned columns (index, ia, ib, w and a mask of the
+    records that are edges) after the array checks (self-loop, weight,
+    duplicate), whose first faulty record decides the error; ``fault``,
+    from a later record, is raised when they pass."""
+    index, ia, ib, w, edge = cols
     n = len(index)
-    u, v = np.minimum(ia, ib), np.maximum(ia, ib)
+    u, v = np.minimum(ia, ib, dtype=np.int64), np.maximum(ia, ib, dtype=np.int64)
     loop = ia == ib
     bad_weight = ~(np.isfinite(w) & (w > 0.0))
-    key = u * n + v
+    ordered = u * n + v
+    ordered.sort()
     repeated = np.zeros(len(u), dtype=bool)  # every occurrence of a pair after its first
-    ordered = np.sort(key)
     if (ordered[1:] == ordered[:-1]).any():
         repeated[:] = True
-        repeated[np.unique(key, return_index=True)[1]] = False
+        repeated[np.unique(u * n + v, return_index=True)[1]] = False
+    del ordered
     faulty = loop | bad_weight | repeated
     if faulty.any():
         k = int(np.argmax(faulty))
         labels = list(index)
-        pos, a, b = int(record_pos[k]), labels[ia[k]], labels[ib[k]]
+        pos, a, b = int(np.flatnonzero(edge)[k]), labels[ia[k]], labels[ib[k]]
         if loop[k]:
             raise SelfLoopError(f"record {pos}: self-loop at {a!r}")
         if bad_weight[k]:
@@ -239,6 +259,85 @@ def _checked_graph(cols, fault) -> Graph:
     if fault is not None:
         raise fault
     return Graph(index, u, v, w)
+
+
+# endpoint ids while records are interned: a graph of 2^31 labels would
+# not fit in memory, and half the bytes of int64 lower the build's peak
+_ID = np.int32
+
+
+class _Interner:
+    """The labels and edges of records taken a chunk at a time.
+
+    The label dict grows in record order, so labels are numbered by
+    first appearance across chunks; each chunk leaves only its endpoint
+    ids, its weights (None when all are 1) and a mask of its records
+    that are edges. The array checks run once, in :meth:`graph`. A chunk
+    with a record that breaks a label or weight rule goes through the
+    per-record pass, which places the fault, and no chunk after it is
+    taken.
+    """
+
+    def __init__(self, seeded: dict[str, int]):
+        self._index = _numbering(seeded)
+        self._ia, self._ib = [np.zeros(0, _ID)], [np.zeros(0, _ID)]
+        self._w, self._edge = [np.zeros(0)], [np.zeros(0, dtype=bool)]
+        self.fault = None
+
+    def add(self, source: list, target: list, weight: list | None = None) -> bool:
+        """Take a chunk of records held as columns; False when the column
+        pass could not take it."""
+        if self.fault is not None:
+            return False
+        chunk = _intern(source, target, weight, self._index)
+        if chunk is None:
+            self.add_records(list(zip(source, target, weight or repeat(None))))
+            return False
+        for parts, part in zip((self._ia, self._ib, self._w, self._edge), chunk):
+            parts.append(part)
+        return True
+
+    def add_records(self, records: list, fault=None) -> None:
+        """Take a chunk of records through the per-record rules."""
+        start = sum(map(len, self._edge))
+        (index, ia, ib, w, pos), self.fault = _intern_records(records, self._index, fault, start)
+        self._index = _numbering(index)
+        edge = np.zeros(len(records), dtype=bool)
+        edge[np.array(pos, dtype=np.intp) - start] = True
+        for parts, part in zip((self._ia, self._ib, self._w, self._edge), (ia, ib, w, edge)):
+            parts.append(part)
+
+    def columns(self):
+        """(index, ia, ib, w, edge mask) of every chunk taken, joined."""
+        index, self._index = dict(self._index), None
+        w = [np.ones(len(a)) if x is None else x for a, x in zip(self._ia, self._w)]
+        return (index, *map(np.concatenate, (self._ia, self._ib, w, self._edge)))
+
+    def graph(self) -> Graph:
+        cols = self.columns()
+        self._ia = self._ib = self._w = self._edge = None  # freed before the checks
+        return _checked_graph(cols, self.fault)
+
+
+def _numbering(index: dict[str, int]) -> defaultdict:
+    """A copy of ``index`` in which a new label takes the next index."""
+    out = defaultdict(None, index)
+    out.default_factory = out.__len__
+    return out
+
+
+def _record_columns(records: list):
+    """(source, target, weight) columns of tuple or list records of 1 to
+    3 fields, a field None where a record is shorter; None when a record
+    has no column form."""
+    if not set(map(type, records)) <= {tuple, list}:
+        return None
+    lens = set(map(len, records))
+    if not lens <= {1, 2, 3}:
+        return None
+    short, long = min(lens, default=3), max(lens, default=0)
+    weight = _column(records, 2, short, long) if long == 3 else None
+    return _column(records, 0, short, long), _column(records, 1, short, long), weight
 
 
 def _column(records: list, j: int, short: int, long: int) -> list:
@@ -251,60 +350,62 @@ def _column(records: list, j: int, short: int, long: int) -> list:
 
 
 def _intern_columns(records, seeded: dict[str, int]):
-    """:func:`_intern` of the columns of tuple or list records; None also
-    when a record has no column form."""
-    lens = set(map(len, records))
-    if not (set(map(type, records)) <= {tuple, list} and lens <= {1, 2, 3}):
+    """(index, ia, ib, w, record positions) of tuple or list records in
+    one column pass; None when a record has no column form or breaks a
+    rule that only the per-record pass can place."""
+    interner = _Interner(seeded)
+    cols = _record_columns(records)
+    if cols is None or not interner.add(*cols):
         return None
-    short, long = min(lens, default=3), max(lens, default=0)
-    weight = _column(records, 2, short, long) if long == 3 else None
-    return _intern(_column(records, 0, short, long), _column(records, 1, short, long),
-                   weight, seeded)
+    index, ia, ib, w, edge = interner.columns()
+    return index, ia, ib, w, np.flatnonzero(edge)
 
 
-def _intern(source: list, target: list, weight, seeded: dict[str, int]):
-    """(index, ia, ib, w, record positions) of the records of the columns
-    (a None target: a bare vertex; a None ``weight`` or weight: 1), in
-    whole columns; None when a record breaks a rule before the array
-    checks, which only the per-record pass can place."""
-    n = len(source)
+def _intern(source: list, target: list, weight, index: defaultdict):
+    """(ia, ib, w, edge mask) of one chunk of records held as columns (a
+    None target: a bare vertex; a None ``weight``: all 1, returned as
+    None), its new labels numbered into ``index``; None, with ``index``
+    as it was, when a record breaks a rule before the array checks,
+    which only the per-record pass can place."""
+    n, before = len(source), len(index)
+    edge = np.fromiter(map(is_not, target, repeat(None)), bool, n)
+    bare = np.flatnonzero(~edge).tolist()
+    w = None
+    if weight is not None:
+        try:
+            w = np.fromiter((1.0 if x is None else float(x) for x in compress(weight, edge)),
+                            np.float64, n - len(bare))
+        except (TypeError, ValueError):  # a weight float() rejects
+            return None
     # endpoints interleaved in record order; a bare record names its vertex twice
     ends = [None] * (2 * n)
     ends[0::2] = source
     ends[1::2] = target
-    edge = np.fromiter(map(is_not, target, repeat(None)), bool, n)
-    pos = np.flatnonzero(edge)
-    for i in np.flatnonzero(~edge).tolist():
+    for i in bare:
         ends[2 * i + 1] = ends[2 * i]
-    index = defaultdict(None, seeded)
-    index.default_factory = index.__len__  # a new label takes the next index
     try:
-        ids = np.fromiter(map(index.__getitem__, ends), np.int64, 2 * n)
+        ids = np.fromiter(map(index.__getitem__, ends), _ID, 2 * n)
     except TypeError:  # an unhashable label
+        ids = None
+    new = list(islice(reversed(index), len(index) - before))
+    if ids is None or "" in new or not set(map(type, new)) <= {str}:
+        while len(index) > before:
+            index.popitem()
         return None
-    if "" in index or not set(map(type, index)) <= {str}:
-        return None
-    if weight is None:
-        w = np.ones(len(pos))
-    else:
-        try:
-            w = np.fromiter((1.0 if x is None else float(x) for x in compress(weight, edge)),
-                            np.float64, len(pos))
-        except (TypeError, ValueError):  # a weight float() rejects
-            return None
     ia, ib = ids[0::2], ids[1::2]
-    if len(pos) < n:
-        ia, ib = ia[pos], ib[pos]
-    return dict(index), ia, ib, w, pos
+    if bare:
+        ia, ib = ia[edge], ib[edge]
+    return ia, ib, w, edge
 
 
-def _intern_records(records, seeded: dict[str, int], fault):
+def _intern_records(records, seeded: dict[str, int], fault, start: int = 0):
     """The per-record rules: the columns of the records before the first
-    one that breaks a rule, and that record's exception (else ``fault``)."""
+    one that breaks a rule, and that record's exception (else ``fault``).
+    Records are numbered from ``start``."""
     index = dict(seeded)
     ends_a, ends_b, weights, record_pos = [], [], [], []
     try:
-        for pos, rec in enumerate(records):
+        for pos, rec in enumerate(records, start):
             rec = tuple(rec)
             if len(rec) >= 2 and rec[1] is None:
                 rec = rec[:1]

@@ -6,22 +6,29 @@ how isolated vertices enter a graph. Relevance files carry
 ``vertex,relevance`` and default every unlisted vertex to 1. All files
 are UTF-8 and floats accept what Python's ``float`` accepts.
 
-Edge, relevance and matrix files are read by columns, without a list or
-tuple per row. A file that ``csv.reader`` would read as the
+Edge, relevance and matrix files are read a chunk of lines at a time
+(``CHUNK`` characters, cut after the last \\n), by columns, without a
+list or tuple per row, and no string per cell outlives its chunk: the
+edge reader yields each chunk's records to
+:func:`graph.build_graph_chunks`, which interns its labels as it
+arrives, and the relevance and matrix readers enter each chunk's values
+into their arrays. A chunk that ``csv.reader`` would read as the
 ``str.split(",")`` of each line, every line as wide as the header (no
 quote, no NUL, no \\r outside \\r\\n, no line over
 ``csv.field_size_limit()``), is split into cells in one pass; column j
-is every width-th cell from j. Lines are split at \\n alone, never at the
-other line breaks of ``str.splitlines``, which csv keeps inside a
-field. Any other file, quoted
-labels included, goes through ``csv.reader``, whose errors are reported
-as a MalformedRowError at its line. Either way the cells are stripped
-column by column, and each row check (field count, missing source,
-weight without target, unparsable or non-positive value, unknown or
-repeated vertex, matrix cell) is a mask over all rows. The first faulty
-line decides the error, and within a line the checks apply in the
-order just listed, so messages and line numbers are those of a
-row-by-row reader. Line numbers count CSV records, blank rows included.
+is every width-th cell from j. Lines are split at \\n alone, never at
+the other line breaks of ``str.splitlines``, which csv keeps inside a
+field. From the first chunk that is not so, quoted labels included,
+``csv.reader`` reads the rest of the file in batches of rows, and its
+errors are reported as a MalformedRowError at its line. Either way the
+cells are stripped column by column, and each row check (field count,
+missing source, weight without target, unparsable or non-positive
+value, unknown or repeated vertex, matrix cell) is a mask over the rows
+of a chunk. The first faulty line decides the error, and within a line
+the checks apply in the order just listed, so messages and line numbers
+are those of a row-by-row reader; every row of an edge file is checked
+before any graph check, and a matrix file's row count before any of its
+rows. Line numbers count CSV records, blank rows included.
 
 Result JSON is written without the json module's pure-Python indent
 encoder: tables of floats, lists of labels, edge rows and edge ranking
@@ -53,6 +60,7 @@ from .graph import Graph
 from .relevance import RelevanceFunction, RelevanceVector, matrix_function
 
 __all__ = [
+    "load_edge_chunks",
     "load_edge_columns",
     "load_edge_csv",
     "save_edge_csv",
@@ -70,20 +78,24 @@ __all__ = [
 # --- CSV tables, read by columns ---
 
 
+# characters of text read at a time; a chunk is cut after its last \n
+CHUNK = 1 << 16
+
 # the separators of an unquoted CSV line: ',' and '\n', as UTF-8 bytes
 _COMMA, _NEWLINE = 44, 10
 
 
-def _plain_cells(text: str) -> tuple[int, list[str]] | None:
-    """The field count of the first line of ``text`` and the cells of all
-    its lines in one list, when ``csv.reader`` would read every line as
-    its ``str.split(",")`` and all lines have that field count; else None.
+def _plain_cells(text: str, width: int | None = None) -> tuple[int, list[str]] | None:
+    """The field count ``width`` (by default, that of the first line of
+    ``text``) and the cells of all lines of ``text`` in one list, when
+    ``csv.reader`` would read every line as its ``str.split(",")`` and
+    all lines have ``width`` fields; else None.
 
     That holds when the text has no quote, no NUL and no \\r outside
-    \\r\\n, every line has the first line's number of commas, and no line
-    is longer than ``csv.field_size_limit()`` (counted in UTF-8 bytes,
-    never fewer than its characters). Lines end at \\n alone: csv keeps
-    \\x0b, \\x0c, \\x1c-\\x1e, \\x85 and \\u2028 inside a field, where
+    \\r\\n, every line has ``width - 1`` commas, and no line is longer
+    than ``csv.field_size_limit()`` (counted in UTF-8 bytes, never fewer
+    than its characters). Lines end at \\n alone: csv keeps \\x0b,
+    \\x0c, \\x1c-\\x1e, \\x85 and \\u2028 inside a field, where
     ``str.splitlines`` would break.
     """
     if not text or '"' in text or "\0" in text:
@@ -94,7 +106,8 @@ def _plain_cells(text: str) -> tuple[int, list[str]] | None:
         text = text.replace("\r\n", "\n")
     if not text.endswith("\n"):
         text += "\n"
-    width = text.count(",", 0, text.index("\n")) + 1
+    if width is None:
+        width = text.count(",", 0, text.index("\n")) + 1
     b = np.frombuffer(text.encode(), np.uint8)
     sep = np.flatnonzero((b == _COMMA) | (b == _NEWLINE))
     if len(sep) % width:
@@ -109,40 +122,83 @@ def _plain_cells(text: str) -> tuple[int, list[str]] | None:
     return width, text[:-1].replace("\n", ",").split(",")
 
 
-def _read_columns(path, check_header, fits) -> tuple[list[str], list[list[str]], int, int | None]:
-    """Read a CSV file by columns: its header, the stripped cells of its
-    data rows as one column per header field, the number of data rows,
-    and the field count of the row that ends the columns (None if none
-    does). Row i of the columns is record i + 2.
+def _texts(fh):
+    """The text of ``fh`` about CHUNK characters at a time, each piece cut
+    after its last \\n (the last piece may end without one)."""
+    pieces = []
+    while text := fh.read(CHUNK):
+        cut = text.rfind("\n") + 1
+        if not cut:  # a line longer than a chunk
+            pieces.append(text)
+            continue
+        pieces.append(text[:cut])
+        yield "".join(pieces)
+        pieces = [text[cut:]]
+    if any(pieces):
+        yield "".join(pieces)
+
+
+def _read_chunks(path, check_header, fits):
+    """Read a CSV file a chunk of lines at a time. Per chunk, yield the
+    stripped cells of its data rows as one column per header field, the
+    number of its rows, and the field count of the row in it that ends
+    the columns (None if none does); the columns stop before that row,
+    and the rows after it are counted only. Rows are numbered across
+    chunks: row i of the file is record i + 2.
 
     ``check_header`` gets the header (None for an empty file) before any
     data row is read, and raises if it is wrong. Rows shorter than the
-    header are padded with empty cells; the first row of another length
-    that ``fits(row, width)`` rejects ends the columns. A text that
-    ``_plain_cells`` splits is read without per-row objects; any other
-    goes through ``csv.reader``, whose errors become a MalformedRowError
-    at its line.
+    header are padded with empty cells; a row of another length that
+    ``fits(row, width)`` rejects ends the columns. Chunks that
+    ``_plain_cells`` splits are read without per-row objects. From the
+    first chunk it does not split, ``csv.reader`` reads the rest of the
+    file in batches of rows; a csv error becomes a MalformedRowError at
+    its line once the rows before it are yielded.
     """
     with open(path, encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    plain = _plain_cells(text)
-    if plain is not None:
-        del text
-        width, cells = plain
-        header = cells[:width]
-        check_header(header)
-        columns = [list(map(str.strip, cells[j::width])) for j in range(width, 2 * width)]
-        return header, columns, len(columns[0]), None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    del text
-    try:
-        header = next(reader, None)
-        check_header(header)
-        rows = list(reader)
-    except csv.Error as exc:
-        raise MalformedRowError(path, reader.line_num, str(exc)) from None
-    columns, end = _columns(rows, len(header), fits)
-    return header, columns, len(rows), len(rows[end]) if end < len(rows) else None
+        texts = _texts(fh)
+        width, lines = None, 0  # the header's field count; the records read
+        for text in texts:
+            plain = _plain_cells(text, width)
+            if plain is None:
+                break
+            cells = plain[1]
+            if width is None:
+                width = plain[0]
+                check_header(cells[:width])
+                del cells[:width]
+                lines = 1
+            rows = len(cells) // width
+            lines += rows
+            yield [list(map(str.strip, cells[j::width])) for j in range(width)], rows, None
+        else:
+            if width is None:
+                check_header(None)
+            return
+        # plain lines are records, so csv picks up at a record boundary
+        reader = csv.reader(chain.from_iterable(
+            io.StringIO(t, newline="") for t in chain([text], texts)))
+        batch = max(1, CHUNK // 16)  # rows; an edge row is about 16 characters
+        if width is None:
+            try:
+                header = next(reader, None)
+            except csv.Error as exc:
+                raise MalformedRowError(path, reader.line_num, str(exc)) from None
+            check_header(header)
+            width = len(header)
+        error = None
+        while error is None:
+            rows = []
+            try:
+                rows.extend(islice(reader, batch))
+            except csv.Error as exc:
+                error = MalformedRowError(path, lines + reader.line_num, str(exc))
+            if rows:
+                columns, end = _columns(rows, width, fits)
+                yield columns, len(rows), len(rows[end]) if end < len(rows) else None
+            elif error is None:
+                return
+        raise error
 
 
 def _header_check(path, headers: tuple[list[str], ...], expected: str):
@@ -207,16 +263,25 @@ def _first(mask: np.ndarray) -> int:
 # --- edges ---
 
 
-def load_edge_columns(path) -> tuple[list[str], list, list | None]:
-    """The records of an edge file as columns (source, target, weight),
-    the form :func:`graph.build_graph_columns` takes: a None target is a
-    bare vertex, a None weight column or weight is 1."""
+def load_edge_chunks(path):
+    """The records of an edge file a chunk at a time, as columns (source,
+    target, weight), the form :func:`graph.build_graph_chunks` takes: a
+    None target is a bare vertex, a None weight column or weight is 1.
+    Every row check of a chunk runs before the next chunk is read."""
     check = _header_check(
         path, (["source", "target", "weight"], ["source", "target"]), "source,target[,weight]"
     )
-    _, cols, _, wide = _read_columns(
+    line = 2  # the record number of a chunk's first row
+    for cols, rows, wide in _read_chunks(
         path, check, lambda row, width: len(row) < width or _blank(row)
-    )
+    ):
+        yield _edge_records(path, line, cols, wide)
+        line += rows
+
+
+def _edge_records(path, line: int, cols: list[list[str]], wide: int | None):
+    """The records of the columns of one chunk whose first row is record
+    ``line``, after the row checks."""
     src, tgt = cols[0], cols[1]
     end = len(src)
     wtxt = cols[2] if len(cols) == 3 else [""] * end
@@ -234,12 +299,12 @@ def load_edge_columns(path) -> tuple[list[str], list, list | None]:
     k = _first(no_source | orphan_weight | bad_weight)
     if k < end:
         if no_source[k]:
-            raise MalformedRowError(path, k + 2, "missing source vertex")
+            raise MalformedRowError(path, line + k, "missing source vertex")
         if orphan_weight[k]:
-            raise MalformedRowError(path, k + 2, "weight given without a target vertex")
-        raise MalformedRowError(path, k + 2, f"bad weight {wtxt[k]!r}")
+            raise MalformedRowError(path, line + k, "weight given without a target vertex")
+        raise MalformedRowError(path, line + k, f"bad weight {wtxt[k]!r}")
     if wide is not None:
-        raise MalformedRowError(path, end + 2, f"too many fields ({wide})")
+        raise MalformedRowError(path, line + end, f"too many fields ({wide})")
     if has_s.all() and has_t.all() and len(weights) in (0, end):  # every row a record alike
         return src, tgt, weights or None
     # a row without a source is blank; one without a target a bare vertex
@@ -247,6 +312,19 @@ def load_edge_columns(path) -> tuple[list[str], list, list | None]:
     weight = [next(w) if x else None for x in compress(weighted.tolist(), has_s)]
     return (list(compress(src, has_s)), [t or None for t in compress(tgt, has_s)],
             weight if weights else None)
+
+
+def load_edge_columns(path) -> tuple[list[str], list, list | None]:
+    """The records of an edge file as whole columns, the chunks of
+    :func:`load_edge_chunks` joined: the form
+    :func:`graph.build_graph_columns` takes."""
+    src, tgt, weight, weighted = [], [], [], False
+    for s, t, w in load_edge_chunks(path):
+        src += s
+        tgt += t
+        weight += [None] * len(s) if w is None else w
+        weighted |= w is not None
+    return src, tgt, weight if weighted else None
 
 
 def load_edge_csv(path) -> list[tuple]:
@@ -278,41 +356,46 @@ def save_edge_csv(g: Graph, path) -> None:
 
 def load_relevance_csv(path, g: Graph) -> RelevanceVector:
     check = _header_check(path, (["vertex", "relevance"],), "vertex,relevance")
-    _, (labels, vtxt), _, wrong = _read_columns(path, check, lambda row, width: _blank(row))
-    end = len(labels)
-    listed = _filled(labels) | _filled(vtxt)
-    idx = np.fromiter(map(g._index.get, labels, repeat(-1)), np.intp, end)
-    unknown = listed & (idx < 0)
-    known = np.flatnonzero(listed & (idx >= 0))
-    duplicate = np.zeros(end, dtype=bool)
-    duplicate[known] = True
-    duplicate[known[np.unique(idx[known], return_index=True)[1]]] = False
-    at = np.flatnonzero(listed)
-    values, n_ok = _floats(list(compress(vtxt, listed)))
-    bad_value = np.zeros(end, dtype=bool)
-    bad_value[at[n_ok:n_ok + 1]] = True
-    x = np.ones(end)
-    x[at[:n_ok]] = values
-    not_positive = ~(np.isfinite(x) & (x > 0.0))
-
-    # per row, in the order the checks apply
-    k = _first(unknown | duplicate | bad_value | not_positive)
-    if k < end:
-        if unknown[k]:
-            raise UnknownVertexInRelevanceError(
-                f"{path}:{k + 2}: vertex {labels[k]!r} is not in the graph"
-            )
-        if duplicate[k]:
-            raise MalformedRowError(path, k + 2, f"duplicate vertex {labels[k]!r}")
-        if bad_value[k]:
-            raise MalformedRowError(path, k + 2, f"bad relevance {vtxt[k]!r}")
-        raise MalformedRowError(
-            path, k + 2, f"relevance must be positive and finite, got {vtxt[k]}"
-        )
-    if wrong is not None:
-        raise MalformedRowError(path, end + 2, f"expected 2 fields, got {wrong}")
     R = np.ones(g.vertex_count)
-    R[idx[at]] = values
+    listed_before = np.zeros(g.vertex_count, dtype=bool)
+    line = 2  # the record number of a chunk's first row
+    for (labels, vtxt), rows, wrong in _read_chunks(path, check, lambda row, width: _blank(row)):
+        end = len(labels)
+        listed = _filled(labels) | _filled(vtxt)
+        idx = np.fromiter(map(g._index.get, labels, repeat(-1)), np.intp, end)
+        unknown = listed & (idx < 0)
+        known = np.flatnonzero(listed & (idx >= 0))
+        duplicate = np.zeros(end, dtype=bool)
+        duplicate[known] = True
+        duplicate[known[np.unique(idx[known], return_index=True)[1]]] = False
+        duplicate[known] |= listed_before[idx[known]]
+        at = np.flatnonzero(listed)
+        values, n_ok = _floats(list(compress(vtxt, listed)))
+        bad_value = np.zeros(end, dtype=bool)
+        bad_value[at[n_ok:n_ok + 1]] = True
+        x = np.ones(end)
+        x[at[:n_ok]] = values
+        not_positive = ~(np.isfinite(x) & (x > 0.0))
+
+        # per row, in the order the checks apply
+        k = _first(unknown | duplicate | bad_value | not_positive)
+        if k < end:
+            if unknown[k]:
+                raise UnknownVertexInRelevanceError(
+                    f"{path}:{line + k}: vertex {labels[k]!r} is not in the graph"
+                )
+            if duplicate[k]:
+                raise MalformedRowError(path, line + k, f"duplicate vertex {labels[k]!r}")
+            if bad_value[k]:
+                raise MalformedRowError(path, line + k, f"bad relevance {vtxt[k]!r}")
+            raise MalformedRowError(
+                path, line + k, f"relevance must be positive and finite, got {vtxt[k]}"
+            )
+        if wrong is not None:
+            raise MalformedRowError(path, line + end, f"expected 2 fields, got {wrong}")
+        R[idx[at]] = values
+        listed_before[idx[at]] = True
+        line += rows
     return RelevanceVector(R)
 
 
@@ -346,13 +429,17 @@ def _float_cells(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
 def load_f_matrix_csv(path, g: Graph) -> RelevanceFunction:
     """Dense F table with vertex labels on the header row and first column.
 
-    The first faulty row decides the error; within a row the checks
-    apply in the order field count, row label, then each cell in column
-    order (a bad float, a nonzero diagonal or a negative entry).
+    Every row is read before any row is judged: a wrong number of data
+    rows comes first. Then the first faulty row decides the error; within
+    a row the checks apply in the order field count, row label, then
+    each cell in column order (a bad float, a nonzero diagonal or a
+    negative entry).
     """
     n = g.vertex_count
+    col_labels: list[str] = []
 
     def check_header(header: list[str] | None) -> None:
+        nonlocal col_labels
         if header is None:
             raise MalformedRowError(path, 1, "empty file, expected a label header")
         col_labels = [c.strip() for c in header[1:]]
@@ -361,18 +448,34 @@ def load_f_matrix_csv(path, g: Graph) -> RelevanceFunction:
                 f"{path}: column labels do not match the graph's {n} vertices"
             )
 
-    header, (labels, *columns), n_rows, wrong = _read_columns(
+    F = np.zeros((n, n))
+    listed_before = np.zeros(n, dtype=bool)
+    line, fault = 2, None  # the record number of a chunk's first row; the first fault
+    for (labels, *columns), rows, wrong in _read_chunks(
         path, check_header, lambda row, width: False
-    )
-    if n_rows != n:
-        raise MatrixShapeMismatchError(f"{path}: expected {n} data rows, found {n_rows}")
-    end = len(labels)
-    col_labels = [c.strip() for c in header[1:]]
+    ):
+        if fault is None:
+            fault = _matrix_rows(path, line, g, col_labels, labels, columns, wrong,
+                                 F, listed_before)
+        line += rows
+    if line - 2 != n:
+        raise MatrixShapeMismatchError(f"{path}: expected {n} data rows, found {line - 2}")
+    if fault is not None:
+        raise fault
+    return matrix_function(F)
+
+
+def _matrix_rows(path, line, g, col_labels, labels, columns, wrong, F, listed_before):
+    """Enter the rows of one chunk of a matrix file, whose first row is
+    record ``line``, into ``F``, or return the error of its first faulty
+    row (or of the row that ends its columns, ``wrong`` fields long)."""
+    n, end = g.vertex_count, len(labels)
     col = np.fromiter(map(g._index.__getitem__, col_labels), np.intp, n)
     row = np.fromiter(map(g._index.get, labels, repeat(-1)), np.intp, end)
     unknown = row < 0
     duplicate = np.ones(end, dtype=bool)
     duplicate[np.unique(row, return_index=True)[1]] = False
+    duplicate |= listed_before[row] & ~unknown
     # one float pass over the cells, column by column; then row-major views
     values, bad = _float_cells(list(chain.from_iterable(columns)))
     values, bad = values.reshape(n, end).T, bad.reshape(n, end).T
@@ -383,29 +486,29 @@ def load_f_matrix_csv(path, g: Graph) -> RelevanceFunction:
 
     k = _first(unknown | duplicate | faulty.any(axis=1))
     if k < end:
-        line_no, label = k + 2, labels[k]
+        line_no, label = line + k, labels[k]
         if unknown[k]:
-            raise MatrixShapeMismatchError(
+            return MatrixShapeMismatchError(
                 f"{path}:{line_no}: row label {label!r} is not in the graph"
             )
         if duplicate[k]:
-            raise MalformedRowError(path, line_no, f"duplicate row label {label!r}")
+            return MalformedRowError(path, line_no, f"duplicate row label {label!r}")
         j = _first(faulty[k])
         val = float(values[k, j])
         if bad[k, j]:
-            raise MalformedRowError(path, line_no, f"bad matrix entry {columns[j][k]!r}")
+            return MalformedRowError(path, line_no, f"bad matrix entry {columns[j][k]!r}")
         if nonzero_diagonal[k, j]:
-            raise NonzeroDiagonalError(
+            return NonzeroDiagonalError(
                 f"{path}:{line_no}: diagonal entry F[{label}][{label}] must be 0, got {val:g}"
             )
-        raise MalformedRowError(
+        return MalformedRowError(
             path, line_no, f"negative entry {val:g} at column {col_labels[j]!r}"
         )
     if wrong is not None:
-        raise MalformedRowError(path, end + 2, f"expected {n + 1} fields, got {wrong}")
-    F = np.zeros((n, n))
+        return MalformedRowError(path, line + end, f"expected {n + 1} fields, got {wrong}")
     F[row[:, None], col] = values
-    return matrix_function(F)
+    listed_before[row] = True
+    return None
 
 
 # --- result documents ---

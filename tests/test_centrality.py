@@ -35,6 +35,7 @@ from relcentral.generators import GeneratorConfig, ring_lattice, watts_strogatz
 from relcentral.graph import build_graph
 from relcentral.oracle import brute_betweenness, brute_degree, brute_harmonic
 from relcentral.relevance import (
+    MAX,
     MEAN,
     PATH_PROD,
     PATH_SUM,
@@ -42,6 +43,7 @@ from relcentral.relevance import (
     SOURCE_ONLY,
     RelevanceVector,
     matrix_function,
+    pair_values,
 )
 
 RA2 = RelevanceVector(np.array([2.0, 1.0, 1.0, 1.0]))
@@ -502,6 +504,16 @@ def test_path_metrics_follow_relabelling_and_weight_scaling(seed, weighted):
             np.testing.assert_allclose(hc.values, h.values / c, rtol=1e-12)
             np.testing.assert_allclose(vc.values, vb.values, rtol=1e-12)
             np.testing.assert_allclose(ec.values, eb.values, rtol=1e-12)
+
+
+@pytest.mark.parametrize("f", [PRODUCT, MEAN, SOURCE_ONLY, MAX])
+def test_degree_equals_one_bincount_over_both_arcs_bit_for_bit(f):
+    g = watts_strogatz(GeneratorConfig(n=600, d=10, p=0.5, seed=3))
+    R = RelevanceVector(np.random.default_rng(4).uniform(0.5, 4.0, size=g.vertex_count))
+    u, v = g.edge_endpoints
+    s, t = np.concatenate([u, v]), np.concatenate([v, u])
+    want = np.bincount(s, weights=pair_values(f, s, t, R), minlength=g.vertex_count)
+    np.testing.assert_array_equal(degree_centrality(g, R, f).values, want)
 
 
 @settings(max_examples=20, deadline=None)

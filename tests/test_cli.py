@@ -11,9 +11,11 @@ import pytest
 import relcentral
 from relcentral import GeneratorConfig, assign_relevance, watts_strogatz
 from relcentral._sweep import BLOCK
-from relcentral.cli import EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, main
+from relcentral.centrality import Metric, _make_report
+from relcentral.cli import EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, _print_top10, main
 from relcentral.graph import Graph
 from relcentral.io_formats import save_edge_csv, save_relevance_csv
+from relcentral.relevance import RelevanceFunction, Variant
 
 RING = "source,target\nA,B\nB,C\nC,D\nA,D\n"
 WRING = "source,target,weight\nA,B,0.5\nB,C,1\nC,D,1\nA,D,1\n"
@@ -32,6 +34,21 @@ def test_compute_prints_rankings(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "degree (f=product, relevance=uniform)" in out
     assert "1. A  2" in out
+
+
+@pytest.mark.parametrize("kind", ["vertex", "edge"])
+def test_top10_prints_the_values_of_the_ranking(capsys, kind):
+    ids = [f"v{i}" for i in range(25)]
+    if kind == "edge":
+        ids = list(zip(ids, ids[1:] + ids[:1]))
+    values = np.array([3.0, 1.0, 3.0, 0.5] * 6 + [7.25]) / 3.0  # ties across the cut
+    rep = _make_report(Metric.DEGREE, kind, tuple(ids), values,
+                       RelevanceFunction(Variant.PRODUCT), "uniform", False)
+    _print_top10(rep)
+    lines = capsys.readouterr().out.splitlines()[1:]
+    names = [e if kind == "vertex" else f"{e[0]} -- {e[1]}" for e in rep.ranking[:10]]
+    assert lines == [f"  {pos:2d}. {name}  {rep.value_of(e):.6g}"
+                     for pos, (name, e) in enumerate(zip(names, rep.ranking), start=1)]
 
 
 def test_compute_all_metrics_writes_json(tmp_path):

@@ -9,6 +9,8 @@ read one csv.reader row at a time.
 
 import csv
 import math
+import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -22,9 +24,10 @@ from relcentral.errors import (
     NonzeroDiagonalError,
     UnknownVertexInRelevanceError,
 )
-from relcentral.graph import build_graph, build_graph_columns
+from relcentral.graph import build_graph, build_graph_chunks, build_graph_columns
 from relcentral.io_formats import (
     _plain_cells,
+    load_edge_chunks,
     load_edge_columns,
     load_edge_csv,
     load_f_matrix_csv,
@@ -349,7 +352,7 @@ def test_matrix_reader_matches_the_per_cell_reference(tmp_path_factory, text):
     assert outcome(lambda: load_f_matrix_csv(p, _MATRIX_GRAPH).matrix) == want
 
 
-@pytest.mark.parametrize("row_b, error, message", [
+_MATRIX_FAULTS = [
     # the first faulty cell in the row decides, whatever its fault
     ("b,x,0,-5", MalformedRowError, "bad matrix entry 'x'"),
     ("b,-4,0,x", MalformedRowError, "negative entry -4 at column 'a'"),
@@ -362,7 +365,10 @@ def test_matrix_reader_matches_the_per_cell_reference(tmp_path_factory, text):
     ("q,x,0,5", MatrixShapeMismatchError, "row label 'q' is not in the graph"),
     # the field count before the label
     ("q,x,0", MalformedRowError, "expected 4 fields, got 3"),
-])
+]
+
+
+@pytest.mark.parametrize("row_b, error, message", _MATRIX_FAULTS)
 def test_matrix_first_faulty_cell_decides(tmp_path, row_b, error, message):
     # row a is fine and row c holds a fault of its own, which comes later
     text = ",a,b,c\na,0,1,2\n" + row_b + "\nc,-1,x,0\n"
@@ -371,3 +377,119 @@ def test_matrix_first_faulty_cell_decides(tmp_path, row_b, error, message):
         load_f_matrix_csv(p, _MATRIX_GRAPH)
     assert type(info.value) is error
     assert str(info.value) == f"{p}:3: {message}"
+
+
+# --- files read a chunk of lines at a time ---
+
+
+@contextmanager
+def _chunks_of(chars):
+    """io_formats.CHUNK set to ``chars`` (csv.reader batches of one row)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io_formats, "CHUNK", chars)
+        yield
+
+
+# 1 character: every line is longer than a chunk; 12: a line or two
+_SMALL = [1, 12]
+
+
+@pytest.mark.parametrize("chars", _SMALL)
+@settings(max_examples=150, deadline=None)
+@given(text=_tables(("source,target,weight", "source,target", " Source ,TARGET", "from,to", ""),
+                    _LABELS))
+def test_edge_reader_matches_csv_reader_in_small_chunks(tmp_path_factory, chars, text):
+    p = write(tmp_path_factory.mktemp("e"), "e.csv", text)
+    want = outcome(_read_with, p, _edge_rows)
+    want_graph = graph_outcome(lambda: build_graph(_read_with(p, _edge_rows)))
+    with _chunks_of(chars):
+        assert outcome(load_edge_csv, p) == want
+        assert graph_outcome(lambda: build_graph_chunks(load_edge_chunks(p))) == want_graph
+
+
+@pytest.mark.parametrize("chars", _SMALL)
+@settings(max_examples=150, deadline=None)
+@given(text=_tables(("vertex,relevance", " VERTEX , relevance", "vertex", ""), _GRAPH_LABELS))
+def test_relevance_reader_matches_csv_reader_in_small_chunks(tmp_path_factory, chars, text):
+    p = write(tmp_path_factory.mktemp("r"), "r.csv", text)
+    want = outcome(_read_with, p, _relevance_rows, _GRAPH)
+    with _chunks_of(chars):
+        assert outcome(lambda: load_relevance_csv(p, _GRAPH).values) == want
+
+
+@pytest.mark.parametrize("chars", _SMALL)
+@settings(max_examples=150, deadline=None)
+@given(text=_matrices())
+def test_matrix_reader_matches_the_per_cell_reference_in_small_chunks(tmp_path_factory, chars,
+                                                                      text):
+    p = write(tmp_path_factory.mktemp("m"), "m.csv", text)
+    want = outcome(_read_with, p, _matrix_rows, _MATRIX_GRAPH)
+    with _chunks_of(chars):
+        assert outcome(lambda: load_f_matrix_csv(p, _MATRIX_GRAPH).matrix) == want
+
+
+@pytest.mark.parametrize("chars", _SMALL)
+@pytest.mark.parametrize("row_b, error, message", _MATRIX_FAULTS)
+def test_matrix_first_faulty_cell_decides_in_small_chunks(tmp_path, chars, row_b, error, message):
+    with _chunks_of(chars):
+        test_matrix_first_faulty_cell_decides(tmp_path, row_b, error, message)
+
+
+def _plain_rows(k):
+    return "".join(f"v{i},v{i + 1}\n" for i in range(k))
+
+
+def test_quoted_label_and_crlf_after_the_first_chunk(tmp_path, monkeypatch):
+    # plain chunks, then csv.reader from the start of the chunk with the quote
+    text = "source,target\n" + _plain_rows(40) + '"q,1",v0\r\nv0,"r""s"\r\nv3,v9\r\n'
+    p = write(tmp_path, "e.csv", text)
+    calls = uses_csv_reader(monkeypatch)
+    with _chunks_of(64):
+        records = load_edge_csv(p)
+        g = build_graph_chunks(load_edge_chunks(p))
+    assert calls
+    assert records[-3:] == [("q,1", "v0"), ("v0", 'r"s'), ("v3", "v9")]
+    assert records == _read_with(p, _edge_rows)
+    assert g.edge_records() == build_graph(records).edge_records()
+    assert g.labels == build_graph(records).labels
+
+
+def test_a_csv_error_after_plain_chunks_names_its_line(tmp_path, field_limit):
+    p = write(tmp_path, "e.csv", "source,target\n" + _plain_rows(40) + f"a,{'9' * 20}\n")
+    with _chunks_of(64), pytest.raises(MalformedRowError) as info:
+        load_edge_csv(p)
+    assert str(info.value).startswith(f"{p}:42: field larger than field limit")
+
+
+def test_a_row_fault_in_a_later_chunk_beats_a_self_loop_in_an_earlier_one(tmp_path):
+    p = write(tmp_path, "e.csv", "source,target\na,a\n" + _plain_rows(40) + ",b\n")
+    with _chunks_of(64), pytest.raises(MalformedRowError) as info:
+        build_graph_chunks(load_edge_chunks(p))
+    assert str(info.value) == f"{p}:43: missing source vertex"
+
+
+def test_a_duplicate_relevance_vertex_across_chunks(tmp_path):
+    body = "".join(f"{lab},2\n" for lab in _GRAPH_LABELS) + "b,3\n"
+    p = write(tmp_path, "r.csv", "vertex,relevance\n" + body)
+    with _chunks_of(8), pytest.raises(MalformedRowError) as info:
+        load_relevance_csv(p, _GRAPH)
+    assert str(info.value) == f"{p}:9: duplicate vertex 'b'"
+
+
+def test_reading_and_building_a_large_edge_file_keeps_no_string_per_cell(tmp_path):
+    # a ring lattice of 20000 labels and 100000 rows; a whole-file reader
+    # that held every cell as a string peaked at 19.8 MiB here
+    n = 20000
+    u = np.tile(np.arange(n), 5)
+    v = (u + np.repeat(np.arange(1, 6), n)) % n
+    p = write(tmp_path, "e.csv",
+              "source,target\n" + "".join(map("{},{}\n".format, u.tolist(), v.tolist())))
+    build_graph_chunks(load_edge_chunks(p))  # first-use allocations out of the count
+    tracemalloc.start()
+    try:
+        g = build_graph_chunks(load_edge_chunks(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g.vertex_count, g.edge_count) == (n, 5 * n)
+    assert peak <= 19.8 / 2 * 2**20

@@ -159,6 +159,8 @@ def test_edge_records_and_labels():
          NonPositiveWeightError, "record 1: weight -1.0 for 'b'-'a'"),
         ([("a", "b", 2.0), ("b", "a", 3.0)],
          DuplicateEdgeError, "record 1: duplicate edge 'b'-'a'"),
+        # a record that is not a sequence is placed like any other fault
+        ([("a", "a"), 5], SelfLoopError, "record 0: self-loop at 'a'"),
     ],
 )
 def test_first_faulty_record_decides_error_and_position(records, error, message):

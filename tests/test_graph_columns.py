@@ -4,7 +4,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcentral.graph import _intern_columns, _intern_records, build_graph, build_graph_columns
+from relcentral.graph import (
+    _intern_columns,
+    _intern_records,
+    build_graph,
+    build_graph_chunks,
+    build_graph_columns,
+)
 
 
 _label = st.sampled_from("abcdefgh") | st.text(min_size=1, max_size=3)
@@ -53,3 +59,22 @@ def test_columns_build_the_graph_of_their_records(rows, weighted):
     records = [(s,) if t is None else (s, t) if w is None else (s, t, w)
                for s, t, w in zip(source, target, weight or [None] * len(rows))]
     assert _outcome(build_graph_columns, source, target, weight) == _outcome(build_graph, records)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_cell_label, _label | st.none(), _weight), max_size=30),
+       st.lists(st.tuples(st.integers(0, 30), st.booleans()), max_size=4), st.booleans())
+def test_chunks_build_the_graph_of_all_their_records(rows, cuts, weighted_last):
+    # labels are numbered across chunks, and a record that breaks a rule
+    # in a later chunk is placed after the records of the earlier ones
+    bounds = sorted({0, len(rows)} | {c for c, _ in cuts if c < len(rows)})
+    weighted = {c: x for c, x in cuts} | {bounds[-2] if len(bounds) > 1 else 0: weighted_last}
+    chunks, records = [], []
+    for a, b in zip(bounds, bounds[1:]):
+        source, target, weight = (list(c) for c in zip(*rows[a:b]))
+        if not weighted.get(a, False):
+            weight = None
+        chunks.append((source, target, weight))
+        records += [(s,) if t is None else (s, t) if w is None else (s, t, w)
+                    for s, t, w in zip(source, target, weight or [None] * (b - a))]
+    assert _outcome(build_graph_chunks, chunks) == _outcome(build_graph, records)
