@@ -159,11 +159,12 @@ def cmd_compute(args) -> int:
     if args.out:
         doc = io_formats.build_result_document(g, reports, os.path.basename(args.edges))
         if args.format == "json":
-            with open(args.out, "wb") as fh:
-                fh.write(io_formats.write_results_json(doc))
+            # each piece goes to the file as it comes: no whole-document copy
+            with open(args.out, "w", encoding="ascii", newline="") as fh:
+                fh.writelines(io_formats.results_json_pieces(doc))
         elif args.format == "csv":
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(io_formats.results_csv_text(doc))
+                io_formats.write_results_csv(doc, fh)
         else:  # dot
             vrep = next((r for r in reports if r.kind == "vertex"), None)
             erep = next((r for r in reports if r.kind == "edge"), None)

@@ -35,6 +35,9 @@ encoder: tables of floats, lists of labels, edge rows and edge ranking
 pairs are formatted by columns with one join each, every float cut to
 12 significant digits once; the bytes equal
 ``json.dumps(..., sort_keys=True, indent=2)`` of the rounded document.
+The text comes in pieces of at most ``_PIECE`` table items, which the
+command line writes to its file as they come, so no copy of the whole
+document is held; the CSV result is written row by row the same way.
 """
 
 from __future__ import annotations
@@ -69,7 +72,9 @@ __all__ = [
     "load_f_matrix_csv",
     "ResultDocument",
     "build_result_document",
+    "results_json_pieces",
     "write_results_json",
+    "write_results_csv",
     "results_csv_text",
     "export_dot",
 ]
@@ -612,13 +617,12 @@ def _json_rows(rows: list, pad: str) -> list[str] | None:
     return list(map(template.format, *columns))
 
 
-def _json(x, pad: str) -> str:
-    """``x`` as ``json.dumps(x, sort_keys=True, indent=2)`` writes it at
-    indent ``pad``, each float cut to 12 significant digits first.
-    Containers of strings or of finite floats (the vertex tables and the
-    ranking lists) and lists of such rows (the edge tables and edge
-    ranking pairs) are written with one join; anything else value by
-    value. Dict keys must be strings."""
+# items of a table (a dict or list of flat values, or a list of rows)
+# formatted and joined at a time: one piece of the JSON text
+_PIECE = 4096
+
+
+def _json_scalar(x) -> str:
     if isinstance(x, str):
         return _json_str(x)
     if x is None:
@@ -631,42 +635,81 @@ def _json(x, pad: str) -> str:
         return int.__repr__(x)
     if isinstance(x, float):
         return _json_float(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _json(x, pad: str):
+    """The text of ``x`` as ``json.dumps(x, sort_keys=True, indent=2)``
+    writes it at indent ``pad``, in pieces, each float cut to 12
+    significant digits first. A container is written _PIECE items at a
+    time: a slice of strings or of finite floats (the vertex tables and
+    the ranking lists) or of list rows of such (the edge tables and edge
+    ranking pairs) in one piece with one join; any other slice value by
+    value, so a container of containers (the payload and its sections)
+    is written key by key, each value in its own pieces. Dict keys must
+    be strings."""
+    if not isinstance(x, (list, tuple, dict)):
+        yield _json_scalar(x)
+        return
     inner = pad + "  "
-    if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        items = _json_flat(x) or _json_rows(x, inner) or [_json(v, inner) for v in x]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if isinstance(x, dict):
         if not x:
-            return "{}"
+            yield "{}"
+            return
         keys = sorted(x)
         if set(map(type, keys)) != {str} and not all(isinstance(k, str) for k in keys):
             raise TypeError("result document keys must be strings")
         values = list(map(x.__getitem__, keys))
-        items = _json_flat(values) or [_json(v, inner) for v in values]
-        body = (",\n" + inner).join(map("{}: {}".format, map(_json_str, keys), items))
-        return "{\n" + inner + body + "\n" + pad + "}"
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+        sep, close = "{\n" + inner, "\n" + pad + "}"
+    else:
+        if not x:
+            yield "[]"
+            return
+        keys, values = None, x
+        sep, close = "[\n" + inner, "\n" + pad + "]"
+    comma = ",\n" + inner
+    for i in range(0, len(values), _PIECE):
+        part = values[i:i + _PIECE]
+        items = _json_flat(part) or (keys is None and _json_rows(part, inner))
+        if items:
+            if keys is not None:
+                items = map("{}: {}".format, map(_json_str, keys[i:i + _PIECE]), items)
+            yield sep + comma.join(items)
+            sep = comma
+            continue
+        heads = repeat("") if keys is None else map(
+            "{}: ".format, map(_json_str, keys[i:i + _PIECE]))
+        for head, v in zip(heads, part):
+            yield sep + head
+            yield from _json(v, inner)
+            sep = comma
+    yield close
 
 
-def write_results_json(doc: ResultDocument) -> bytes:
-    """Stable bytes: sorted keys, floats cut to 12 significant digits,
-    laid out as ``json.dumps(..., sort_keys=True, indent=2)`` lays it out."""
+def results_json_pieces(doc: ResultDocument):
+    """The text of :func:`write_results_json` in pieces, none longer than
+    _PIECE table items: what a writer puts in a file as it comes."""
     payload = {
         "metadata": doc.metadata,
         "vertices": doc.vertex_tables,
         "edges": doc.edge_tables,
         "rankings": doc.rankings,
     }
-    return (_json(payload, "") + "\n").encode("ascii")
+    yield from _json(payload, "")
+    yield "\n"
 
 
-def results_csv_text(doc: ResultDocument) -> str:
-    """Flat CSV: metric,source,target,value; vertex rows leave target empty.
-    Labels are quoted where they hold a comma, a quote or a line break."""
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
+def write_results_json(doc: ResultDocument) -> bytes:
+    """Stable bytes: sorted keys, floats cut to 12 significant digits,
+    laid out as ``json.dumps(..., sort_keys=True, indent=2)`` lays it out."""
+    return "".join(results_json_pieces(doc)).encode("ascii")
+
+
+def write_results_csv(doc: ResultDocument, fh) -> None:
+    """Flat CSV to the text file ``fh``: metric,source,target,value;
+    vertex rows leave target empty. Labels are quoted where they hold a
+    comma, a quote or a line break."""
+    w = csv.writer(fh, lineterminator="\n")
     w.writerow(["metric", "source", "target", "value"])
     for metric in sorted(doc.vertex_tables):
         w.writerows([metric, label, "", f"{val:.12g}"]
@@ -674,6 +717,12 @@ def results_csv_text(doc: ResultDocument) -> str:
     for metric in sorted(doc.edge_tables):
         w.writerows([metric, row["source"], row["target"], f"{row['value']:.12g}"]
                     for row in doc.edge_tables[metric])
+
+
+def results_csv_text(doc: ResultDocument) -> str:
+    """The text :func:`write_results_csv` writes."""
+    out = io.StringIO()
+    write_results_csv(doc, out)
     return out.getvalue()
 
 
@@ -681,6 +730,8 @@ def results_csv_text(doc: ResultDocument) -> str:
 
 
 def _normalize(values: np.ndarray) -> np.ndarray:
+    if not len(values):
+        return np.zeros(0)
     lo = float(values.min())
     hi = float(values.max())
     if hi == lo:

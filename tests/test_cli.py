@@ -9,11 +9,17 @@ import numpy as np
 import pytest
 
 import relcentral
-from relcentral import GeneratorConfig, assign_relevance, watts_strogatz
+from relcentral import GeneratorConfig, assign_relevance, io_formats, watts_strogatz
 from relcentral._sweep import BLOCK
-from relcentral.centrality import Metric, _make_report
+from relcentral.centrality import (
+    Metric,
+    _make_report,
+    betweenness_reports,
+    degree_centrality,
+    harmonic_centrality,
+)
 from relcentral.cli import EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, _print_top10, main
-from relcentral.graph import Graph
+from relcentral.graph import Graph, build_graph_chunks
 from relcentral.io_formats import save_edge_csv, save_relevance_csv
 from relcentral.relevance import RelevanceFunction, Variant
 
@@ -82,6 +88,42 @@ def test_compute_csv_and_dot_formats(tmp_path):
         == EXIT_OK
     )
     assert out_dot.read_text().startswith("graph relcentral {")
+
+
+@pytest.mark.parametrize("body, nodes", [("", []), ("a,\nb,\n", ['"a"', '"b"'])],
+                         ids=["header-only", "bare-vertices"])
+def test_compute_dot_on_a_graph_without_edges(tmp_path, body, nodes):
+    edges = put(tmp_path, "g.csv", "source,target\n" + body)
+    out = tmp_path / "res.dot"
+    assert main(["compute", edges, "--metric", "all", "--out", str(out),
+                 "--format", "dot"]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert lines[0] == "graph relcentral {" and lines[-1] == "}"
+    assert [ln.split()[0] for ln in lines[2:-1]] == nodes
+
+
+@pytest.mark.parametrize("n, metric, piece", [(5000, "degree", None), (40, "all", 3)])
+def test_compute_writes_the_bytes_of_the_whole_document(tmp_path, monkeypatch,
+                                                        n, metric, piece):
+    # more rows than one piece: every table is written in several pieces
+    if piece is not None:
+        monkeypatch.setattr(io_formats, "_PIECE", piece)
+    assert n > io_formats._PIECE
+    rows = "".join(f"v{i},v{(i + 1) % n}\n" for i in range(n))
+    edges = put(tmp_path, "g.csv", "source,target\n" + rows)
+    g = build_graph_chunks(io_formats.load_edge_chunks(edges))
+    if metric == "degree":
+        reports = [degree_centrality(g)]
+    else:
+        vrep, erep = betweenness_reports(g)
+        reports = [degree_centrality(g), harmonic_centrality(g), vrep, erep]
+    doc = io_formats.build_result_document(g, reports, "g.csv")
+    for fmt, want in (("json", io_formats.write_results_json(doc)),
+                      ("csv", io_formats.results_csv_text(doc).encode("utf-8"))):
+        out = tmp_path / f"res.{fmt}"
+        assert main(["compute", edges, "--metric", metric, "--workers", "1",
+                     "--out", str(out), "--format", fmt]) == EXIT_OK
+        assert out.read_bytes() == want
 
 
 def test_compute_path_f_skips_degree_with_note(tmp_path, capsys):

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import weighted_ring
+from relcentral import io_formats
 from relcentral.centrality import betweenness_reports, degree_centrality, harmonic_centrality
 from relcentral.errors import (
     MalformedRowError,
@@ -28,6 +29,7 @@ from relcentral.io_formats import (
     load_f_matrix_csv,
     load_relevance_csv,
     results_csv_text,
+    results_json_pieces,
     save_edge_csv,
     save_relevance_csv,
     write_results_json,
@@ -248,6 +250,16 @@ def test_export_dot_without_reports_lists_structure():
     g = build_graph([('we"ird', "b")])
     dot = export_dot(g)
     assert '"we\\"ird" -- "b";' in dot
+
+
+@pytest.mark.parametrize("records", [[], [("a",), ("b",)]], ids=["empty", "bare-vertices"])
+def test_export_dot_without_edges_lists_the_vertices(records):
+    g = build_graph(records)
+    vrep, erep = betweenness_reports(g)
+    assert len(erep.values) == 0
+    dot = export_dot(g, vrep, erep)
+    nodes = "".join(f'  "{lab}" [width=0.900];\n' for lab in g.labels)
+    assert dot == "graph relcentral {\n  node [shape=circle, fixedsize=true];\n" + nodes + "}\n"
 
 
 def test_export_dot_constant_values_use_midpoint():
@@ -481,10 +493,34 @@ def _documents(draw):
     return ResultDocument(metadata, vertex_tables, edge_tables, rankings)
 
 
-@settings(max_examples=100, deadline=None)
-@given(_documents())
-def test_results_json_bytes_match_the_json_module(doc):
+# a table is written _PIECE items at a time: at 1 and 3 every table of the
+# strategy crosses piece boundaries, and a NaN or inf sends only its piece
+# down the per-value path
+@pytest.mark.parametrize("piece", [1, 3, io_formats._PIECE])
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_documents())
+def test_results_json_bytes_match_the_json_module(monkeypatch, piece, doc):
+    monkeypatch.setattr(io_formats, "_PIECE", piece)
     assert write_results_json(doc) == reference_json(doc)
+    assert "".join(results_json_pieces(doc)).encode("ascii") == write_results_json(doc)
+
+
+@pytest.mark.parametrize("piece", [1, 3])
+def test_results_json_non_finite_value_in_a_later_piece(monkeypatch, piece):
+    monkeypatch.setattr(io_formats, "_PIECE", piece)
+    values = [0.5, 1.0 / 3, 2.0, 7.0, float("nan"), 1e300, float("-inf"), 3.0]
+    labels = [f"v{i}" for i in range(len(values))]
+    doc = ResultDocument(
+        {"tool": "relcentral"},
+        {"degree": dict(zip(labels, values))},
+        {"edge-betweenness": [{"source": a, "target": b, "value": v}
+                              for a, b, v in zip(labels, labels[1:], values[3:] + values)]},
+        {"vertices": {"degree": labels}, "edges": {"edge-betweenness": [[a, "w"] for a in labels]}},
+    )
+    pieces = list(results_json_pieces(doc))
+    assert max(p.count("\n") for p in pieces) <= 5 * piece
+    assert "".join(pieces).encode("ascii") == reference_json(doc)
 
 
 _flat_floats = st.one_of(
