@@ -19,7 +19,6 @@ from .centrality import (
     degree_centrality,
     edge_betweenness,
     harmonic_centrality,
-    rank,
     vertex_betweenness,
 )
 from .errors import RelcentralError
@@ -33,7 +32,7 @@ from .experiments import (
     write_correlation_csv,
 )
 from .generators import GeneratorConfig, assign_relevance, ring_lattice, watts_strogatz
-from .graph import Edge, Graph, build_graph, neighbors
+from .graph import Graph, build_graph
 from .io_formats import (
     ResultDocument,
     build_result_document,
@@ -53,7 +52,6 @@ from .oracle import (
     brute_harmonic,
     brute_shortest_paths,
 )
-from .paths import ShortestPathDAG, distance, enumerate_shortest_paths, sssp
 from .relevance import (
     MAX,
     MEAN,
@@ -73,10 +71,8 @@ from .relevance import (
 __all__ = [
     "errors",
     "RelcentralError",
-    "Edge",
     "Graph",
     "build_graph",
-    "neighbors",
     "RelevanceVector",
     "RelevanceFunction",
     "Variant",
@@ -90,10 +86,6 @@ __all__ = [
     "eval_pair",
     "eval_path",
     "validate_function",
-    "ShortestPathDAG",
-    "sssp",
-    "distance",
-    "enumerate_shortest_paths",
     "Metric",
     "CentralityReport",
     "degree_centrality",
@@ -101,7 +93,6 @@ __all__ = [
     "vertex_betweenness",
     "edge_betweenness",
     "betweenness_reports",
-    "rank",
     "GeneratorConfig",
     "ring_lattice",
     "watts_strogatz",

@@ -15,9 +15,9 @@ arcs, every arc running from a lower to a higher level.
   and frees far fewer candidate arcs.
 - Any weights (``_by_distance``): lockstep label-correcting distances
   over the flat nodes (``_distances``), the arcs p -> w where d[p] < d[w]
-  and d[p] + weight ties d[w] within ``TIE_TOL`` (the rule of
-  ``paths.sssp``), and a node's level the hop count of its longest DAG
-  path, so an arc may skip levels.
+  and d[p] + weight ties d[w] within the relative ``TIE_TOL``, and a
+  node's level the hop count of its longest DAG path, so an arc may
+  skip levels.
 
 Every recurrence over the DAGs (Brandes 2001; the path variants follow
 Brandes 2008) is then one ``np.bincount`` per level: the path counts and
@@ -45,10 +45,11 @@ import numpy as np
 from ._sweep import _firsts, _ranges, sweep
 from .errors import SigmaOverflowError
 from .graph import Graph
-from .paths import TIE_TOL
 from .relevance import RelevanceFunction, RelevanceVector, Variant, pair_values
 
 EXACT_LIMIT = 2.0**53
+# two path lengths tie when they differ by at most TIE_TOL * max(1, either)
+TIE_TOL = 1e-12
 # slots per chunk of the distance front-end: its temporaries stay a few
 # hundred KB, in cache and recycled by the allocator instead of paged in
 _CHUNK = 1 << 16

@@ -1,5 +1,5 @@
 """Source blocks sized from the graph, and the ordered map that runs the
-engine over them.
+engine over them (and the experiment over its cells).
 
 The engine computes harmonic closeness and vertex/edge betweenness one
 block of sources at a time, and a block's per-level arrays grow with
@@ -16,6 +16,7 @@ so any level of parallelism produces the same bytes.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -84,9 +85,9 @@ def block_size(g) -> int:
     return max(1, min(LEVEL_SLOTS // max(1, _peak_slots(g)), BLOCK, fit))
 
 
-def _ordered(run, starts: range, workers: int):
+def _ordered(run, starts: Sequence, workers: int):
     """``run`` over ``starts``, yielded in order, with at most ``workers``
-    blocks running and twice that many begun and not yet yielded."""
+    items running and twice that many begun and not yet yielded."""
     if workers <= 1:
         yield from map(run, starts)
         return

@@ -46,7 +46,6 @@ __all__ = [
     "vertex_betweenness",
     "edge_betweenness",
     "betweenness_reports",
-    "rank",
 ]
 
 class Metric(str, Enum):
@@ -79,11 +78,6 @@ class CentralityReport:
 
     def value_of(self, element) -> float:
         return self.as_dict()[element]
-
-
-def rank(report: CentralityReport) -> list:
-    """Element ids by descending value; ties go to the lower index."""
-    return list(report.ranking)
 
 
 def _make_report(

@@ -25,7 +25,6 @@ from .centrality import (
 )
 from .errors import (
     ExperimentCellError,
-    PathExplosionError,
     PathVariantNotApplicableError,
     RelcentralError,
     ResourceLimitError,
@@ -49,7 +48,6 @@ EXIT_COMPUTE = 3
 
 # flag/file problems exit 2; blown limits during the run exit 3
 _COMPUTE_ERRORS = (
-    PathExplosionError,
     ResourceLimitError,
     SigmaOverflowError,
     TooLargeError,

@@ -50,14 +50,6 @@ class MatrixShapeMismatchError(RelcentralError):
 # --- shortest paths ---
 
 
-class UnreachableVertexError(RelcentralError):
-    """Path enumeration was requested for an unreachable target."""
-
-
-class PathExplosionError(RelcentralError):
-    """The number of tied shortest paths exceeds the enumeration cap."""
-
-
 class SigmaOverflowError(RelcentralError):
     """A fixed-width shortest-path counter overflowed."""
 

@@ -22,6 +22,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
+from ._sweep import _ordered
 from .centrality import harmonic_centrality, vertex_betweenness
 from .errors import ExperimentCellError, LengthMismatchError
 from .generators import GeneratorConfig, assign_relevance, ring_lattice, watts_strogatz
@@ -59,25 +60,51 @@ CONSTANT_ULPS = 4
 
 
 def constant_input(x) -> bool:
-    """True when the vector is constant up to rounding (``CONSTANT_ULPS``)."""
+    """True when the vector is constant up to rounding (``CONSTANT_ULPS``).
+    Raises ValueError on a non-finite value, whose spread says nothing."""
     x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("correlation input holds a non-finite value")
     if not len(x):
         return False
     spread = float(np.max(x) - np.min(x))
     return spread <= CONSTANT_ULPS * len(x) * np.finfo(np.float64).eps * float(np.max(np.abs(x)))
 
 
-def pearson(x, y) -> float:
-    """Sample correlation; 0.0 (by definition here) when either side is
-    constant (``constant_input``)."""
+def _paired(x, y) -> tuple[np.ndarray, np.ndarray] | None:
+    """Both vectors as float64; None when either is constant. Raises on
+    a shape mismatch, fewer than 2 samples or a non-finite value."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
         raise LengthMismatchError(f"vectors of shape {x.shape} vs {y.shape}")
     if len(x) < 2:
         raise LengthMismatchError("correlation needs at least 2 samples")
-    if constant_input(x) or constant_input(y):
+    x_constant, y_constant = constant_input(x), constant_input(y)  # each raises on inf, nan
+    if x_constant or y_constant:
+        return None
+    return x, y
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks from 1, tied values at the mean rank of their run, as
+    ``scipy.stats.rankdata`` gives them."""
+    order = np.argsort(x, kind="stable")
+    sx = x[order]
+    last = np.flatnonzero(np.append(sx[1:] != sx[:-1], True))  # end of each run
+    first = np.append(0, last[:-1] + 1)
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((first + last) / 2 + 1, last - first + 1)
+    return ranks
+
+
+def pearson(x, y) -> float:
+    """Sample correlation; 0.0 (by definition here) when either side is
+    constant (``constant_input``). Raises ValueError on an inf or nan."""
+    pair = _paired(x, y)
+    if pair is None:
         return 0.0
+    x, y = pair
     xc = x - x.mean()
     yc = y - y.mean()
     sx = float(xc @ xc) ** 0.5
@@ -91,17 +118,10 @@ def spearman(x, y) -> float:
     """Pearson over fractional ranks; tied values share their average rank.
     0.0 when either side is constant, as for ``pearson``: the ranks of a
     vector that is constant up to rounding would rank the rounding."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
-        raise LengthMismatchError(f"vectors of shape {x.shape} vs {y.shape}")
-    if len(x) < 2:
-        raise LengthMismatchError("correlation needs at least 2 samples")
-    if constant_input(x) or constant_input(y):
+    pair = _paired(x, y)
+    if pair is None:
         return 0.0
-    from scipy.stats import rankdata  # scipy.stats takes most of a second to import
-
-    return pearson(rankdata(x), rankdata(y))
+    return pearson(*map(_average_ranks, pair))
 
 
 @dataclass(frozen=True)
@@ -294,12 +314,7 @@ def run_grid(grid: ExperimentGrid, workers: int = 1, progress=None) -> list[Corr
                 progress(next(finished), len(cells), c, seconds)
         return rec
 
-    if workers <= 1:
-        return [timed_cell(c) for c in cells]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(timed_cell, cells))
+    return list(_ordered(timed_cell, cells, workers))
 
 
 CSV_COLUMNS = (

@@ -6,22 +6,18 @@ distances: lower weight means the endpoints are closer.
 
 A graph is stored as flat arrays: edge k joins ``u[k] < v[k]`` with
 weight ``w[k]``, edges in construction order, and the label->index
-dict is the only per-vertex Python structure. Everything else is
-derived from these arrays on first use: the CSR neighbor lists the BFS
-engine walks (built with numpy alone), the ``Edge`` records, per-vertex
-adjacency lists and edge-id lookup that the per-source reference code
-walks, and a scipy adjacency matrix for tests and inspection. No metric
-reads that matrix, and no metric imports scipy.
+dict is the only per-vertex Python structure. The one derived form is
+the CSR neighbor lists that the engine walks, built from these arrays
+with numpy on first use.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice, repeat
 from operator import is_not, itemgetter
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -32,19 +28,7 @@ from .errors import (
     UnknownVertexError,
 )
 
-if TYPE_CHECKING:
-    from scipy import sparse
-
-__all__ = ["Edge", "Graph", "build_graph", "build_graph_chunks", "build_graph_columns", "neighbors"]
-
-
-@dataclass(frozen=True)
-class Edge:
-    """Undirected edge, endpoints stored as internal indices with u < v."""
-
-    u: int
-    v: int
-    weight: float
+__all__ = ["Graph", "build_graph", "build_graph_chunks"]
 
 
 class Graph:
@@ -84,19 +68,6 @@ class Graph:
     def has_vertex(self, label: str) -> bool:
         return label in self._index
 
-    def edge_id(self, u: int, v: int) -> int:
-        """Edge index for an internal endpoint pair (either order)."""
-        if 0 <= u < self.vertex_count:
-            for t, ei, _ in self.adjacency[u]:
-                if t == v:
-                    return ei
-        raise UnknownVertexError(f"no edge between indices {u} and {v}")
-
-    def neighbors(self, label: str) -> list[tuple[str, float]]:
-        """Adjacent vertices with edge weights, ascending by internal index."""
-        i = self.index_of(label)
-        return [(self.labels[j], w) for j, _, w in self.adjacency[i]]
-
     def edge_labels(self) -> list[tuple[str, str]]:
         """Edges as (label, label) pairs, in construction order."""
         lab = self.labels.__getitem__
@@ -133,29 +104,6 @@ class Graph:
         for a in out:
             a.setflags(write=False)
         return out
-
-    @cached_property
-    def adjacency_matrix(self) -> sparse.csr_array:
-        """Symmetric 0/1 CSR adjacency (scipy), for tests and inspection."""
-        from scipy import sparse
-
-        indptr, nbr, _ = self.neighbor_csr
-        n = self.vertex_count
-        return sparse.csr_array((np.ones(len(nbr)), nbr, indptr), shape=(n, n))
-
-    # --- views for the per-source reference code, built on first use ---
-
-    @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        return tuple(map(Edge, self._u.tolist(), self._v.tolist(), self._w.tolist()))
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int, float], ...], ...]:
-        """Per vertex, (neighbor, edge id, weight) ascending by neighbor."""
-        indptr, nbr, eid = self.neighbor_csr
-        arcs = list(zip(nbr.tolist(), eid.tolist(), self._w[eid].tolist()))
-        bounds = indptr.tolist()
-        return tuple(tuple(arcs[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def __repr__(self) -> str:  # pragma: no cover
         kind = "weighted" if self.weighted else "unweighted"
@@ -200,7 +148,10 @@ def build_graph(
 
 def build_graph_chunks(chunks: Iterable[tuple[list, list, list | None]]) -> Graph:
     """Build a validated graph from records that arrive as chunks of
-    columns, each in the form :func:`build_graph_columns` takes.
+    columns ``(source, target, weight)``: record k of a chunk is
+    ``(source[k],)``, a bare vertex, when ``target[k]`` is None, else
+    ``(source[k], target[k], weight[k])``, and a weight is 1 when
+    ``weight`` or ``weight[k]`` is None.
 
     Labels are numbered as each chunk arrives and only its endpoint ids,
     weights and a mask of its edge records are kept, so no label column
@@ -214,19 +165,6 @@ def build_graph_chunks(chunks: Iterable[tuple[list, list, list | None]]) -> Grap
     for source, target, weight in chunks:
         interner.add(source, target, weight)
     return interner.graph()
-
-
-def build_graph_columns(source: list, target: list, weight: list | None = None) -> Graph:
-    """Build a validated graph from records held as columns.
-
-    Record k is ``(source[k],)``, a bare vertex, when ``target[k]`` is
-    None, else ``(source[k], target[k], weight[k])``; a weight is 1 when
-    ``weight`` or ``weight[k]`` is None. The graph, and the error of a
-    faulty record, are those of :func:`build_graph` on the records, but
-    no record tuple is made unless a record breaks a label or weight
-    rule.
-    """
-    return build_graph_chunks([(source, target, weight)])
 
 
 def _checked_graph(cols, fault) -> Graph:
@@ -349,18 +287,6 @@ def _column(records: list, j: int, short: int, long: int) -> list:
     return [r[j] if len(r) > j else None for r in records]
 
 
-def _intern_columns(records, seeded: dict[str, int]):
-    """(index, ia, ib, w, record positions) of tuple or list records in
-    one column pass; None when a record has no column form or breaks a
-    rule that only the per-record pass can place."""
-    interner = _Interner(seeded)
-    cols = _record_columns(records)
-    if cols is None or not interner.add(*cols):
-        return None
-    index, ia, ib, w, edge = interner.columns()
-    return index, ia, ib, w, np.flatnonzero(edge)
-
-
 def _intern(source: list, target: list, weight, index: defaultdict):
     """(ia, ib, w, edge mask) of one chunk of records held as columns (a
     None target: a bare vertex; a None ``weight``: all 1, returned as
@@ -440,8 +366,3 @@ def _check_label(label, pos: int | None) -> None:
     if not isinstance(label, str) or not label:
         where = "vertex list" if pos is None else f"record {pos}"
         raise ValueError(f"{where}: vertex label must be a non-empty string, got {label!r}")
-
-
-def neighbors(g: Graph, v: str) -> list[tuple[str, float]]:
-    """Module-level alias for :meth:`Graph.neighbors`."""
-    return g.neighbors(v)

@@ -64,7 +64,6 @@ from .relevance import RelevanceFunction, RelevanceVector, matrix_function
 
 __all__ = [
     "load_edge_chunks",
-    "load_edge_columns",
     "load_edge_csv",
     "save_edge_csv",
     "load_relevance_csv",
@@ -75,7 +74,6 @@ __all__ = [
     "results_json_pieces",
     "write_results_json",
     "write_results_csv",
-    "results_csv_text",
     "export_dot",
 ]
 
@@ -319,28 +317,18 @@ def _edge_records(path, line: int, cols: list[list[str]], wide: int | None):
             weight if weights else None)
 
 
-def load_edge_columns(path) -> tuple[list[str], list, list | None]:
-    """The records of an edge file as whole columns, the chunks of
-    :func:`load_edge_chunks` joined: the form
-    :func:`graph.build_graph_columns` takes."""
-    src, tgt, weight, weighted = [], [], [], False
-    for s, t, w in load_edge_chunks(path):
-        src += s
-        tgt += t
-        weight += [None] * len(s) if w is None else w
-        weighted |= w is not None
-    return src, tgt, weight if weighted else None
-
-
 def load_edge_csv(path) -> list[tuple]:
     """Edge records plus bare-vertex records, ready for build_graph:
     ``(source, target, weight)``, ``(source, target)`` where the weight
     is empty, ``(source,)`` for a bare vertex."""
-    src, tgt, weight = load_edge_columns(path)
-    if None not in tgt and (weight is None or None not in weight):
-        return list(zip(src, tgt) if weight is None else zip(src, tgt, weight))
-    return [(s,) if t is None else (s, t) if x is None else (s, t, x)
-            for s, t, x in zip(src, tgt, weight or repeat(None))]
+    records = []
+    for src, tgt, weight in load_edge_chunks(path):
+        if None not in tgt and (weight is None or None not in weight):
+            records += zip(src, tgt) if weight is None else zip(src, tgt, weight)
+        else:
+            records += [(s,) if t is None else (s, t) if x is None else (s, t, x)
+                        for s, t, x in zip(src, tgt, weight or repeat(None))]
+    return records
 
 
 def save_edge_csv(g: Graph, path) -> None:
@@ -717,13 +705,6 @@ def write_results_csv(doc: ResultDocument, fh) -> None:
     for metric in sorted(doc.edge_tables):
         w.writerows([metric, row["source"], row["target"], f"{row['value']:.12g}"]
                     for row in doc.edge_tables[metric])
-
-
-def results_csv_text(doc: ResultDocument) -> str:
-    """The text :func:`write_results_csv` writes."""
-    out = io.StringIO()
-    write_results_csv(doc, out)
-    return out.getvalue()
 
 
 # --- DOT export ---

@@ -3,7 +3,9 @@
 Everything here enumerates paths explicitly and computes metrics
 straight from their definitions. Deliberately slow and bounded: the
 point is to have an independent answer to compare the fast engines
-against, at desk scale, and to back the CLI's --engine oracle.
+against, at desk scale, and to back the CLI's --engine oracle. The
+oracle walks its own neighbor lists, built from the graph's edge arrays,
+and shares only the tie tolerance with the engine.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooLargeError
+from ._batched import TIE_TOL
+from .errors import TooLargeError, UnknownVertexError
 from .graph import Graph
-from .paths import _as_index, distances_tied
 from .relevance import RelevanceFunction, RelevanceVector, eval_pair, eval_path
 
 __all__ = [
@@ -25,6 +27,7 @@ __all__ = [
     "brute_degree",
     "brute_harmonic",
     "brute_betweenness",
+    "distances_tied",
 ]
 
 
@@ -35,6 +38,30 @@ class OracleLimits:
 
 
 DEFAULT_LIMITS = OracleLimits()
+
+
+def distances_tied(d1: float, d2: float) -> bool:
+    """True when two path lengths are equal up to relative tolerance."""
+    return abs(d1 - d2) <= TIE_TOL * max(1.0, d1, d2)
+
+
+def _as_index(g: Graph, v) -> int:
+    if isinstance(v, str):
+        return g.index_of(v)
+    i = int(v)
+    if not 0 <= i < g.vertex_count:
+        raise UnknownVertexError(f"vertex index {i} out of range 0..{g.vertex_count - 1}")
+    return i
+
+
+def _neighbors(g: Graph) -> list[list[tuple[int, float]]]:
+    """Per vertex, (neighbor, edge weight) pairs ascending by neighbor."""
+    out: list[list[tuple[int, float]]] = [[] for _ in range(g.vertex_count)]
+    u, v = g.edge_endpoints
+    for a, b, w in zip(u.tolist(), v.tolist(), g.edge_weights.tolist()):
+        out[a].append((b, w))
+        out[b].append((a, w))
+    return [sorted(x) for x in out]
 
 
 def _check_size(g: Graph, limits: OracleLimits) -> None:
@@ -55,6 +82,7 @@ def brute_shortest_paths(
     if si == ti:
         return 0.0, [(si,)]
 
+    adj = _neighbors(g)
     best = np.inf
     found: list[tuple[float, tuple[int, ...]]] = []
     visited = [False] * g.vertex_count
@@ -63,7 +91,7 @@ def brute_shortest_paths(
 
     def dfs(v: int, wsum: float) -> None:
         nonlocal best
-        for w, _, wt in g.adjacency[v]:
+        for w, wt in adj[v]:
             if visited[w]:
                 continue
             nw = wsum + wt
@@ -116,8 +144,8 @@ def all_pairs_shortest_paths(
 def brute_degree(g: Graph, R: RelevanceVector, f: RelevanceFunction) -> np.ndarray:
     """Per-vertex f-weighted neighbor sum, straight from the definition."""
     out = np.zeros(g.vertex_count)
-    for s in range(g.vertex_count):
-        out[s] = sum(eval_pair(f, s, t, R) for t, _, _ in g.adjacency[s])
+    for s, adj in enumerate(_neighbors(g)):
+        out[s] = sum(eval_pair(f, s, t, R) for t, _ in adj)
     return out
 
 
@@ -156,6 +184,9 @@ def brute_betweenness(
     _check_size(g, limits)
     if pair_paths is None:
         pair_paths = all_pairs_shortest_paths(g, limits)
+    edge_id = {}
+    for k, (a, b) in enumerate(zip(*(x.tolist() for x in g.edge_endpoints))):
+        edge_id[a, b] = edge_id[b, a] = k
     vb = np.zeros(g.vertex_count)
     eb = np.zeros(g.edge_count)
     for (s, t), (_, ps) in pair_paths.items():
@@ -167,5 +198,5 @@ def brute_betweenness(
             for v in p[1:-1]:
                 vb[v] += wgt
             for a, b in zip(p, p[1:]):
-                eb[g.edge_id(a, b)] += wgt
+                eb[edge_id[a, b]] += wgt
     return vb, eb

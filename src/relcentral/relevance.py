@@ -39,7 +39,6 @@ __all__ = [
     "eval_path",
     "validate_function",
     "pair_values",
-    "pair_value_block",
 ]
 
 
@@ -283,8 +282,3 @@ def pair_values(f: RelevanceFunction, s, t, R: RelevanceVector) -> np.ndarray:
             f"{v.value} has no per-pair value independent of the path"
         )
     return np.where(np.equal(s, t), 0.0, out)
-
-
-def pair_value_block(f: RelevanceFunction, sources: np.ndarray, R: RelevanceVector) -> np.ndarray:
-    """(len(sources), V) block of pair values, diagonal entries zeroed."""
-    return pair_values(f, np.asarray(sources)[:, None], np.arange(len(R)), R)

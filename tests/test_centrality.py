@@ -23,7 +23,6 @@ from relcentral.centrality import (
     degree_centrality,
     edge_betweenness,
     harmonic_centrality,
-    rank,
     vertex_betweenness,
 )
 from relcentral.errors import (
@@ -117,7 +116,6 @@ def test_report_metadata_and_ranking():
     assert rep.relevance_source == "explicit"
     assert not rep.weighted
     assert rep.ranking == ("A", "B", "D", "C")  # tie B/D broken by index
-    assert rank(rep) == list(rep.ranking)
     assert rep.value_of("C") == 2.0
 
 
@@ -529,7 +527,9 @@ def test_degree_matches_matrix_forms_beyond_oracle_sizes(seed):
     records = [(labels[i], labels[j], float(w)) for i, j, w in
                zip(a[keep], b[keep], rng.uniform(0.5, 2.0, size=keep.sum()))]
     g = build_graph(records, vertices=labels)  # index i is label v{i}; some isolated
-    A = g.adjacency_matrix
+    sparse = pytest.importorskip("scipy.sparse")
+    indptr, nbr, _ = g.neighbor_csr
+    A = sparse.csr_array((np.ones(len(nbr)), nbr, indptr), shape=(n, n))
     R = RelevanceVector(rng.uniform(0.5, 4.0, size=n))
     # sparse-array reductions return (n,) or (n, 1) by scipy version
     r, deg = R.values, np.asarray(A.sum(axis=1)).ravel()

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -19,7 +20,7 @@ from relcentral.centrality import (
     harmonic_centrality,
 )
 from relcentral.cli import EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, _print_top10, main
-from relcentral.graph import Graph, build_graph_chunks
+from relcentral.graph import build_graph_chunks
 from relcentral.io_formats import save_edge_csv, save_relevance_csv
 from relcentral.relevance import RelevanceFunction, Variant
 
@@ -118,8 +119,10 @@ def test_compute_writes_the_bytes_of_the_whole_document(tmp_path, monkeypatch,
         vrep, erep = betweenness_reports(g)
         reports = [degree_centrality(g), harmonic_centrality(g), vrep, erep]
     doc = io_formats.build_result_document(g, reports, "g.csv")
+    text = io.StringIO()
+    io_formats.write_results_csv(doc, text)
     for fmt, want in (("json", io_formats.write_results_json(doc)),
-                      ("csv", io_formats.results_csv_text(doc).encode("utf-8"))):
+                      ("csv", text.getvalue().encode("utf-8"))):
         out = tmp_path / f"res.{fmt}"
         assert main(["compute", edges, "--metric", metric, "--workers", "1",
                      "--out", str(out), "--format", fmt]) == EXIT_OK
@@ -244,22 +247,6 @@ def test_metric_all_harmonic_table_matches_harmonic_alone(tmp_path, graph, f):
     assert tables[0] == tables[1]
 
 
-@pytest.mark.parametrize("graph", [RING, WRING], ids=["unweighted", "weighted"])
-@pytest.mark.parametrize("metric", ["degree", "all"])
-def test_compute_never_builds_the_reference_views(tmp_path, monkeypatch, graph, metric):
-    built = []
-    for name in ("edges", "adjacency"):
-        view = Graph.__dict__[name]
-        monkeypatch.setattr(Graph, name, property(
-            lambda self, name=name, view=view: built.append(name) or view.func(self)))
-    edges = put(tmp_path, "g.csv", graph)
-    rel = put(tmp_path, "r.csv", REL)
-    out = tmp_path / "res.json"
-    argv = ["compute", edges, "--relevance", rel, "--metric", metric, "--out", str(out)]
-    assert main(argv) == EXIT_OK
-    assert out.exists() and built == []
-
-
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_nonpositive_workers_is_input_error(tmp_path, capsys, workers):
     edges = put(tmp_path, "g.csv", RING)
@@ -329,46 +316,46 @@ def test_argparse_rejects_unknown_subcommand(capsys):
     assert ei.value.code == 2
 
 
-# --- fresh processes: start-up loads only what the request uses ---
+# --- fresh processes: the command line runs on numpy alone ---
 
 FLORENCE = ["data/florence/edges.csv", "--relevance", "data/florence/relevance.csv"]
-PROBED = ("scipy",)
-# runs relcentral.cli as `python -m relcentral.cli` does, then reports the
-# exit code and which PROBED modules were loaded on its last stderr line
+# runs relcentral.cli as `python -m relcentral.cli` does, with scipy made
+# unimportable (a None entry in sys.modules fails every import of it), and
+# reports the exit code on its last stderr line
 RUN_CLI = (
     "import runpy, sys\n"
+    "sys.modules['scipy'] = None\n"
     "try:\n"
     "    runpy.run_module('relcentral.cli', run_name='__main__', alter_sys=True)\n"
     "except SystemExit as exc:\n"
-    f"    print(exc.code, *[m for m in {PROBED!r} if m in sys.modules], file=sys.stderr)\n"
+    "    print(exc.code, file=sys.stderr)\n"
 )
 
 
-def _fresh_compute(tmp_path, args):
-    """(exit code, PROBED modules loaded, stdout, output bytes) of a fresh process."""
-    out = tmp_path / "fresh.out"
+def _fresh(tmp_path, command, args):
+    """(stdout, output bytes) of ``relcentral <command> <args>`` in a
+    fresh process without scipy, which must exit 0."""
+    out = tmp_path / "result.out"  # the in-process run's too: stdout names it
     env = dict(os.environ, PYTHONPATH=str(Path(relcentral.__file__).resolve().parents[1]))
     done = subprocess.run(
-        [sys.executable, "-c", RUN_CLI, "compute", *args, "--out", str(out)],
+        [sys.executable, "-c", RUN_CLI, command, *args, "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=120,
     )
-    code, *loaded = done.stderr.splitlines()[-1].split()
-    return int(code), loaded, done.stdout, out.read_bytes()
+    assert done.stderr.splitlines()[-1] == str(EXIT_OK), done.stderr
+    return done.stdout, out.read_bytes()
 
 
-def _in_process_compute(tmp_path, capsys, args):
-    out = tmp_path / "here.out"
+def _in_process(tmp_path, capsys, command, args):
+    out = tmp_path / "result.out"
     capsys.readouterr()
-    assert main(["compute", *args, "--out", str(out)]) == EXIT_OK
+    assert main([command, *args, "--out", str(out)]) == EXIT_OK
     return capsys.readouterr().out, out.read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_fresh_degree_request_never_loads_scipy(tmp_path, capsys, fmt):
+def test_fresh_degree_request_needs_no_scipy(tmp_path, capsys, fmt):
     args = FLORENCE + ["--metric", "degree", "--format", fmt]
-    code, loaded, stdout, data = _fresh_compute(tmp_path, args)
-    assert (code, loaded) == (EXIT_OK, [])
-    assert (stdout, data) == _in_process_compute(tmp_path, capsys, args)
+    assert _fresh(tmp_path, "compute", args) == _in_process(tmp_path, capsys, "compute", args)
 
 
 def test_fresh_path_requests_match_in_process_bytes(tmp_path, capsys):
@@ -378,22 +365,32 @@ def test_fresh_path_requests_match_in_process_bytes(tmp_path, capsys):
     save_relevance_csv(assign_relevance(g.vertex_count, 4, 0.5, 5), g, large_rel)
     # path requests run on numpy alone, weighted graphs included
     cases = [
-        (FLORENCE + ["--metric", "all"], [], []),
+        (FLORENCE + ["--metric", "all"], []),
         ([put(tmp_path, "w.csv", WRING), "--relevance", put(tmp_path, "r.csv", REL),
-          "--metric", "all"], [], []),
+          "--metric", "all"], []),
         ([large, "--relevance", large_rel, "--f", "path-prod", "--metric", "all"],
-         ["--workers", "2"], []),  # more than one block: a thread pool starts
+         ["--workers", "2"]),  # more than one block: a thread pool starts
     ]
-    for args, fresh_only, modules in cases:
-        code, loaded, stdout, data = _fresh_compute(tmp_path, args + fresh_only)
-        assert (code, loaded) == (EXIT_OK, modules)
-        assert (stdout, data) == _in_process_compute(tmp_path, capsys, args + ["--workers", "1"])
+    for args, fresh_only in cases:
+        assert _fresh(tmp_path, "compute", args + fresh_only) == _in_process(
+            tmp_path, capsys, "compute", args + ["--workers", "1"])
 
 
 @pytest.mark.parametrize("f", ["product", "mean", "source", "max", "path-sum", "path-prod"])
-def test_fresh_weighted_request_never_loads_scipy(tmp_path, capsys, f):
+def test_fresh_weighted_request_needs_no_scipy(tmp_path, capsys, f):
     args = [put(tmp_path, "w.csv", WRING), "--relevance", put(tmp_path, "r.csv", REL),
             "--f", f, "--metric", "all"]
-    code, loaded, stdout, data = _fresh_compute(tmp_path, args)
-    assert (code, loaded) == (EXIT_OK, [])
-    assert (stdout, data) == _in_process_compute(tmp_path, capsys, args)
+    assert _fresh(tmp_path, "compute", args) == _in_process(tmp_path, capsys, "compute", args)
+
+
+def test_fresh_experiment_needs_no_scipy(tmp_path, capsys):
+    # both network kinds, a pairwise and a path f, both metrics: spearman on
+    # ranks with ties (r = 0.5 leaves half the relevance values at 1) and without
+    grid = put(tmp_path, "grid.json", json.dumps({
+        "kinds": ["regular", "random"], "sizes": [20], "r": [0.5],
+        "f": ["product", "path-sum"], "metrics": ["betweenness", "harmonic"],
+        "seeds": [0], "d": 4,
+    }))
+    args = ["--grid", grid, "--workers", "2"]
+    assert _fresh(tmp_path, "experiment", args) == _in_process(
+        tmp_path, capsys, "experiment", ["--grid", grid, "--workers", "1"])

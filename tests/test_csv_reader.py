@@ -24,11 +24,10 @@ from relcentral.errors import (
     NonzeroDiagonalError,
     UnknownVertexInRelevanceError,
 )
-from relcentral.graph import build_graph, build_graph_chunks, build_graph_columns
+from relcentral.graph import build_graph, build_graph_chunks
 from relcentral.io_formats import (
     _plain_cells,
     load_edge_chunks,
-    load_edge_columns,
     load_edge_csv,
     load_f_matrix_csv,
     load_relevance_csv,
@@ -245,7 +244,7 @@ def test_edge_reader_matches_csv_reader(tmp_path_factory, text):
     assert outcome(load_edge_csv, p) == want
     # the graph from the columns is the graph from the records
     want_graph = graph_outcome(lambda: build_graph(_read_with(p, _edge_rows)))
-    assert graph_outcome(lambda: build_graph_columns(*load_edge_columns(p))) == want_graph
+    assert graph_outcome(lambda: build_graph_chunks(load_edge_chunks(p))) == want_graph
 
 
 @settings(max_examples=300, deadline=None)

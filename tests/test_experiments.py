@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relcentral
@@ -18,6 +18,7 @@ from relcentral.experiments import (
     CSV_COLUMNS,
     ExperimentCell,
     ExperimentGrid,
+    _average_ranks,
     constant_input,
     pearson,
     run_grid,
@@ -59,6 +60,32 @@ def test_spearman_average_ties():
     x = np.array([1.0, 2.0, 2.0, 3.0])
     y = np.array([10.0, 20.0, 20.0, 30.0])
     assert spearman(x, y) == pytest.approx(1.0)
+    assert _average_ranks(x).tolist() == [1.0, 2.5, 2.5, 4.0]
+    assert _average_ranks(np.array([3.0, -0.0, 3.0, 0.0, 3.0])).tolist() == [4.0, 1.5, 4.0, 1.5, 4.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1.0, 7.0]) | st.floats(-1e6, 1e6),
+                min_size=1, max_size=40))
+def test_average_ranks_equal_scipy_rankdata(xs):
+    stats = pytest.importorskip("scipy.stats")
+    x = np.array(xs)
+    assert _average_ranks(x).tobytes() == stats.rankdata(x).astype(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("corr", [pearson, spearman])
+def test_correlations_reject_non_finite_input_on_either_side(corr, bad):
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    for side in (x, np.ones(4)):  # a constant other side does not hide it
+        y = x.copy()
+        y[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            corr(y, side)
+        with pytest.raises(ValueError, match="non-finite"):
+            corr(side, y)
+    with pytest.raises(ValueError, match="non-finite"):
+        constant_input(np.array([1.0, bad]))
 
 
 def test_cell_id_format():
@@ -259,8 +286,8 @@ def test_source_only_harmonic_ratio_tracks_relevance():
 
 
 def test_import_does_not_load_scipy_stats():
-    # nor anything else a request may not use: scipy loads with the first
-    # path metric, threads with the first pool
+    # nor anything else a request may not use: no request loads scipy,
+    # threads load with the first pool
     src = str(Path(relcentral.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     modules = ["scipy.stats", "scipy", "importlib.metadata", "concurrent.futures"]

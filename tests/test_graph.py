@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.sparse import csr_array
 
 from relcentral.errors import (
     DuplicateEdgeError,
@@ -8,7 +7,7 @@ from relcentral.errors import (
     SelfLoopError,
     UnknownVertexError,
 )
-from relcentral.graph import build_graph, neighbors
+from relcentral.graph import build_graph
 
 
 def test_labels_in_first_appearance_order():
@@ -18,11 +17,10 @@ def test_labels_in_first_appearance_order():
 
 def test_edges_stored_with_small_endpoint_first():
     g = build_graph([("b", "a", 2.0)])
-    e = g.edges[0]
-    assert (e.u, e.v) == (0, 1) or g.labels[e.u] < g.labels[e.v] is None
+    (u,), (v,) = g.edge_endpoints
     # normalized on index, not label: b came first so b has index 0
-    assert g.labels[e.u] == "b"
-    assert e.weight == 2.0
+    assert (u, v) == (0, 1) and g.labels[u] == "b"
+    assert g.edge_weights.tolist() == [2.0]
 
 
 def test_counts_and_weighted_flag():
@@ -60,7 +58,8 @@ def test_bare_vertex_records_make_isolated_vertices():
     g = build_graph([("a", "b"), ("c",), ("d", None)])
     assert g.labels == ("a", "b", "c", "d")
     assert g.edge_count == 1
-    assert g.neighbors("c") == []
+    indptr, _, _ = g.neighbor_csr
+    assert np.diff(indptr).tolist() == [1, 1, 0, 0]
 
 
 def test_explicit_vertex_list_merges_with_edge_labels():
@@ -79,40 +78,23 @@ def test_index_label_roundtrip_and_unknown():
         g.label_of(5)
 
 
-def test_edge_id_takes_indices_in_both_orders():
-    g = build_graph([("a", "b"), ("b", "c")])
-    assert g.edge_id(0, 1) == g.edge_id(1, 0) == 0
-    with pytest.raises(UnknownVertexError):
-        g.edge_id(0, 2)
-
-
-def test_neighbors_sorted_by_index_with_weights():
+def test_neighbor_csr_sorted_by_index_with_edge_ids():
     g = build_graph([("c", "a", 2.0), ("c", "b", 1.5), ("a", "b", 1.0)])
-    assert g.neighbors("c") == [("a", 2.0), ("b", 1.5)]
-    assert neighbors(g, "c") == g.neighbors("c")
+    indptr, nbr, eid = g.neighbor_csr
+    c = g.index_of("c")
+    lo, hi = indptr[c], indptr[c + 1]
+    assert [g.labels[j] for j in nbr[lo:hi]] == ["a", "b"]
+    assert g.edge_weights[eid[lo:hi]].tolist() == [2.0, 1.5]
+    # every edge appears once from each end, so the slots are symmetric
+    ends = np.repeat(np.arange(g.vertex_count), np.diff(indptr))
+    assert sorted(zip(ends.tolist(), nbr.tolist())) == sorted(zip(nbr.tolist(), ends.tolist()))
 
 
-def test_adjacency_structure():
-    g = build_graph([("a", "b"), ("b", "c")])
-    # per-vertex tuples of (neighbor index, edge index, weight)
-    assert g.adjacency[1] == ((0, 0, 1.0), (2, 1, 1.0))
-
-
-def test_adjacency_matrix_symmetric_binary():
-    g = build_graph([("a", "b", 2.0), ("b", "c", 3.0)])
-    A = g.adjacency_matrix
-    assert isinstance(A, csr_array)
-    dense = A.toarray()
-    assert dense.dtype == np.float64
-    np.testing.assert_array_equal(dense, dense.T)
-    np.testing.assert_array_equal(dense, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-
-
-def test_edge_endpoints_arrays_align_with_edges():
+def test_edge_endpoints_arrays_align_with_edge_records():
     g = build_graph([("a", "b"), ("c", "b")])
     u, v = g.edge_endpoints
-    for k, e in enumerate(g.edges):
-        assert (u[k], v[k]) == (e.u, e.v)
+    assert [(g.labels[a], g.labels[b]) for a, b in zip(u, v)] == g.edge_labels()
+    assert (u < v).all()
 
 
 def test_edge_records_and_labels():

@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcentral.graph import (
-    _intern_columns,
+    _Interner,
     _intern_records,
+    _record_columns,
     build_graph,
     build_graph_chunks,
-    build_graph_columns,
 )
 
 
@@ -29,12 +29,14 @@ _record = st.one_of(
 def test_column_pass_matches_the_per_record_rules(records, vertices):
     seeded = dict.fromkeys(vertices)
     seeded = dict(zip(seeded, range(len(seeded))))
-    fast = _intern_columns(records, seeded)
-    assert fast is not None  # valid labels and shapes never need the per-record pass
+    interner = _Interner(seeded)
+    # valid labels and shapes never need the per-record pass
+    assert interner.add(*_record_columns(records))
+    fast_index, *fast, edge = interner.columns()
     (index, ia, ib, w, pos), fault = _intern_records(records, seeded, None)
     assert fault is None
-    assert list(fast[0].items()) == list(index.items())
-    for got, want in zip(fast[1:], (ia, ib, w, pos)):
+    assert list(fast_index.items()) == list(index.items())
+    for got, want in zip(fast + [np.flatnonzero(edge)], (ia, ib, w, pos)):
         np.testing.assert_array_equal(got, want)
 
 
@@ -58,7 +60,7 @@ def test_columns_build_the_graph_of_their_records(rows, weighted):
     weight = weight if weighted else None
     records = [(s,) if t is None else (s, t) if w is None else (s, t, w)
                for s, t, w in zip(source, target, weight or [None] * len(rows))]
-    assert _outcome(build_graph_columns, source, target, weight) == _outcome(build_graph, records)
+    assert _outcome(build_graph_chunks, [(source, target, weight)]) == _outcome(build_graph, records)
 
 
 @settings(max_examples=150, deadline=None)

@@ -28,13 +28,19 @@ from relcentral.io_formats import (
     load_edge_csv,
     load_f_matrix_csv,
     load_relevance_csv,
-    results_csv_text,
     results_json_pieces,
     save_edge_csv,
     save_relevance_csv,
+    write_results_csv,
     write_results_json,
 )
 from relcentral.relevance import PATH_PROD, RelevanceVector, eval_pair
+
+
+def csv_text(doc: ResultDocument) -> str:
+    out = io.StringIO()
+    write_results_csv(doc, out)
+    return out.getvalue()
 
 
 def write(tmp_path, name, text):
@@ -218,7 +224,7 @@ def test_results_json_stable_and_rounded():
 
 def test_results_csv_layout():
     g = weighted_ring()
-    text = results_csv_text(build_result_document(g, reports_for(g), "x"))
+    text = csv_text(build_result_document(g, reports_for(g), "x"))
     lines = text.splitlines()
     assert lines[0] == "metric,source,target,value"
     assert any(line.startswith("betweenness,A,,") for line in lines)
@@ -577,7 +583,7 @@ def test_results_csv_quotes_labels_and_reads_back():
     g = build_graph([(labels[0], labels[1]), (labels[1], labels[2]), (labels[2], labels[3])])
     vrep, erep = betweenness_reports(g)
     doc = build_result_document(g, [degree_centrality(g), vrep, erep], "g.csv")
-    rows = list(csv.reader(io.StringIO(results_csv_text(doc))))
+    rows = list(csv.reader(io.StringIO(csv_text(doc))))
     assert rows[0] == ["metric", "source", "target", "value"]
     assert all(len(r) == 4 for r in rows)
     degree = {r[1]: float(r[3]) for r in rows if r[0] == "degree"}

@@ -24,7 +24,6 @@ from relcentral.relevance import (
     eval_pair,
     eval_path,
     matrix_function,
-    pair_value_block,
     pair_values,
     validate_function,
 )
@@ -151,8 +150,8 @@ def test_validate_matrix_diagonal_and_negative():
     assert not rep.ok and any("negative" in w for w in rep.warnings)
 
 
-def test_pair_value_block_one_row_zero_diagonal():
-    out = pair_value_block(PRODUCT, np.array([1]), R4)
+def test_pair_values_block_form_one_row_zero_diagonal():
+    out = pair_values(PRODUCT, np.array([1])[:, None], np.arange(4), R4)
     np.testing.assert_allclose(out, [[6.0, 0.0, 15.0, 21.0]])
 
 
@@ -177,13 +176,13 @@ def test_pair_values_match_eval_pair_on_random_index_arrays(seed):
             pair_values(f, s, t, R)
 
 
-def test_pair_value_block_matches_scalar_eval():
+def test_pair_values_block_form_matches_scalar_eval():
     rng = np.random.default_rng(7)
     R = RelevanceVector(rng.uniform(0.5, 3.0, size=5))
     F = rng.uniform(0.1, 2.0, size=(5, 5))
     np.fill_diagonal(F, 0.0)
     for f in (PRODUCT, MEAN, SOURCE_ONLY, MAX, matrix_function(F)):
-        block = pair_value_block(f, np.array([0, 3]), R)
+        block = pair_values(f, np.array([0, 3])[:, None], np.arange(5), R)
         assert block.shape == (2, 5)
         for bi, s in enumerate((0, 3)):
             for t in range(5):

@@ -11,7 +11,7 @@ from relcentral.centrality import _path_reports
 from relcentral.cli import EXIT_COMPUTE, main
 from relcentral.errors import ResourceLimitError
 from relcentral.generators import GeneratorConfig, ring_lattice, watts_strogatz
-from relcentral.graph import build_graph, build_graph_columns
+from relcentral.graph import build_graph, build_graph_chunks
 from relcentral.io_formats import save_edge_csv
 from relcentral.relevance import PATH_PROD, PATH_SUM, PRODUCT, RelevanceVector
 
@@ -95,8 +95,8 @@ def test_many_blocks_give_the_same_bytes_for_any_worker_count(weighted):
     if weighted:
         rng = np.random.default_rng(8)
         (u, v), lab = g.edge_endpoints, g.labels
-        g = build_graph_columns([lab[i] for i in u.tolist()], [lab[i] for i in v.tolist()],
-                                rng.uniform(0.5, 2.0, len(u)).tolist())
+        g = build_graph_chunks([([lab[i] for i in u.tolist()], [lab[i] for i in v.tolist()],
+                                 rng.uniform(0.5, 2.0, len(u)).tolist())])
     assert g.vertex_count // block_size(g) >= 10
     R = random_relevance(np.random.default_rng(9), g.vertex_count)
     for f in (PRODUCT, PATH_PROD, PATH_SUM):
