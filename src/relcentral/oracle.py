@@ -64,6 +64,14 @@ def _neighbors(g: Graph) -> list[list[tuple[int, float]]]:
     return [sorted(x) for x in out]
 
 
+def _edge_ids(g: Graph) -> dict[tuple[int, int], int]:
+    """Edge index per endpoint pair, in either order."""
+    out = {}
+    for k, (a, b) in enumerate(zip(*(x.tolist() for x in g.edge_endpoints))):
+        out[a, b] = out[b, a] = k
+    return out
+
+
 def _check_size(g: Graph, limits: OracleLimits) -> None:
     if g.vertex_count > limits.max_vertices:
         raise TooLargeError(
@@ -184,9 +192,7 @@ def brute_betweenness(
     _check_size(g, limits)
     if pair_paths is None:
         pair_paths = all_pairs_shortest_paths(g, limits)
-    edge_id = {}
-    for k, (a, b) in enumerate(zip(*(x.tolist() for x in g.edge_endpoints))):
-        edge_id[a, b] = edge_id[b, a] = k
+    edge_id = _edge_ids(g)
     vb = np.zeros(g.vertex_count)
     eb = np.zeros(g.edge_count)
     for (s, t), (_, ps) in pair_paths.items():

@@ -32,7 +32,13 @@ from relcentral.errors import (
 )
 from relcentral.generators import GeneratorConfig, ring_lattice, watts_strogatz
 from relcentral.graph import build_graph
-from relcentral.oracle import brute_betweenness, brute_degree, brute_harmonic
+from relcentral.oracle import (
+    brute_betweenness,
+    brute_degree,
+    brute_harmonic,
+    brute_shortest_paths,
+    distances_tied,
+)
 from relcentral.relevance import (
     MAX,
     MEAN,
@@ -460,6 +466,78 @@ def test_bfs_takes_both_directions(monkeypatch):
     g = BEYOND_ORACLE["ring600"]()
     _batched.block(g, RelevanceVector.ones(g.vertex_count), PRODUCT, np.arange(BLOCK), True, True)
     assert steps.count("_top_down") > 100  # diameter 150
+
+
+# --- one source's DAG, as the engine lays it out ---
+
+
+def _one_source_dag(g, s, front_end):
+    """Per vertex: distance, path count and level from source s alone,
+    and the DAG arcs as (tail, head, edge id), read from ``out`` and,
+    without edge ids, from ``into``."""
+    dag = front_end(g, np.array([s]))
+    n, eid = g.vertex_count, g.neighbor_csr[2]
+    at = np.repeat(np.arange(len(dag.cut) - 1), np.diff(dag.cut))
+    dist, sigma, level = np.full(n, np.inf), np.zeros(n), np.full(n, -1)
+    dist[dag.node] = at if dag.dist is None else dag.dist
+    sigma[dag.node] = _batched._path_counts(dag)
+    level[dag.node] = at
+    out, into = set(), set()
+    for k, (tail, base, head, slot) in enumerate(dag.out):
+        t, h = dag.node[dag.cut[k] + tail], dag.node[base + head]
+        out |= set(zip(t.tolist(), h.tolist(), eid[slot].tolist()))
+    for k, (base, tail, head) in enumerate(dag.into, 1):
+        t, h = dag.node[base + tail], dag.node[dag.cut[k] + head]
+        into |= set(zip(t.tolist(), h.tolist()))
+    assert into == {(t, h) for t, h, _ in out}
+    assert dag.node[0] == s
+    return dist, sigma, level, out
+
+
+@pytest.mark.parametrize("graph, front_end, dist, count", [
+    (square_graph, "_bfs", [0, 1, 2, 1], [1, 1, 2, 1]),
+    (square_graph, "_by_distance", [0, 1, 2, 1], [1, 1, 2, 1]),
+    (weighted_ring, "_by_distance", [0, 0.5, 1.5, 1.0], [1, 1, 1, 1]),
+])
+def test_engine_dag_distances_and_counts(graph, front_end, dist, count):
+    d, sigma, _, _ = _one_source_dag(graph(), 0, getattr(_batched, front_end))
+    assert d.tolist() == dist and sigma.tolist() == count
+
+
+@pytest.mark.parametrize("front_end", ["_bfs", "_by_distance"])
+def test_engine_dag_preds_and_sigma_consistency(front_end):
+    g = build_graph([("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")])
+    si, ai, bi, ti = (g.index_of(x) for x in "sabt")
+    _, sigma, _, arcs = _one_source_dag(g, si, getattr(_batched, front_end))
+    assert sigma[ti] == 2
+    u, v = g.edge_endpoints
+    edge = {frozenset(p): k for k, p in enumerate(zip(u.tolist(), v.tolist()))}
+    assert {(t, e) for t, h, e in arcs if h == ti} == {
+        (ai, edge[frozenset((ai, ti))]), (bi, edge[frozenset((bi, ti))])}
+    assert {(t, e) for t, h, e in arcs if h == ai} == {(si, edge[frozenset((si, ai))])}
+
+
+def test_engine_dag_arcs_climb_in_distance_and_level():
+    g = weighted_ring()
+    dist, _, level, arcs = _one_source_dag(g, g.index_of("B"), _batched._by_distance)
+    assert level[g.index_of("B")] == 0 and dist[g.index_of("B")] == 0.0
+    assert arcs and all(dist[t] < dist[h] and level[t] < level[h] for t, h, _ in arcs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), weighted=st.booleans())
+def test_engine_dag_matches_oracle_shortest_paths(seed, weighted):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, int(rng.integers(3, 9)), weighted)
+    s = int(rng.integers(0, g.vertex_count))
+    front_end = _batched._by_distance if g.weighted else _batched._bfs
+    dist, sigma, _, arcs = _one_source_dag(g, s, front_end)
+    steps = set()
+    for t in range(g.vertex_count):
+        d, paths = brute_shortest_paths(g, s, t)
+        assert distances_tied(dist[t], d) and sigma[t] == len(paths)
+        steps |= {q for p in paths for q in zip(p, p[1:])}
+    assert {(t, h) for t, h, _ in arcs} == steps
 
 
 def _by_label(values, ids):

@@ -247,6 +247,29 @@ def test_metric_all_harmonic_table_matches_harmonic_alone(tmp_path, graph, f):
     assert tables[0] == tables[1]
 
 
+@pytest.mark.parametrize("graph", [RING, WRING], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("metric", ["degree", "all"])
+def test_compute_never_builds_the_reference_views(tmp_path, monkeypatch, graph, metric):
+    # the only per-edge Python views left are the oracle's neighbor lists
+    # and edge-id dict; the fast engine reads the graph's arrays alone
+    from relcentral import oracle
+
+    built = []
+    for name in ("_neighbors", "_edge_ids"):
+        view = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name,
+                            lambda g, name=name, view=view: built.append(name) or view(g))
+    edges = put(tmp_path, "g.csv", graph)
+    rel = put(tmp_path, "r.csv", REL)
+    out = tmp_path / "res.json"
+    argv = ["compute", edges, "--relevance", rel, "--metric", metric, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert out.exists() and built == []
+    # the spies do see the oracle build them
+    assert main(argv + ["--engine", "oracle"]) == EXIT_OK
+    assert built
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_nonpositive_workers_is_input_error(tmp_path, capsys, workers):
     edges = put(tmp_path, "g.csv", RING)

@@ -12,6 +12,8 @@ from relcentral.errors import TooLargeError, UnknownVertexError
 from relcentral.graph import build_graph
 from relcentral.oracle import (
     OracleLimits,
+    _edge_ids,
+    _neighbors,
     all_pairs_shortest_paths,
     brute_betweenness,
     brute_degree,
@@ -41,11 +43,28 @@ def test_brute_paths_weighted_prefers_total_weight():
     assert paths == [(0, 1, 2)]
 
 
-def test_brute_distances_and_counts_from_one_source():
+def test_brute_distances_and_counts_on_square():
     dist, count = _counts_and_distances(square_graph(), "A")
     assert (dist, count) == ([0.0, 1.0, 2.0, 1.0], [1, 1, 2, 1])
+
+
+def test_brute_distances_and_counts_on_weighted_ring():
     dist, count = _counts_and_distances(weighted_ring(), "A")
     assert (dist, count) == ([0.0, 0.5, 1.5, 1.0], [1, 1, 1, 1])
+
+
+def test_oracle_neighbors_sorted_by_index_with_weights():
+    g = build_graph([("c", "a", 2.0), ("c", "b", 1.5), ("a", "b", 1.0)])
+    assert [g.index_of(x) for x in "cab"] == [0, 1, 2]
+    assert _neighbors(g) == [[(1, 2.0), (2, 1.5)], [(0, 2.0), (2, 1.0)], [(0, 1.5), (1, 1.0)]]
+
+
+def test_oracle_edge_ids_take_indices_in_both_orders():
+    g = build_graph([("a", "b"), ("b", "c")])
+    ids = _edge_ids(g)
+    assert ids[0, 1] == ids[1, 0] == 0
+    assert ids[1, 2] == ids[2, 1] == 1
+    assert (0, 2) not in ids and len(ids) == 2 * g.edge_count
 
 
 def test_brute_paths_on_diamond_sorted():
