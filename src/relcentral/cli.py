@@ -158,8 +158,9 @@ def cmd_compute(args) -> int:
         doc = io_formats.build_result_document(g, reports, os.path.basename(args.edges))
         if args.format == "json":
             # each piece goes to the file as it comes: no whole-document copy
+            pieces = io_formats.results_json_pieces(doc)
             with open(args.out, "w", encoding="ascii", newline="") as fh:
-                fh.writelines(io_formats.results_json_pieces(doc))
+                fh.writelines(pieces)
         elif args.format == "csv":
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 io_formats.write_results_csv(doc, fh)

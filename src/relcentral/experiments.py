@@ -25,7 +25,13 @@ import numpy as np
 from ._sweep import _ordered
 from .centrality import harmonic_centrality, vertex_betweenness
 from .errors import ExperimentCellError, LengthMismatchError
-from .generators import GeneratorConfig, assign_relevance, ring_lattice, watts_strogatz
+from .generators import (
+    GeneratorConfig,
+    _check_degree,
+    assign_relevance,
+    ring_lattice,
+    watts_strogatz,
+)
 from .graph import Graph
 from .relevance import RelevanceFunction, RelevanceVector, Variant
 
@@ -145,6 +151,14 @@ class ExperimentCell:
         return (self.kind, self.n, self.p, self.r, self.f.value, self.metric, self.seed)
 
 
+def _integer(key: str, x) -> int:
+    """``x`` of the grid config's ``key`` as an int; a JSON number with a
+    fraction, or anything else, is refused, not truncated."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not float(x).is_integer():
+        raise ValueError(f"grid {key}: expected an integer, got {x!r}")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class ExperimentGrid:
     kinds: tuple[str, ...] = KINDS
@@ -165,6 +179,8 @@ class ExperimentGrid:
         for r in self.rs:
             if not 0.0 <= r <= 1.0:
                 raise ValueError(f"relevance fraction {r} outside [0, 1]")
+        for n in self.sizes:  # before any cell is built
+            _check_degree(n, self.d)
 
     def cells(self) -> list[ExperimentCell]:
         out = [
@@ -194,11 +210,14 @@ class ExperimentGrid:
         extra = set(raw) - known
         if extra:
             raise ValueError(f"unknown grid keys: {sorted(extra)}")
+        for key in sorted(set(raw) - {"d"}):
+            if not isinstance(raw[key], list):
+                raise ValueError(f"grid {key} must be a list, got {raw[key]!r}")
         kwargs = {}
         if "kinds" in raw:
             kwargs["kinds"] = tuple(raw["kinds"])
         if "sizes" in raw:
-            kwargs["sizes"] = tuple(int(n) for n in raw["sizes"])
+            kwargs["sizes"] = tuple(_integer("sizes", n) for n in raw["sizes"])
         if "r" in raw:
             kwargs["rs"] = tuple(float(r) for r in raw["r"])
         if "f" in raw:
@@ -206,9 +225,9 @@ class ExperimentGrid:
         if "metrics" in raw:
             kwargs["metrics"] = tuple(raw["metrics"])
         if "seeds" in raw:
-            kwargs["seeds"] = tuple(int(s) for s in raw["seeds"])
+            kwargs["seeds"] = tuple(_integer("seeds", s) for s in raw["seeds"])
         if "d" in raw:
-            kwargs["d"] = int(raw["d"])
+            kwargs["d"] = _integer("d", raw["d"])
         return cls(**kwargs)
 
 

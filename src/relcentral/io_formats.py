@@ -30,14 +30,17 @@ are those of a row-by-row reader; every row of an edge file is checked
 before any graph check, and a matrix file's row count before any of its
 rows. Line numbers count CSV records, blank rows included.
 
-Result JSON is written without the json module's pure-Python indent
-encoder: tables of floats, lists of labels, edge rows and edge ranking
-pairs are formatted by columns with one join each, every float cut to
-12 significant digits once; the bytes equal
-``json.dumps(..., sort_keys=True, indent=2)`` of the rounded document.
-The text comes in pieces of at most ``_PIECE`` table items, which the
-command line writes to its file as they come, so no copy of the whole
-document is held; the CSV result is written row by row the same way.
+A result document is its metadata and its reports. The JSON writer
+knows the result's one layout (keys ``edges``, ``metadata``,
+``rankings``, ``vertices``; metric names sorted; vertex tables sorted by
+label) and formats each table from the report's ``ids``, ``values`` and
+``ranking`` columns with one join, every float cut to 12 significant
+digits once; the bytes equal ``json.dumps(..., sort_keys=True,
+indent=2)`` of the same result as nested dicts and lists. A non-finite
+value is refused. The text comes in pieces of at most ``_PIECE`` table
+items, which the command line writes to its file as they come, so no
+copy of the whole text is held; the CSV result is written row by row
+the same way.
 """
 
 from __future__ import annotations
@@ -509,10 +512,11 @@ def _matrix_rows(path, line, g, col_labels, labels, columns, wrong, F, listed_be
 
 @dataclass
 class ResultDocument:
+    """The metadata of a result and the reports it holds, by metric: a
+    later report of a metric replaces an earlier one."""
+
     metadata: dict
-    vertex_tables: dict[str, dict[str, float]]
-    edge_tables: dict[str, list[dict]]
-    rankings: dict
+    reports: tuple[CentralityReport, ...]
 
 
 def build_result_document(
@@ -526,170 +530,132 @@ def build_result_document(
         "f": reports[0].f_label if reports else "",
         "relevance": reports[0].relevance_source if reports else "",
     }
-    vertex_tables: dict[str, dict[str, float]] = {}
-    edge_tables: dict[str, list[dict]] = {}
-    rankings: dict = {"vertices": {}, "edges": {}}
-    for rep in reports:
-        name = rep.metric.value
-        values = np.asarray(rep.values, dtype=np.float64).tolist()
-        if rep.kind == "vertex":
-            vertex_tables[name] = dict(zip(rep.ids, values))
-            rankings["vertices"][name] = list(rep.ranking)
-        else:
-            edge_tables[name] = [
-                {"source": a, "target": b, "value": v} for (a, b), v in zip(rep.ids, values)
-            ]
-            rankings["edges"][name] = [[a, b] for a, b in rep.ranking]
-    return ResultDocument(meta, vertex_tables, edge_tables, rankings)
+    return ResultDocument(meta, tuple(reports))
+
+
+def _tables(doc: ResultDocument) -> tuple[dict, dict]:
+    """The vertex and the edge reports of ``doc`` by metric name, names
+    sorted. Raises ValueError on a non-finite value, which JSON cannot hold."""
+    tables: dict = {"vertex": {}, "edge": {}}
+    for rep in doc.reports:
+        if not np.isfinite(rep.values).all():
+            raise ValueError(f"{rep.metric.value} holds a non-finite value")
+        tables[rep.kind][rep.metric.value] = rep
+    return tuple({name: t[name] for name in sorted(t)} for t in tables.values())
 
 
 _json_str = json.encoder.encode_basestring_ascii
 
 
-def _json_float(x: float) -> str:
-    """``x`` cut to 12 significant digits, as the json module writes it."""
-    x = float(f"{x:.12g}")
-    if x != x:
-        return "NaN"
-    if x == np.inf:
-        return "Infinity"
-    if x == -np.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _json_flat(values: list) -> list[str] | None:
-    """JSON texts of values that are all strings or all finite floats,
-    in one pass each; None for any other mix."""
-    kinds = set(map(type, values))
-    if kinds == {str}:
-        return list(map(_json_str, values))
-    if kinds != {float}:
-        return None
+def _json_floats(values: np.ndarray) -> list[str]:
+    """The JSON text of each finite value cut to 12 significant digits:
+    what ``float.__repr__`` writes for the cut value."""
     a = np.abs(values)
-    if not np.isfinite(a).all():
-        return None
     # "{:.12g}" writes what float.__repr__ writes for the 12-digit value,
     # except ".0" on whole numbers and in two bands, which keep the float
     # and repr round trip: exponents 12 to 15, which repr writes without
     # one, and subnormals, whose repr can be shorter (both with a margin)
-    texts = list(map("{:.12g}".format, values))
+    texts = list(map("{:.12g}".format, values.tolist()))
     for i in np.flatnonzero(((a >= 9e11) & (a < 1e16)) | ((a > 0) & (a < 1e-307))).tolist():
         texts[i] = float.__repr__(float(texts[i]))
     return [t if "." in t or "e" in t else t + ".0" for t in texts]
 
 
-def _json_rows(rows: list, pad: str) -> list[str] | None:
-    """JSON texts, at indent ``pad``, of rows that are all dicts with the
-    same string keys or all lists of one length, written by columns with
-    one join (the edge tables and edge ranking pairs); None unless every
-    column is all strings or all finite floats."""
-    kinds, first = set(map(type, rows)), rows[0]
-    if kinds == {dict} and first and set(map(type, first)) == {str} \
-            and all(map(first.keys().__eq__, map(dict.keys, rows))):
-        keys = sorted(first)
-        # str.format template: literal braces doubled
-        open_, close = "{{", "}}"
-        lines = [_json_str(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in keys]
-    elif kinds == {list} and first and set(map(len, rows)) == {len(first)}:
-        keys = range(len(first))
-        open_, close = "[", "]"
-        lines = ["{}"] * len(first)
-    else:
-        return None
-    columns = [_json_flat(list(map(itemgetter(k), rows))) for k in keys]
-    if None in columns:
-        return None
-    inner = pad + "  "
-    template = open_ + "\n" + inner + (",\n" + inner).join(lines) + "\n" + pad + close
-    return list(map(template.format, *columns))
-
-
-# items of a table (a dict or list of flat values, or a list of rows)
-# formatted and joined at a time: one piece of the JSON text
+# items of a table formatted and joined at a time: one piece of the JSON text
 _PIECE = 4096
 
 
-def _json_scalar(x) -> str:
-    if isinstance(x, str):
-        return _json_str(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        return _json_float(x)
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-
-
-def _json(x, pad: str):
-    """The text of ``x`` as ``json.dumps(x, sort_keys=True, indent=2)``
-    writes it at indent ``pad``, in pieces, each float cut to 12
-    significant digits first. A container is written _PIECE items at a
-    time: a slice of strings or of finite floats (the vertex tables and
-    the ranking lists) or of list rows of such (the edge tables and edge
-    ranking pairs) in one piece with one join; any other slice value by
-    value, so a container of containers (the payload and its sections)
-    is written key by key, each value in its own pieces. Dict keys must
-    be strings."""
-    if not isinstance(x, (list, tuple, dict)):
-        yield _json_scalar(x)
+def _container(brackets: str, n: int, items, pad: str):
+    """The pieces of a JSON list or object (``brackets`` "[]" or "{}")
+    at indent ``pad`` of ``n`` items, whose texts ``items(i, j)`` gives
+    for items i to j."""
+    if not n:
+        yield brackets
         return
     inner = pad + "  "
-    if isinstance(x, dict):
-        if not x:
-            yield "{}"
-            return
-        keys = sorted(x)
-        if set(map(type, keys)) != {str} and not all(isinstance(k, str) for k in keys):
-            raise TypeError("result document keys must be strings")
-        values = list(map(x.__getitem__, keys))
-        sep, close = "{\n" + inner, "\n" + pad + "}"
-    else:
-        if not x:
-            yield "[]"
-            return
-        keys, values = None, x
-        sep, close = "[\n" + inner, "\n" + pad + "]"
-    comma = ",\n" + inner
-    for i in range(0, len(values), _PIECE):
-        part = values[i:i + _PIECE]
-        items = _json_flat(part) or (keys is None and _json_rows(part, inner))
-        if items:
-            if keys is not None:
-                items = map("{}: {}".format, map(_json_str, keys[i:i + _PIECE]), items)
-            yield sep + comma.join(items)
-            sep = comma
-            continue
-        heads = repeat("") if keys is None else map(
-            "{}: ".format, map(_json_str, keys[i:i + _PIECE]))
-        for head, v in zip(heads, part):
-            yield sep + head
-            yield from _json(v, inner)
-            sep = comma
-    yield close
+    sep, comma = brackets[0] + "\n" + inner, ",\n" + inner
+    for i in range(0, n, _PIECE):
+        yield sep + comma.join(items(i, i + _PIECE))
+        sep = comma
+    yield "\n" + pad + brackets[1]
+
+
+def _by_metric(reports: dict, write, pad: str):
+    """The pieces of a JSON object at indent ``pad`` that maps each
+    metric name of ``reports`` to the pieces ``write(report, inner)``
+    gives at the next indent."""
+    if not reports:
+        yield "{}"
+        return
+    inner = pad + "  "
+    sep = "{\n" + inner
+    for name, rep in reports.items():
+        yield sep + _json_str(name) + ": "
+        yield from write(rep, inner)
+        sep = ",\n" + inner
+    yield "\n" + pad + "}"
+
+
+def _pairs(template: str, pairs: tuple, *columns):
+    """``template`` filled with the JSON texts of each pair's two labels
+    and of the other ``columns``."""
+    return map(template.format, map(_json_str, map(itemgetter(0), pairs)),
+               map(_json_str, map(itemgetter(1), pairs)), *columns)
+
+
+def _vertex_values(rep: CentralityReport, pad: str):
+    order = sorted(range(len(rep.ids)), key=rep.ids.__getitem__)
+    labels, values = list(map(rep.ids.__getitem__, order)), rep.values[order]
+    return _container("{}", len(order), lambda i, j: map(
+        "{}: {}".format, map(_json_str, labels[i:j]), _json_floats(values[i:j])), pad)
+
+
+def _edge_values(rep: CentralityReport, pad: str):
+    row = pad + "  "
+    template = ("{{\n" + row + '  "source": {},\n' + row + '  "target": {},\n'
+                + row + '  "value": {}\n' + row + "}}")
+    return _container("[]", len(rep.ids), lambda i, j: _pairs(
+        template, rep.ids[i:j], _json_floats(rep.values[i:j])), pad)
+
+
+def _vertex_ranking(rep: CentralityReport, pad: str):
+    return _container("[]", len(rep.ranking),
+                      lambda i, j: map(_json_str, rep.ranking[i:j]), pad)
+
+
+def _edge_ranking(rep: CentralityReport, pad: str):
+    row = pad + "  "
+    template = "[\n" + row + "  {},\n" + row + "  {}\n" + row + "]"
+    return _container("[]", len(rep.ranking),
+                      lambda i, j: _pairs(template, rep.ranking[i:j]), pad)
+
+
+def _json_pieces(metadata: dict, vertex: dict, edge: dict):
+    yield '{\n  "edges": '
+    yield from _by_metric(edge, _edge_values, "  ")
+    # six scalars, laid out by the json module one level in
+    meta = json.dumps(metadata, sort_keys=True, indent=2)
+    yield ',\n  "metadata": ' + meta.replace("\n", "\n  ")
+    yield ',\n  "rankings": {\n    "edges": '
+    yield from _by_metric(edge, _edge_ranking, "    ")
+    yield ',\n    "vertices": '
+    yield from _by_metric(vertex, _vertex_ranking, "    ")
+    yield '\n  },\n  "vertices": '
+    yield from _by_metric(vertex, _vertex_values, "  ")
+    yield "\n}\n"
 
 
 def results_json_pieces(doc: ResultDocument):
     """The text of :func:`write_results_json` in pieces, none longer than
-    _PIECE table items: what a writer puts in a file as it comes."""
-    payload = {
-        "metadata": doc.metadata,
-        "vertices": doc.vertex_tables,
-        "edges": doc.edge_tables,
-        "rankings": doc.rankings,
-    }
-    yield from _json(payload, "")
-    yield "\n"
+    _PIECE table items: what a writer puts in a file as it comes. Raises
+    ValueError, before the first piece, on a non-finite value."""
+    return _json_pieces(doc.metadata, *_tables(doc))
 
 
 def write_results_json(doc: ResultDocument) -> bytes:
-    """Stable bytes: sorted keys, floats cut to 12 significant digits,
-    laid out as ``json.dumps(..., sort_keys=True, indent=2)`` lays it out."""
+    """Stable bytes: keys and vertex labels sorted, floats cut to 12
+    significant digits, laid out as ``json.dumps(..., sort_keys=True,
+    indent=2)`` lays it out."""
     return "".join(results_json_pieces(doc)).encode("ascii")
 
 
@@ -697,14 +663,15 @@ def write_results_csv(doc: ResultDocument, fh) -> None:
     """Flat CSV to the text file ``fh``: metric,source,target,value;
     vertex rows leave target empty. Labels are quoted where they hold a
     comma, a quote or a line break."""
+    vertex, edge = _tables(doc)
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(["metric", "source", "target", "value"])
-    for metric in sorted(doc.vertex_tables):
-        w.writerows([metric, label, "", f"{val:.12g}"]
-                    for label, val in doc.vertex_tables[metric].items())
-    for metric in sorted(doc.edge_tables):
-        w.writerows([metric, row["source"], row["target"], f"{row['value']:.12g}"]
-                    for row in doc.edge_tables[metric])
+    for name, rep in vertex.items():
+        w.writerows(zip(repeat(name), rep.ids, repeat(""),
+                        map("{:.12g}".format, rep.values.tolist())))
+    for name, rep in edge.items():
+        w.writerows(zip(repeat(name), map(itemgetter(0), rep.ids), map(itemgetter(1), rep.ids),
+                        map("{:.12g}".format, rep.values.tolist())))
 
 
 # --- DOT export ---

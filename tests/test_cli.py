@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import relcentral
-from relcentral import GeneratorConfig, assign_relevance, io_formats, watts_strogatz
+from relcentral import GeneratorConfig, assign_relevance, experiments, io_formats, watts_strogatz
 from relcentral._sweep import BLOCK
 from relcentral.centrality import (
     Metric,
@@ -20,6 +20,7 @@ from relcentral.centrality import (
     harmonic_centrality,
 )
 from relcentral.cli import EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, _print_top10, main
+from relcentral.errors import SigmaOverflowError
 from relcentral.graph import build_graph_chunks
 from relcentral.io_formats import save_edge_csv, save_relevance_csv
 from relcentral.relevance import RelevanceFunction, Variant
@@ -323,14 +324,31 @@ def test_experiment_bad_grid_is_input_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_experiment_impossible_cell_is_compute_error(tmp_path, capsys):
+@pytest.mark.parametrize("sizes, d", [([30], 3), ([3], 4), ([40, 5], 10)])
+def test_experiment_bad_degree_is_input_error_before_any_cell(tmp_path, monkeypatch, capsys,
+                                                             sizes, d):
+    built = []
+    monkeypatch.setattr(experiments, "_build_network", lambda *a: built.append(a))
+    grid = put(tmp_path, "grid.json", json.dumps({"sizes": sizes, "d": d}))
+    out = tmp_path / "corr.csv"
+    assert main(["experiment", "--grid", grid, "--out", str(out)]) == EXIT_INPUT
+    assert "mean degree must be even with 0 < d < n" in capsys.readouterr().err
+    assert not built and not out.exists()
+
+
+def test_experiment_failing_cell_is_compute_error(tmp_path, monkeypatch, capsys):
+    def overflow(*args):
+        raise SigmaOverflowError("harmonic accumulation overflowed to a non-finite value")
+
+    monkeypatch.setattr(experiments, "_metric_values", overflow)
     grid = put(tmp_path, "grid.json", json.dumps({
         "kinds": ["regular"], "sizes": [5], "r": [0.0],
-        "f": ["product"], "metrics": ["harmonic"], "seeds": [0], "d": 10,
+        "f": ["product"], "metrics": ["harmonic"], "seeds": [0], "d": 2,
     }))
     out = tmp_path / "corr.csv"
     assert main(["experiment", "--grid", grid, "--out", str(out)]) == EXIT_COMPUTE
-    assert "cell" in capsys.readouterr().err
+    assert "cell regular-n5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_argparse_rejects_unknown_subcommand(capsys):

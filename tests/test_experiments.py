@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -127,6 +128,35 @@ def test_grid_from_json_rejects_unknown_keys(tmp_path):
         ExperimentGrid.from_json(path)
 
 
+@pytest.mark.parametrize("cfg, message", [
+    ({"kinds": "regular"}, "grid kinds must be a list"),
+    ({"sizes": 30}, "grid sizes must be a list"),
+    ({"r": 0.5}, "grid r must be a list"),
+    ({"f": "product"}, "grid f must be a list"),
+    ({"metrics": "harmonic"}, "grid metrics must be a list"),
+    ({"seeds": {"0": 1}}, "grid seeds must be a list"),
+    ({"sizes": [30.7]}, "grid sizes: expected an integer, got 30.7"),
+    ({"sizes": ["30"]}, "grid sizes: expected an integer, got '30'"),
+    ({"sizes": [True]}, "grid sizes: expected an integer, got True"),
+    ({"seeds": [0, 1.5]}, "grid seeds: expected an integer, got 1.5"),
+    ({"d": 4.5}, "grid d: expected an integer, got 4.5"),
+    ({"d": [4]}, "grid d: expected an integer, got [4]"),
+])
+def test_grid_from_json_rejects_wrong_kinds_of_value(tmp_path, cfg, message):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentGrid.from_json(path)
+
+
+def test_grid_from_json_takes_integral_numbers(tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"sizes": [30.0], "seeds": [2.0], "d": 4.0}))
+    grid = ExperimentGrid.from_json(path)
+    assert (grid.sizes, grid.seeds, grid.d) == ((30,), (2,), 4)
+    assert all(type(x) is int for x in grid.sizes + grid.seeds + (grid.d,))
+
+
 def small_grid(**over) -> ExperimentGrid:
     base = dict(
         kinds=("random",), sizes=(24,), rs=(0.0, 1.0),
@@ -211,12 +241,19 @@ def test_run_grid_builds_each_ring_lattice_once(tmp_path, monkeypatch):
     assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "per_seed.csv").read_bytes()
 
 
-def test_run_grid_annotates_failing_cell():
-    bad = small_grid(sizes=(5,), d=10)  # lattice degree exceeds n
+def test_run_grid_annotates_failing_cell(monkeypatch):
+    metric_values = experiments._metric_values
+
+    def failing(g, R, f, metric):
+        if f.variant is Variant.PATH_SUM:
+            raise ValueError("no path-sum today")
+        return metric_values(g, R, f, metric)
+
+    monkeypatch.setattr(experiments, "_metric_values", failing)
     with pytest.raises(ExperimentCellError) as ei:
-        run_grid(bad)
-    assert "random-n5" in str(ei.value)
-    assert ei.value.cell_id.startswith("random-n5")
+        run_grid(small_grid())
+    assert ei.value.cell_id == "random-n24-p1-r0-path-sum-betweenness-s0"
+    assert ei.value.cell_id in str(ei.value) and "no path-sum today" in str(ei.value)
 
 
 def test_write_correlation_csv(tmp_path):

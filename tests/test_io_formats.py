@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -22,7 +23,7 @@ from relcentral.errors import (
 from relcentral.graph import build_graph
 from relcentral.io_formats import (
     ResultDocument,
-    _json_flat,
+    _json_floats,
     build_result_document,
     export_dot,
     load_edge_csv,
@@ -201,13 +202,21 @@ def reports_for(g):
 
 def test_result_document_layout():
     g = weighted_ring()
-    doc = build_result_document(g, reports_for(g), "ring.csv")
+    reports = reports_for(g)
+    doc = build_result_document(g, reports, "ring.csv")
     assert doc.metadata["graph"] == "ring.csv"
     assert doc.metadata["weighted"] is True
     assert doc.metadata["tool"] == "relcentral"
-    assert set(doc.vertex_tables) == {"harmonic", "betweenness"}
-    assert set(doc.edge_tables) == {"edge-betweenness"}
-    assert doc.rankings["vertices"]["betweenness"][0] in ("A", "B")
+    assert doc.reports == tuple(reports)
+    data = json.loads(write_results_json(doc))
+    assert list(data) == ["edges", "metadata", "rankings", "vertices"]
+    assert list(data["vertices"]) == ["betweenness", "harmonic"]
+    assert list(data["vertices"]["harmonic"]) == ["A", "B", "C", "D"]
+    assert list(data["edges"]) == ["edge-betweenness"]
+    assert data["edges"]["edge-betweenness"][0] == {
+        "source": "A", "target": "B", "value": pytest.approx(reports[2].values[0])}
+    assert data["rankings"]["vertices"]["betweenness"][0] in ("A", "B")
+    assert data["rankings"]["edges"]["edge-betweenness"][0] == list(reports[2].ranking[0])
 
 
 def test_results_json_stable_and_rounded():
@@ -429,6 +438,24 @@ def test_relevance_csv_quoting_stripping_and_float_syntax(tmp_path):
 # --- result bytes: the writer against the json module's indent encoder ---
 
 
+def reference_payload(doc) -> dict:
+    """The result as a dict of rows: one dict per edge row, one list per
+    ranked edge, what the json module and the csv module are given."""
+    vertices, edges, rankings = {}, {}, {"vertices": {}, "edges": {}}
+    for rep in doc.reports:
+        name = rep.metric.value
+        values = np.asarray(rep.values, dtype=np.float64).tolist()
+        if rep.kind == "vertex":
+            vertices[name] = dict(zip(rep.ids, values))
+            rankings["vertices"][name] = list(rep.ranking)
+        else:
+            edges[name] = [
+                {"source": a, "target": b, "value": v} for (a, b), v in zip(rep.ids, values)
+            ]
+            rankings["edges"][name] = [[a, b] for a, b in rep.ranking]
+    return {"metadata": doc.metadata, "vertices": vertices, "edges": edges, "rankings": rankings}
+
+
 def _round12(x):
     if isinstance(x, float):
         return float(f"{x:.12g}")
@@ -440,68 +467,62 @@ def _round12(x):
 
 
 def reference_json(doc) -> bytes:
-    payload = {
-        "metadata": doc.metadata,
-        "vertices": doc.vertex_tables,
-        "edges": doc.edge_tables,
-        "rankings": doc.rankings,
-    }
-    return (json.dumps(_round12(payload), sort_keys=True, indent=2) + "\n").encode("utf-8")
+    payload = _round12(reference_payload(doc))
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-_values = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, -2.5e-320, 2.2250738585072014e-308,
-                     1e12, 1e15, 1e16, 1e17, 123456789012.5, 999999999999.5,
-                     1.00000000000049, 0.1 + 0.2, 1 / 3, 7.0, -3.0]),
-    st.floats(min_value=1e12, max_value=1e17),
-    st.integers(-10**15, 10**15).map(float),
-    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
-)
-_finite = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([0.0, -0.0, 5e-324, 1e12, 1e17, 999999999999.5, 7.0]),
-)
+def reference_csv(doc) -> str:
+    payload = reference_payload(doc)
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(["metric", "source", "target", "value"])
+    for metric in sorted(payload["vertices"]):
+        w.writerows([metric, label, "", f"{val:.12g}"]
+                    for label, val in payload["vertices"][metric].items())
+    for metric in sorted(payload["edges"]):
+        w.writerows([metric, row["source"], row["target"], f"{row['value']:.12g}"]
+                    for row in payload["edges"][metric])
+    return out.getvalue()
+
+
 _labels = st.text(
     alphabet=st.one_of(st.sampled_from('"\\,\n\t\x00 /aZ{}é'), st.characters()),
     min_size=1,
     max_size=6,
 )
-_metric = st.sampled_from(["degree", "harmonic", "betweenness", "edge-betweenness", "x\"y"])
+_METRICS = ("degree", "harmonic", "betweenness", "edge-betweenness")
 
 
 @st.composite
 def _documents(draw):
-    vertex_tables = draw(st.dictionaries(
-        _metric, st.dictionaries(_labels, _values, max_size=8), max_size=3))
-    # all-finite tables take the by-column path, a NaN or inf the per-value one
-    finite_row, any_row = (st.fixed_dictionaries(
-        {"source": _labels, "target": _labels, "value": v}) for v in (_finite, _values))
-    edge_tables = draw(st.dictionaries(_metric, st.one_of(
-        st.lists(finite_row, max_size=8), st.lists(any_row, max_size=8)), max_size=2))
-    rankings = {
-        "vertices": {m: sorted(t, key=str.lower) for m, t in vertex_tables.items()},
-        "edges": draw(st.dictionaries(
-            _metric, st.lists(st.lists(_labels, min_size=2, max_size=2), max_size=8), max_size=2)),
-    }
-    metadata = {
-        "tool": "relcentral",
-        "version": draw(_labels),
-        "graph": draw(_labels),
-        "weighted": draw(st.booleans()),
-        "f": draw(st.sampled_from(["product", "path-prod", "matrix"])),
-        "relevance": draw(_labels),
-        "extra": draw(st.one_of(st.none(), st.integers(), _values, _labels,
-                                st.lists(_values, max_size=3),
-                                st.lists(st.fixed_dictionaries({"{x}": _finite, '"q"': _labels}),
-                                         max_size=4))),
-    }
-    return ResultDocument(metadata, vertex_tables, edge_tables, rankings)
+    """The result document of a graph with hard labels, random relevance
+    (values from 1e-3 to 1e7, so results span many magnitudes) and a
+    random subset of the metrics in random order."""
+    labels = draw(st.lists(_labels, min_size=1, max_size=8, unique=True))
+    n = len(labels)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] < p[1]), unique=True, max_size=12))
+    weights = draw(st.one_of(st.none(), st.lists(st.sampled_from([0.5, 1.0, 1.5, 3.0]),
+                                                 min_size=len(pairs), max_size=len(pairs))))
+    records = [(labels[a], labels[b]) if weights is None else (labels[a], labels[b], w)
+               for (a, b), w in zip(pairs, weights or [None] * len(pairs))]
+    g = build_graph(records, vertices=labels)
+    R = RelevanceVector(np.array(draw(st.lists(
+        st.floats(1e-3, 1e7), min_size=n, max_size=n))))
+    reports = []
+    for metric in draw(st.lists(st.sampled_from(_METRICS), unique=True)):
+        if metric == "degree":
+            reports.append(degree_centrality(g, R))
+        elif metric == "harmonic":
+            reports.append(harmonic_centrality(g, R))
+        else:
+            vrep, erep = betweenness_reports(g, R)
+            reports.append(vrep if metric == "betweenness" else erep)
+    return build_result_document(g, reports, draw(_labels))
 
 
-# a table is written _PIECE items at a time: at 1 and 3 every table of the
-# strategy crosses piece boundaries, and a NaN or inf sends only its piece
-# down the per-value path
+# a table is written _PIECE items at a time: at 1 and 3 most tables of the
+# strategy cross piece boundaries
 @pytest.mark.parametrize("piece", [1, 3, io_formats._PIECE])
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -510,23 +531,22 @@ def test_results_json_bytes_match_the_json_module(monkeypatch, piece, doc):
     monkeypatch.setattr(io_formats, "_PIECE", piece)
     assert write_results_json(doc) == reference_json(doc)
     assert "".join(results_json_pieces(doc)).encode("ascii") == write_results_json(doc)
+    assert csv_text(doc) == reference_csv(doc)
 
 
-@pytest.mark.parametrize("piece", [1, 3])
-def test_results_json_non_finite_value_in_a_later_piece(monkeypatch, piece):
-    monkeypatch.setattr(io_formats, "_PIECE", piece)
-    values = [0.5, 1.0 / 3, 2.0, 7.0, float("nan"), 1e300, float("-inf"), 3.0]
-    labels = [f"v{i}" for i in range(len(values))]
-    doc = ResultDocument(
-        {"tool": "relcentral"},
-        {"degree": dict(zip(labels, values))},
-        {"edge-betweenness": [{"source": a, "target": b, "value": v}
-                              for a, b, v in zip(labels, labels[1:], values[3:] + values)]},
-        {"vertices": {"degree": labels}, "edges": {"edge-betweenness": [[a, "w"] for a in labels]}},
-    )
-    pieces = list(results_json_pieces(doc))
-    assert max(p.count("\n") for p in pieces) <= 5 * piece
-    assert "".join(pieces).encode("ascii") == reference_json(doc)
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("kind", ["vertex", "edge"])
+def test_results_refuse_a_non_finite_value(bad, kind):
+    # _make_report refuses one, so only a report built by hand can hold it
+    g = weighted_ring()
+    rep = reports_for(g)[1 if kind == "vertex" else 2]
+    values = rep.values.copy()
+    values[-1] = bad
+    doc = build_result_document(g, [dataclasses.replace(rep, values=values)], "g")
+    with pytest.raises(ValueError, match="non-finite"):
+        results_json_pieces(doc)  # at the call, before any piece
+    with pytest.raises(ValueError, match="non-finite"):
+        write_results_csv(doc, io.StringIO())
 
 
 _flat_floats = st.one_of(
@@ -542,9 +562,9 @@ _flat_floats = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_flat_floats, min_size=1, max_size=12))
-def test_json_flat_floats_match_float_repr_of_the_12_digit_value(values):
+def test_json_floats_match_float_repr_of_the_12_digit_value(values):
     want = [float.__repr__(float(f"{x:.12g}")) for x in values]
-    assert _json_flat(values) == want
+    assert _json_floats(np.array(values)) == want
 
 
 def test_results_json_bytes_match_for_every_metric_and_f():
@@ -587,7 +607,7 @@ def test_results_csv_quotes_labels_and_reads_back():
     assert rows[0] == ["metric", "source", "target", "value"]
     assert all(len(r) == 4 for r in rows)
     degree = {r[1]: float(r[3]) for r in rows if r[0] == "degree"}
-    assert degree == {lab: pytest.approx(doc.vertex_tables["degree"][lab]) for lab in labels}
+    assert degree == {lab: pytest.approx(doc.reports[0].value_of(lab)) for lab in labels}
     assert all(r[2] == "" for r in rows if r[0] == "degree")
     edges = [(r[1], r[2]) for r in rows if r[0] == "edge-betweenness"]
     assert edges == list(zip(labels, labels[1:]))
