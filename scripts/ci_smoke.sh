@@ -10,8 +10,10 @@
 #   quoted    about 100000 rows, many chunks: a quoted label in the last
 #             row sends only the last chunk through csv.reader, the result
 #             bytes do not change, and they are the json module's
+#   experiment  a tiny correlation grid gives 8 rows and the same CSV
+#             bytes at --workers 1 and 2
 #
-# Usage: scripts/ci_smoke.sh florence version workers quoted
+# Usage: scripts/ci_smoke.sh florence version workers quoted experiment
 set -euo pipefail
 
 tmp="$(mktemp -d)"
@@ -59,6 +61,15 @@ import json, sys
 b = open(sys.argv[1], "rb").read()
 assert b == (json.dumps(json.loads(b), sort_keys=True, indent=2) + "\n").encode()
 EOF
+      ;;
+    experiment)
+      # a tiny grid: spearman ranks with numpy
+      echo '{"kinds": ["regular", "random"], "sizes": [30], "r": [0.5], "f": ["product", "path-sum"], "metrics": ["betweenness", "harmonic"], "seeds": [0], "d": 4}' > "$tmp/grid.json"
+      for k in 1 2; do
+        relcentral experiment --grid "$tmp/grid.json" --workers "$k" --out "$tmp/corr_$k.csv"
+      done
+      cmp "$tmp/corr_1.csv" "$tmp/corr_2.csv"
+      test "$(wc -l < "$tmp/corr_1.csv")" -eq 9
       ;;
     *)
       echo "unknown check: $check" >&2

@@ -1,5 +1,5 @@
 """Source blocks sized from the graph, and the ordered map that runs the
-engine over them (and the experiment over its cells).
+engine over them.
 
 The engine computes harmonic closeness and vertex/edge betweenness one
 block of sources at a time, and a block's per-level arrays grow with

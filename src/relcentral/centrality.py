@@ -24,6 +24,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._batched import block
 from ._sweep import sweep
 from .errors import (
     LengthMismatchError,
@@ -165,8 +166,6 @@ def _path_reports(
     whether or not betweenness rides along.
     """
     R, relevance_source = _resolve(g, R, relevance_source)
-    from ._batched import block  # loaded by the first path request, not at import
-
     h, vb, eb = sweep(block, g, R, f, workers, harmonic, betweenness)
     kw = dict(f=f, relevance_source=relevance_source, weighted=g.weighted)
     hrep = vrep = erep = None

@@ -14,15 +14,12 @@ from __future__ import annotations
 
 import csv
 import json
-import threading
 import time
 from dataclasses import dataclass
-from itertools import count
 from itertools import product as iproduct
 
 import numpy as np
 
-from ._sweep import _ordered
 from .centrality import harmonic_centrality, vertex_betweenness
 from .errors import ExperimentCellError, LengthMismatchError
 from .generators import (
@@ -159,6 +156,14 @@ def _integer(key: str, x) -> int:
     return int(x)
 
 
+def _number(key: str, x) -> float:
+    """``x`` of the grid config's ``key`` as a float; anything but a JSON
+    number is refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"grid {key}: expected a number, got {x!r}")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class ExperimentGrid:
     kinds: tuple[str, ...] = KINDS
@@ -179,6 +184,11 @@ class ExperimentGrid:
         for r in self.rs:
             if not 0.0 <= r <= 1.0:
                 raise ValueError(f"relevance fraction {r} outside [0, 1]")
+        if Variant.MATRIX in self.fs:
+            raise ValueError("grid f: the matrix variant needs an F table, and a grid carries none")
+        for s in self.seeds:
+            if s < 0:
+                raise ValueError(f"grid seeds: expected a non-negative integer, got {s}")
         for n in self.sizes:  # before any cell is built
             _check_degree(n, self.d)
 
@@ -219,7 +229,7 @@ class ExperimentGrid:
         if "sizes" in raw:
             kwargs["sizes"] = tuple(_integer("sizes", n) for n in raw["sizes"])
         if "r" in raw:
-            kwargs["rs"] = tuple(float(r) for r in raw["r"])
+            kwargs["rs"] = tuple(_number("r", r) for r in raw["r"])
         if "f" in raw:
             kwargs["fs"] = tuple(Variant(v) for v in raw["f"])
         if "metrics" in raw:
@@ -260,50 +270,49 @@ def _build_network(kind: str, n: int, d: int, seed: int) -> Graph:
     return watts_strogatz(GeneratorConfig(n=n, d=d, p=1.0, seed=2 * seed))
 
 
-def _metric_values(g: Graph, R: RelevanceVector | None, f: RelevanceFunction, metric: str):
+def _metric_values(
+    g: Graph, R: RelevanceVector | None, f: RelevanceFunction, metric: str, workers: int
+):
     if metric == "betweenness":
-        return vertex_betweenness(g, R, f).values
-    return harmonic_centrality(g, R, f).values
+        return vertex_betweenness(g, R, f, workers).values
+    return harmonic_centrality(g, R, f, workers).values
 
 
 def run_grid(grid: ExperimentGrid, workers: int = 1, progress=None) -> list[CorrelationRecord]:
-    """Evaluate every cell; rows come back sorted by cell id.
+    """Evaluate every cell; rows come back in ``grid.cells()`` order.
 
-    Graphs, classic baselines, and relevance vectors are shared across
-    the cells that agree on them, then weighted metrics run per cell
-    (possibly in parallel; the output order is fixed either way).
-    ``progress(done, total, cell, seconds)``, if given, is called as each
-    cell finishes, with the number of cells finished so far and the
-    cell's own wall time; calls never overlap, even with ``workers`` > 1.
+    Graphs, classic baselines, and relevance vectors are built by the
+    first cell that needs them and shared with the cells that agree on
+    them. ``workers`` runs the source blocks of each sweep, as in
+    ``compute``; the rows do not depend on it.
+    ``progress(done, total, cell, seconds)``, if given, is called after
+    each cell, with the number of cells done so far and the cell's wall
+    time, which includes whatever the cell was first to build.
     """
     cells = grid.cells()
-
     graphs: dict = {}
     classic: dict = {}
     relevances: dict = {}
-    for c in cells:
+    records = []
+    for done, c in enumerate(cells, 1):
+        t0 = time.perf_counter()
         try:
             gk = _graph_key(c)
             if gk not in graphs:
                 graphs[gk] = _build_network(c.kind, c.n, grid.d, c.seed)
+            g = graphs[gk]
             ck = gk + (c.metric,)
             if ck not in classic:
                 classic[ck] = _metric_values(
-                    graphs[gk], None, RelevanceFunction(Variant.PRODUCT), c.metric
+                    g, None, RelevanceFunction(Variant.PRODUCT), c.metric, workers
                 )
+            base = classic[ck]
             rk = (c.n, c.r, c.seed)
             if rk not in relevances:
                 relevances[rk] = assign_relevance(c.n, grid.d, c.r, 2 * c.seed + 1)
-        except Exception as exc:
-            raise ExperimentCellError(c.cell_id, str(exc)) from exc
-
-    def run_cell(c: ExperimentCell) -> CorrelationRecord:
-        try:
-            g = graphs[_graph_key(c)]
-            base = classic[_graph_key(c) + (c.metric,)]
-            R = relevances[(c.n, c.r, c.seed)]
-            ext = _metric_values(g, R, RelevanceFunction(c.f), c.metric)
-            return CorrelationRecord(
+            R = relevances[rk]
+            ext = _metric_values(g, R, RelevanceFunction(c.f), c.metric, workers)
+            records.append(CorrelationRecord(
                 kind=c.kind,
                 n=c.n,
                 p=c.p,
@@ -318,22 +327,12 @@ def run_grid(grid: ExperimentGrid, workers: int = 1, progress=None) -> list[Corr
                 constant_flag=constant_input(base)
                 or constant_input(ext)
                 or constant_input(R.values),
-            )
+            ))
         except Exception as exc:
             raise ExperimentCellError(c.cell_id, str(exc)) from exc
-
-    finished, reporting = count(1), threading.Lock()
-
-    def timed_cell(c: ExperimentCell) -> CorrelationRecord:
-        t0 = time.perf_counter()
-        rec = run_cell(c)
         if progress is not None:
-            seconds = time.perf_counter() - t0
-            with reporting:  # one report at a time, numbered in the order they are made
-                progress(next(finished), len(cells), c, seconds)
-        return rec
-
-    return list(_ordered(timed_cell, cells, workers))
+            progress(done, len(cells), c, time.perf_counter() - t0)
+    return records
 
 
 CSV_COLUMNS = (

@@ -337,7 +337,7 @@ def test_experiment_bad_degree_is_input_error_before_any_cell(tmp_path, monkeypa
 
 
 def test_experiment_failing_cell_is_compute_error(tmp_path, monkeypatch, capsys):
-    def overflow(*args):
+    def overflow(g, R, f, metric, workers):
         raise SigmaOverflowError("harmonic accumulation overflowed to a non-finite value")
 
     monkeypatch.setattr(experiments, "_metric_values", overflow)

@@ -141,6 +141,12 @@ def test_grid_from_json_rejects_unknown_keys(tmp_path):
     ({"seeds": [0, 1.5]}, "grid seeds: expected an integer, got 1.5"),
     ({"d": 4.5}, "grid d: expected an integer, got 4.5"),
     ({"d": [4]}, "grid d: expected an integer, got [4]"),
+    ({"seeds": [0, -1]}, "grid seeds: expected a non-negative integer, got -1"),
+    ({"f": ["product", "matrix"]}, "grid f: the matrix variant needs an F table"),
+    ({"r": [None]}, "grid r: expected a number, got None"),
+    ({"r": ["0.5"]}, "grid r: expected a number, got '0.5'"),
+    ({"r": [True]}, "grid r: expected a number, got True"),
+    ({"r": [[0.5]]}, "grid r: expected a number, got [0.5]"),
 ])
 def test_grid_from_json_rejects_wrong_kinds_of_value(tmp_path, cfg, message):
     path = tmp_path / "grid.json"
@@ -194,29 +200,34 @@ def test_run_grid_workers_deterministic():
     assert r1 == r4
 
 
-def test_run_grid_progress_counts_every_cell_once_across_threads():
+def test_run_grid_progress_reports_every_cell_once_in_order():
     grid = small_grid(seeds=(0, 1))
-    reports, overlapping, busy = [], [], []
+    reports = []
 
     def progress(done, total, cell, seconds):
-        overlapping.append(bool(busy))
-        busy.append(1)
         reports.append((done, total, cell.cell_id, seconds))
-        busy.pop()
 
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        recs = run_grid(grid, workers=8, progress=progress)
-    finally:
-        sys.setswitchinterval(old)
+    recs = run_grid(grid, workers=8, progress=progress)
     cells = grid.cells()
     assert recs == run_grid(grid)
-    assert not any(overlapping)
     assert [r[0] for r in reports] == list(range(1, len(cells) + 1))
     assert {r[1] for r in reports} == {len(cells)}
-    assert sorted(r[2] for r in reports) == sorted(c.cell_id for c in cells)
+    assert [r[2] for r in reports] == [c.cell_id for c in cells]
     assert all(r[3] >= 0.0 for r in reports)
+
+
+def test_run_grid_hands_workers_to_every_sweep(monkeypatch):
+    grid = small_grid(kinds=("regular", "random"), metrics=("betweenness", "harmonic"))
+    handed, metric_values = [], experiments._metric_values
+
+    def spy(g, R, f, metric, workers):
+        handed.append((R is None, workers))
+        return metric_values(g, R, f, metric, workers)
+
+    monkeypatch.setattr(experiments, "_metric_values", spy)
+    run_grid(grid, workers=3)
+    # one classic baseline per graph and metric, one weighted sweep per cell
+    assert sorted(handed) == [(False, 3)] * len(grid.cells()) + [(True, 3)] * 4
 
 
 def test_run_grid_builds_each_ring_lattice_once(tmp_path, monkeypatch):
@@ -244,10 +255,10 @@ def test_run_grid_builds_each_ring_lattice_once(tmp_path, monkeypatch):
 def test_run_grid_annotates_failing_cell(monkeypatch):
     metric_values = experiments._metric_values
 
-    def failing(g, R, f, metric):
+    def failing(g, R, f, metric, workers):
         if f.variant is Variant.PATH_SUM:
             raise ValueError("no path-sum today")
-        return metric_values(g, R, f, metric)
+        return metric_values(g, R, f, metric, workers)
 
     monkeypatch.setattr(experiments, "_metric_values", failing)
     with pytest.raises(ExperimentCellError) as ei:
