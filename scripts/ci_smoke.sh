@@ -11,7 +11,8 @@
 #             row sends only the last chunk through csv.reader, the result
 #             bytes do not change, and they are the json module's
 #   experiment  a tiny correlation grid gives 8 rows and the same CSV
-#             bytes at --workers 1 and 2
+#             bytes at --workers 1 and 2, and a grid with an integer too
+#             large for a float exits 2 with an error line, no traceback
 #
 # Usage: scripts/ci_smoke.sh florence version workers quoted experiment
 set -euo pipefail
@@ -70,6 +71,13 @@ EOF
       done
       cmp "$tmp/corr_1.csv" "$tmp/corr_2.csv"
       test "$(wc -l < "$tmp/corr_1.csv")" -eq 9
+      printf '{"r": [1%0400d]}\n' 0 > "$tmp/huge.json"  # 1 and 400 zeros
+      code=0
+      relcentral experiment --grid "$tmp/huge.json" --out "$tmp/huge.csv" 2> "$tmp/huge.err" || code=$?
+      cat "$tmp/huge.err"
+      test "$code" -eq 2
+      grep -q '^error: ' "$tmp/huge.err"
+      if grep -q Traceback "$tmp/huge.err"; then exit 1; fi
       ;;
     *)
       echo "unknown check: $check" >&2

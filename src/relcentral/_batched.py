@@ -1,6 +1,16 @@
 """Block engine for harmonic closeness and betweenness, any positive weights.
 
-Sources run in the blocks of ``_sweep``, whose size comes from the graph.
+Sources run in blocks (``sweep``), and a block's per-level arrays grow
+with b times the neighbor slots of a level. ``block_size`` probes the
+graph once: the engine's own BFS from one source, the vertex of highest
+degree, whose widest level stands for every source's, gives b so that a
+block's widest level spans about ``LEVEL_SLOTS`` slots (the batch sizing
+of multi-source BFS; Then et al., PVLDB 8(4), 2014), at most ``BLOCK``
+sources and at most what fits ``BUDGET`` bytes of DAG arcs. The block
+size never depends on the worker count and block credit is merged in
+block order as it arrives, so any level of parallelism produces the
+same bytes.
+
 The b sources of a block see the graph as flat nodes s*V + x (vertex x
 seen from source s), and one of two front-ends lays their shortest-path
 DAGs out level by level: the reached nodes of each level and the DAG
@@ -38,15 +48,23 @@ the exact ratios, while path f needs the counts as floats and raises
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._sweep import _firsts, _ranges, sweep
-from .errors import SigmaOverflowError
+from .errors import ResourceLimitError, SigmaOverflowError
 from .graph import Graph
 from .relevance import RelevanceFunction, RelevanceVector, Variant, pair_values
 
+BLOCK = 256  # the most sources in a block
+LEVEL_SLOTS = 1 << 17  # neighbor slots in a block's widest level
+BUDGET = 1 << 30  # bytes of DAG arcs for the blocks that run at once
+# bytes per DAG arc: a source's DAG has at most m arcs, and the traced
+# peak of a one-source block on WS n=100000, d=10 was at most 71.4 bytes
+# per edge (unit and positive weights, product and path f)
+ARC_BYTES = 72
 EXACT_LIMIT = 2.0**53
 # two path lengths tie when they differ by at most TIE_TOL * max(1, either)
 TIE_TOL = 1e-12
@@ -80,6 +98,20 @@ def _offsets(sizes) -> np.ndarray:
     out = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(sizes, out=out[1:])
     return out
+
+
+def _ranges(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] .. starts[i] + counts[i], concatenated."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
+
+
+def _firsts(a: np.ndarray) -> np.ndarray:
+    """Where an ascending array starts a run of equal values."""
+    first = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return first
 
 
 def _ragged(counts: np.ndarray, starts: np.ndarray):
@@ -402,10 +434,90 @@ def block(g, R, f, S: np.ndarray, harmonic: bool, betweenness: bool):
     return hv, np.bincount(vert[b:], node_credit, n), np.bincount(edge, credit, g.edge_count)
 
 
+# --- source blocks, and the ordered map that runs them ---
+
+
+def _fit(g) -> int:
+    """How many sources' DAG arcs fit the byte budget."""
+    return BUDGET // (ARC_BYTES * max(1, g.edge_count))
+
+
+def block_size(g) -> int:
+    """Sources per block, a function of the graph alone: ``LEVEL_SLOTS``
+    over the neighbor slots of the widest level of one BFS from the
+    vertex of highest degree (the lowest such index on ties), clamped to
+    1..``BLOCK`` and to what fits ``BUDGET``. Raises
+    ``ResourceLimitError`` when not even one source fits."""
+    fit = _fit(g)
+    if fit < 1:
+        raise ResourceLimitError(
+            f"one source's shortest-path DAG over {g.edge_count} edges needs about "
+            f"{ARC_BYTES * g.edge_count} bytes, more than the {BUDGET}-byte budget"
+        )
+    peak = 0
+    if g.vertex_count:
+        deg = np.diff(g.neighbor_csr[0])
+        dag = _bfs(g, np.array([np.argmax(deg)]))
+        # one source: its flat nodes are the vertices, each level nonempty
+        peak = int(np.add.reduceat(deg[dag.node], dag.cut[:-1]).max())
+    return max(1, min(LEVEL_SLOTS // max(1, peak), BLOCK, fit))
+
+
+def _ordered(run, starts: Sequence, workers: int):
+    """``run`` over ``starts``, yielded in order, with at most ``workers``
+    items running and twice that many begun and not yet yielded."""
+    if workers <= 1:
+        yield from map(run, starts)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ahead = deque(pool.submit(run, i) for i in starts[:2 * workers])
+        try:
+            for i in starts[2 * workers:]:
+                part = ahead.popleft().result()
+                ahead.append(pool.submit(run, i))
+                yield part
+            while ahead:
+                yield ahead.popleft().result()
+        finally:  # a failed block: start no more
+            for fut in ahead:
+                fut.cancel()
+
+
+def sweep(g, R, f, workers: int, harmonic: bool, betweenness: bool):
+    """Run ``block`` over the source blocks and merge its parts.
+
+    ``block`` returns, for the sources of a block, their harmonic values
+    and the block's vertex and edge betweenness credit, with None for the
+    parts not asked for. Returns ``(harmonic, vertex, edge)`` arrays,
+    None where not asked for.
+    """
+    n, b = g.vertex_count, block_size(g)
+    starts = range(0, n, b)
+    # as many blocks at once as the budget holds; never a smaller block
+    workers = min(workers, len(starts), _fit(g) // b)
+
+    def run(i):
+        return block(g, R, f, np.arange(i, min(i + b, n)), harmonic, betweenness)
+
+    h = np.zeros(n) if harmonic else None
+    vb = np.zeros(n) if betweenness else None
+    eb = np.zeros(g.edge_count) if betweenness else None
+    # the parts first, so that the pool has shut down when the loop ends
+    for (ph, pv, pe), i in zip(_ordered(run, starts, workers), starts):
+        if harmonic:
+            h[i:i + b] = ph
+        if betweenness:
+            vb += pv
+            eb += pe
+    return h, vb, eb
+
+
 def batched_betweenness(g: Graph, R: RelevanceVector, f: RelevanceFunction, workers: int = 1):
-    _, vb, eb = sweep(block, g, R, f, workers, harmonic=False, betweenness=True)
+    _, vb, eb = sweep(g, R, f, workers, harmonic=False, betweenness=True)
     return vb, eb
 
 
 def batched_harmonic(g: Graph, R: RelevanceVector, f: RelevanceFunction, workers: int = 1):
-    return sweep(block, g, R, f, workers, harmonic=True, betweenness=False)[0]
+    return sweep(g, R, f, workers, harmonic=True, betweenness=False)[0]

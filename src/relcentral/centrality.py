@@ -7,9 +7,9 @@ pairs, so both (s,t) and (t,s) contribute; vertex betweenness credits
 interior vertices only, edge betweenness credits every edge of a path
 including the ones touching its endpoints.
 
-Harmonic closeness and betweenness run over blocks of sources sized
-from the graph (``_sweep``) in one engine, ``_batched``, so one sweep
-serves both when both are asked for. Per block it lays the shortest-path
+Harmonic closeness and betweenness come from one engine, ``_batched``,
+whose ``sweep`` runs blocks of sources sized from the graph, so one
+sweep serves both when both are asked for. Per block it lays the shortest-path
 DAGs out level by level, from a BFS on unit weights and from
 label-correcting distances on any others, and each recurrence over them
 is one ``bincount`` per level, with numpy alone. Block partials are
@@ -24,8 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._batched import block
-from ._sweep import sweep
+from ._batched import sweep
 from .errors import (
     LengthMismatchError,
     PathVariantNotApplicableError,
@@ -166,7 +165,7 @@ def _path_reports(
     whether or not betweenness rides along.
     """
     R, relevance_source = _resolve(g, R, relevance_source)
-    h, vb, eb = sweep(block, g, R, f, workers, harmonic, betweenness)
+    h, vb, eb = sweep(g, R, f, workers, harmonic, betweenness)
     kw = dict(f=f, relevance_source=relevance_source, weighted=g.weighted)
     hrep = vrep = erep = None
     if harmonic:

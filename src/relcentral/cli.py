@@ -173,6 +173,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     cfg = GeneratorConfig(n=args.n, d=args.d, p=args.p, r=args.r, seed=2 * args.seed)
     g = ring_lattice(args.n, args.d) if args.kind == "ring" else watts_strogatz(cfg)
     R = assign_relevance(args.n, args.d, args.r, 2 * args.seed + 1)

@@ -151,17 +151,20 @@ class ExperimentCell:
 def _integer(key: str, x) -> int:
     """``x`` of the grid config's ``key`` as an int; a JSON number with a
     fraction, or anything else, is refused, not truncated."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)) or not float(x).is_integer():
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not _number(key, x).is_integer():
         raise ValueError(f"grid {key}: expected an integer, got {x!r}")
     return int(x)
 
 
 def _number(key: str, x) -> float:
     """``x`` of the grid config's ``key`` as a float; anything but a JSON
-    number is refused."""
+    number, or an integer too large for a float, is refused."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValueError(f"grid {key}: expected a number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"grid {key}: an integer too large for a float") from None
 
 
 @dataclass(frozen=True)

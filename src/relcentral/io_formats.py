@@ -247,18 +247,18 @@ def _filled(column: list[str]) -> np.ndarray:
     return np.fromiter(map(bool, column), bool, len(column))
 
 
-def _floats(cells: list[str]) -> tuple[list[float], int]:
-    """float() of each cell up to the first it rejects, and that cell's position."""
+def _float_cells(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """float() of every cell, 0.0 where float rejects it, and a mask of those cells."""
     try:
-        return list(map(float, cells)), len(cells)
+        return np.fromiter(map(float, cells), np.float64, len(cells)), np.zeros(len(cells), bool)
     except ValueError:
-        values = []
-        for text in cells:
+        values, bad = np.zeros(len(cells)), np.zeros(len(cells), bool)
+        for i, text in enumerate(cells):
             try:
-                values.append(float(text))
+                values[i] = float(text)
             except ValueError:
-                break
-        return values, len(values)
+                bad[i] = True
+        return values, bad
 
 
 def _first(mask: np.ndarray) -> int:
@@ -297,10 +297,9 @@ def _edge_records(path, line: int, cols: list[list[str]], wide: int | None):
     no_source = ~has_s & (has_t | has_w)
     orphan_weight = has_s & ~has_t & has_w
     weighted = has_s & has_t & has_w
-    at = np.flatnonzero(weighted)
-    weights, n_ok = _floats(list(compress(wtxt, weighted)))
+    values, bad = _float_cells(list(compress(wtxt, weighted)))
     bad_weight = np.zeros(end, dtype=bool)
-    bad_weight[at[n_ok:n_ok + 1]] = True
+    bad_weight[weighted] = bad
 
     k = _first(no_source | orphan_weight | bad_weight)
     if k < end:
@@ -311,6 +310,7 @@ def _edge_records(path, line: int, cols: list[list[str]], wide: int | None):
         raise MalformedRowError(path, line + k, f"bad weight {wtxt[k]!r}")
     if wide is not None:
         raise MalformedRowError(path, line + end, f"too many fields ({wide})")
+    weights = values.tolist()
     if has_s.all() and has_t.all() and len(weights) in (0, end):  # every row a record alike
         return src, tgt, weights or None
     # a row without a source is blank; one without a target a bare vertex
@@ -366,11 +366,11 @@ def load_relevance_csv(path, g: Graph) -> RelevanceVector:
         duplicate[known[np.unique(idx[known], return_index=True)[1]]] = False
         duplicate[known] |= listed_before[idx[known]]
         at = np.flatnonzero(listed)
-        values, n_ok = _floats(list(compress(vtxt, listed)))
+        values, bad = _float_cells(list(compress(vtxt, listed)))
         bad_value = np.zeros(end, dtype=bool)
-        bad_value[at[n_ok:n_ok + 1]] = True
+        bad_value[at] = bad
         x = np.ones(end)
-        x[at[:n_ok]] = values
+        x[at] = values  # a bad cell holds 0.0
         not_positive = ~(np.isfinite(x) & (x > 0.0))
 
         # per row, in the order the checks apply
@@ -406,20 +406,6 @@ def save_relevance_csv(R: RelevanceVector, g: Graph, path) -> None:
 
 
 # --- matrix f ---
-
-
-def _float_cells(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """float() of every cell, 0.0 where float rejects it, and a mask of those cells."""
-    try:
-        return np.fromiter(map(float, cells), np.float64, len(cells)), np.zeros(len(cells), bool)
-    except ValueError:
-        values, bad = np.zeros(len(cells)), np.zeros(len(cells), bool)
-        for i, text in enumerate(cells):
-            try:
-                values[i] = float(text)
-            except ValueError:
-                bad[i] = True
-        return values, bad
 
 
 def load_f_matrix_csv(path, g: Graph) -> RelevanceFunction:

@@ -14,7 +14,7 @@ from conftest import (
     weighted_ring,
 )
 from relcentral import _batched
-from relcentral._sweep import BLOCK
+from relcentral._batched import BLOCK
 from relcentral.centrality import (
     Metric,
     _make_report,

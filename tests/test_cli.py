@@ -11,7 +11,7 @@ import pytest
 
 import relcentral
 from relcentral import GeneratorConfig, assign_relevance, experiments, io_formats, watts_strogatz
-from relcentral._sweep import BLOCK
+from relcentral._batched import BLOCK
 from relcentral.centrality import (
     Metric,
     _make_report,
@@ -225,6 +225,15 @@ def test_generate_ring_ignores_p(tmp_path):
                  "--out-prefix", prefix]) == EXIT_OK
     text = (tmp_path / "ring.edges.csv").read_text()
     assert text.count("\n") == 1 + 24
+
+
+def test_generate_negative_seed_is_input_error(tmp_path, capsys):
+    prefix = tmp_path / "x"
+    code = main(["generate", "--kind", "ws", "--n", "10", "--d", "2", "--p", "0.5",
+                 "--seed", "-1", "--out-prefix", str(prefix)])
+    assert code == EXIT_INPUT
+    assert "--seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_generate_invalid_degree_is_input_error(tmp_path, capsys):

@@ -147,6 +147,10 @@ def test_grid_from_json_rejects_unknown_keys(tmp_path):
     ({"r": ["0.5"]}, "grid r: expected a number, got '0.5'"),
     ({"r": [True]}, "grid r: expected a number, got True"),
     ({"r": [[0.5]]}, "grid r: expected a number, got [0.5]"),
+    ({"r": [10**400]}, "grid r: an integer too large for a float"),
+    ({"sizes": [10**400]}, "grid sizes: an integer too large for a float"),
+    ({"seeds": [0, -10**400]}, "grid seeds: an integer too large for a float"),
+    ({"d": 10**400}, "grid d: an integer too large for a float"),
 ])
 def test_grid_from_json_rejects_wrong_kinds_of_value(tmp_path, cfg, message):
     path = tmp_path / "grid.json"

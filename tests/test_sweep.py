@@ -3,10 +3,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_relevance
-from relcentral import _sweep
-from relcentral._sweep import BLOCK, _peak_slots, block_size, sweep
+from relcentral import _batched
+from relcentral._batched import BLOCK, _firsts, _ranges, block_size, sweep
 from relcentral.centrality import _path_reports
 from relcentral.cli import EXIT_COMPUTE, main
 from relcentral.errors import ResourceLimitError
@@ -28,11 +30,39 @@ def _ws600():
     return watts_strogatz(GeneratorConfig(n=600, d=10, p=1.0, seed=3))
 
 
-def _spy(blocks, delay=0.0):
-    """A kernel that records its sources and returns zero credit."""
+def _peak_slots(g) -> int:
+    """Neighbor slots of the widest level of one BFS from the vertex of
+    highest degree, the lowest such index on ties: a plain frontier loop,
+    the reference for the engine's own BFS that ``block_size`` reads."""
+    if not g.vertex_count:
+        return 0
+    indptr, nbr, _ = g.neighbor_csr
+    deg = np.diff(indptr)
+    x = np.array([np.argmax(deg)])
+    seen = np.zeros(g.vertex_count, dtype=bool)
+    seen[x] = True
+    peak = 0
+    while len(x):
+        slots = deg[x]
+        peak = max(peak, int(slots.sum()))
+        y = nbr[_ranges(slots, indptr[x])]
+        y = np.sort(y[~seen[y]])
+        x = y[_firsts(y)]
+        seen[x] = True
+    return peak
+
+
+def _reference_block_size(g) -> int:
+    peak = _peak_slots(g)
+    return max(1, min(_batched.LEVEL_SLOTS // max(1, peak), _batched.BLOCK, _batched._fit(g)))
+
+
+def _spy(monkeypatch, blocks, delay=0.0):
+    """Replaces the engine's block with one that records its sources and
+    returns zero credit; returns [blocks running now, most at once]."""
     running, lock = [0, 0], threading.Lock()  # now, most at once
 
-    def kernel(g, R, f, S, harmonic, betweenness):
+    def spy(g, R, f, S, harmonic, betweenness):
         with lock:
             blocks.append(S.tolist())
             running[0] += 1
@@ -42,7 +72,8 @@ def _spy(blocks, delay=0.0):
             running[0] -= 1
         return np.zeros(len(S)), np.zeros(g.vertex_count), np.zeros(g.edge_count)
 
-    return kernel, running
+    monkeypatch.setattr(_batched, "block", spy)
+    return running
 
 
 def test_block_size_keeps_the_cap_on_narrow_levels():
@@ -55,12 +86,45 @@ def test_block_size_shrinks_on_wide_levels():
     assert block_size(_ws600()) < 64
 
 
-def test_probe_starts_at_the_lowest_vertex_of_highest_degree():
+def test_probe_starts_at_the_lowest_vertex_of_highest_degree(monkeypatch):
     # path a-b-c-d-e with indices c=0, d=1, b=2, all three of degree 2:
     # from c the widest level is {b, d} with 4 slots, from b or d 3
     g = build_graph([("c", "d"), ("b", "c"), ("d", "e"), ("a", "b")])
     assert _peak_slots(g) == 4
     assert block_size(g) == BLOCK
+    monkeypatch.setattr(_batched, "LEVEL_SLOTS", 12)
+    assert block_size(g) == 3  # 12 // 4; from b or d it would be 12 // 3
+
+
+def test_probe_counts_the_deepest_level(monkeypatch):
+    # x (index 0, degree 3) to y1..y3, each y to one z, the z a triangle:
+    # levels of 3, 6 and 9 slots, the deepest the widest
+    g = build_graph([("x", "y1"), ("x", "y2"), ("x", "y3"), ("y1", "z1"), ("y2", "z2"),
+                     ("y3", "z3"), ("z1", "z2"), ("z2", "z3"), ("z1", "z3")])
+    assert _peak_slots(g) == 9
+    monkeypatch.setattr(_batched, "LEVEL_SLOTS", 18)
+    assert block_size(g) == 2  # 18 // 9; without the deepest level 18 // 6
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40), weighted=st.booleans())
+def test_block_size_matches_the_reference_probe(seed, n, weighted):
+    # edges among a random subset, so some graphs have none and most
+    # have isolated vertices, at low indices too
+    rng = np.random.default_rng(seed)
+    labels = [f"v{i}" for i in range(n)]
+    pairs = rng.integers(0, max(1, n), size=(int(rng.integers(0, 2 * n + 1)), 2))
+    pairs = {(min(a, b), max(a, b)) for a, b in pairs.tolist() if a != b and min(a, b) % 3}
+    records = [(labels[a], labels[b], float(rng.uniform(0.5, 2.0))) if weighted
+               else (labels[a], labels[b]) for a, b in sorted(pairs)]
+    g = build_graph(records, vertices=labels)
+    assert block_size(g) == _reference_block_size(g)
+    # with the clamps out of the way the size gives the probe's peak itself
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("BLOCK", "LEVEL_SLOTS"):
+            mp.setattr(_batched, name, 1 << 20)
+        mp.setattr(_batched, "BUDGET", 1 << 50)
+        assert block_size(g) == _reference_block_size(g) == (1 << 20) // max(1, _peak_slots(g))
 
 
 @pytest.mark.parametrize("records, vertices", [
@@ -77,13 +141,14 @@ def test_block_size_is_positive_without_edges_or_with_isolated_vertices(records,
     assert len(h.values) == g.vertex_count
 
 
-def test_blocks_never_depend_on_the_worker_count():
+def test_blocks_never_depend_on_the_worker_count(monkeypatch):
     g = _ws600()
     R = RelevanceVector.ones(g.vertex_count)
     seen = []
     for workers in (1, 2, 4):
         blocks = []
-        sweep(_spy(blocks)[0], g, R, PRODUCT, workers, True, True)
+        _spy(monkeypatch, blocks)
+        sweep(g, R, PRODUCT, workers, True, True)
         seen.append(sorted(blocks))
     assert seen[0] == seen[1] == seen[2]
     assert len(seen[0]) >= 10
@@ -110,21 +175,22 @@ def test_budget_limits_blocks_at_once_but_not_their_size(monkeypatch):
     g = _ws600()
     b = block_size(g)
     # room for the arcs of two blocks
-    monkeypatch.setattr(_sweep, "BUDGET", 2 * b * _sweep.ARC_BYTES * g.edge_count)
+    monkeypatch.setattr(_batched, "BUDGET", 2 * b * _batched.ARC_BYTES * g.edge_count)
     assert block_size(g) == b
     blocks = []
-    kernel, running = _spy(blocks, delay=0.005)
-    sweep(kernel, g, RelevanceVector.ones(g.vertex_count), PRODUCT, 4, True, True)
+    running = _spy(monkeypatch, blocks, delay=0.005)
+    sweep(g, RelevanceVector.ones(g.vertex_count), PRODUCT, 4, True, True)
     assert {len(S) for S in blocks[:-1]} == {b}
     assert running[1] <= 2
 
 
 def test_budget_below_one_source_raises_before_any_block(monkeypatch):
     g = ring_lattice(40, 4)
-    monkeypatch.setattr(_sweep, "BUDGET", _sweep.ARC_BYTES * g.edge_count - 1)
+    monkeypatch.setattr(_batched, "BUDGET", _batched.ARC_BYTES * g.edge_count - 1)
     blocks = []
+    _spy(monkeypatch, blocks)
     with pytest.raises(ResourceLimitError):
-        sweep(_spy(blocks)[0], g, RelevanceVector.ones(g.vertex_count), PRODUCT, 1, True, True)
+        sweep(g, RelevanceVector.ones(g.vertex_count), PRODUCT, 1, True, True)
     assert blocks == []
 
 
@@ -132,7 +198,7 @@ def test_budget_below_one_source_exits_3(tmp_path, monkeypatch, capsys):
     g = ring_lattice(40, 4)
     edges = str(tmp_path / "g.csv")
     save_edge_csv(g, edges)
-    monkeypatch.setattr(_sweep, "BUDGET", _sweep.ARC_BYTES * g.edge_count - 1)
+    monkeypatch.setattr(_batched, "BUDGET", _batched.ARC_BYTES * g.edge_count - 1)
     assert main(["compute", edges, "--metric", "harmonic"]) == EXIT_COMPUTE
     assert "budget" in capsys.readouterr().err
     assert main(["compute", edges, "--metric", "degree"]) == 0
