@@ -6,7 +6,7 @@
 #   version   the Florence result carries the installed package's version
 #             (after `florence`)
 #   workers   a graph of many source blocks gives the same JSON and CSV
-#             bytes at --workers 1 and 2
+#             bytes at --workers 1, 2 and 3
 #   quoted    about 100000 rows, many chunks: a quoted label in the last
 #             row sends only the last chunk through csv.reader, the result
 #             bytes do not change, and they are the json module's
@@ -40,11 +40,12 @@ EOF
     workers)
       relcentral generate --kind ws --n 600 --d 10 --p 1 --r 0.5 --out-prefix "$tmp/ws"
       for fmt in json csv; do
-        for k in 1 2; do
+        for k in 1 2 3; do
           relcentral compute "$tmp/ws.edges.csv" --relevance "$tmp/ws.relevance.csv" \
             --metric all --f path-prod --workers "$k" --format "$fmt" --out "$tmp/ws_$k.$fmt"
         done
         cmp "$tmp/ws_1.$fmt" "$tmp/ws_2.$fmt"
+        cmp "$tmp/ws_1.$fmt" "$tmp/ws_3.$fmt"
       done
       ;;
     quoted)

@@ -4,6 +4,10 @@ Three subcommands: ``compute`` runs metrics on CSV inputs, ``generate``
 writes synthetic network/relevance files, ``experiment`` runs the
 correlation grid. Exit codes: 0 ok, 2 bad input, 3 a computation blew
 a limit.
+
+``generate``, ``experiment`` and ``compute --engine oracle`` import the
+module they run when they start, so that a ``compute`` request loads
+only what it runs.
 """
 
 from __future__ import annotations
@@ -31,15 +35,7 @@ from .errors import (
     SigmaOverflowError,
     TooLargeError,
 )
-from .experiments import ExperimentGrid, run_grid, write_correlation_csv
-from .generators import GeneratorConfig, assign_relevance, ring_lattice, watts_strogatz
 from .graph import Graph, build_graph_chunks
-from .oracle import (
-    all_pairs_shortest_paths,
-    brute_betweenness,
-    brute_degree,
-    brute_harmonic,
-)
 from .relevance import RelevanceFunction, RelevanceVector, Variant
 
 EXIT_OK = 0
@@ -84,6 +80,8 @@ def _print_top10(rep: CentralityReport) -> None:
 
 def _oracle_reports(g, R, f, wanted: list[str], relevance_source: str):
     """Same report shapes as the fast path, values from brute enumeration."""
+    from .oracle import all_pairs_shortest_paths, brute_betweenness, brute_degree, brute_harmonic
+
     pair_paths = None
     if any(m in wanted for m in ("harmonic", "betweenness", "edge-betweenness")):
         pair_paths = all_pairs_shortest_paths(g)
@@ -173,6 +171,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .generators import GeneratorConfig, assign_relevance, ring_lattice, watts_strogatz
+
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     cfg = GeneratorConfig(n=args.n, d=args.d, p=args.p, r=args.r, seed=2 * args.seed)
@@ -189,6 +189,8 @@ def _print_progress(done: int, total: int, cell, seconds: float) -> None:
 
 
 def cmd_experiment(args) -> int:
+    from .experiments import ExperimentGrid, run_grid, write_correlation_csv
+
     _check_workers(args.workers)
     grid = ExperimentGrid.from_json(args.grid) if args.grid else ExperimentGrid()
     records = run_grid(grid, workers=args.workers, progress=_print_progress)
