@@ -13,8 +13,10 @@
 #   experiment  a tiny correlation grid gives 8 rows and the same CSV
 #             bytes at --workers 1 and 2, and a grid with an integer too
 #             large for a float exits 2 with an error line, no traceback
+#   grid      the default grid at --workers 1 gives the rows of
+#             tests/data/grid-default.csv (about 100 s; needs the test extra)
 #
-# Usage: scripts/ci_smoke.sh florence version workers quoted experiment
+# Usage: scripts/ci_smoke.sh florence version workers quoted experiment grid
 set -euo pipefail
 
 tmp="$(mktemp -d)"
@@ -79,6 +81,14 @@ EOF
       test "$code" -eq 2
       grep -q '^error: ' "$tmp/huge.err"
       if grep -q Traceback "$tmp/huge.err"; then exit 1; fi
+      ;;
+    grid)
+      relcentral experiment --workers 1 --out "$tmp/grid.csv" 2> /dev/null
+      PYTHONPATH="tests${PYTHONPATH:+:$PYTHONPATH}" python - "$tmp/grid.csv" <<'EOF'
+import sys
+from test_golden import DATA, assert_grid_matches
+assert_grid_matches(sys.argv[1], DATA / "grid-default.csv", 480)
+EOF
       ;;
     *)
       echo "unknown check: $check" >&2

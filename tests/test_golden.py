@@ -5,7 +5,10 @@ The inputs under ``tests/data/`` are the seed-1 inputs of three benchmark
 workloads, written once by ``perfbench/inputs.py`` (edges from
 ``make_graph(wl, 1)``, relevance from ``make_relevance(wl, 1, 0)``) and
 committed, so they do not depend on numpy's random streams.
-``grid-sizes-100.csv`` is ``relcentral experiment`` on ``{"sizes": [100]}``.
+``grid-sizes-100.csv`` is ``relcentral experiment`` on ``{"sizes": [100]}``,
+and ``grid-default.csv`` on the default grid (480 rows, about 100 s), which
+the ``grid`` check of ``scripts/ci_smoke.sh`` compares with
+``assert_grid_matches``.
 
 A change that moves any of these values changes a golden file on
 purpose and says so, with the reason and the largest change in value.
@@ -93,14 +96,11 @@ def _rows(path):
         return list(csv.DictReader(fh))
 
 
-def test_reduced_grid_is_golden(tmp_path, capsys):
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({"sizes": [100]}))
-    out = tmp_path / "corr.csv"
-    assert main(["experiment", "--grid", str(grid), "--workers", "1", "--out", str(out)]) == EXIT_OK
-    capsys.readouterr()
-    got, want = _rows(out), _rows(DATA / "grid-sizes-100.csv")
-    assert len(want) == 240
+def assert_grid_matches(got_path, want_path, rows: int):
+    """The key columns and ``constant_flag`` of a grid's CSV equal the
+    golden file's, and its four correlations are within 1e-12."""
+    got, want = _rows(got_path), _rows(want_path)
+    assert len(want) == rows
     assert [[r[k] for k in GRID_KEYS + ("constant_flag",)] for r in got] == \
         [[r[k] for k in GRID_KEYS + ("constant_flag",)] for r in want]
     # pearson's dot products go through BLAS, which may differ in the last
@@ -108,3 +108,12 @@ def test_reduced_grid_is_golden(tmp_path, capsys):
     for g, w in zip(got, want):
         for col in GRID_CORRELATIONS:
             assert round(abs(float(g[col]) - float(w[col])), 15) <= 1e-12, (g, col)
+
+
+def test_reduced_grid_is_golden(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"sizes": [100]}))
+    out = tmp_path / "corr.csv"
+    assert main(["experiment", "--grid", str(grid), "--workers", "1", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert_grid_matches(out, DATA / "grid-sizes-100.csv", 240)
