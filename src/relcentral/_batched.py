@@ -22,7 +22,13 @@ arcs, every arc running from a lower to a higher level.
   step expands from whichever side has fewer neighbor slots, the
   frontier (top-down) or the unvisited nodes (bottom-up; Beamer,
   Asanovic and Patterson, SC 2012); on low-diameter graphs that builds
-  and frees far fewer candidate arcs.
+  and frees far fewer candidate arcs. A top-down step finds its new
+  nodes by marking the kept heads and scanning the block when they
+  number at least a quarter of its nodes, and by sorting them when they
+  are fewer, so that thin levels of deep graphs skip the block-wide
+  pass. An arc's CSR slot is int32, read once by the edge credit; the
+  positions stay intp, which numpy's gathers and ``bincount`` take
+  without a cast.
 - Any weights (``_by_distance``): lockstep label-correcting distances
   over the flat nodes (``_distances``), the arcs p -> w where d[p] < d[w]
   and d[p] + weight ties d[w] within the relative ``TIE_TOL``, and a
@@ -34,7 +40,13 @@ Brandes 2008) is then one ``np.bincount`` per level: the path counts and
 the path-variant forward state from the sources down, over the arcs into
 each level, and the backward credit from the deepest level up, over the
 arcs out of each level. Edge credit gathers per CSR slot level by level,
-so no arc-sized array outlives its level. numpy only; no scipy.
+so no arc-sized array outlives its level. Beyond its DAG a block keeps
+a few arrays over its positions: sigma, each position's vertex, the
+pairwise f values (filled ``_PAIRS`` positions at a time) or the
+forward state, and the backward aggregates; the flat ids are dropped
+once each position's source and vertex are known, and the harmonic
+terms are written a level at a time into one array. numpy only; no
+scipy.
 
 Path counts are float64, exact integers while below 2**53, so that
 sigma_p / sigma_w is the correctly rounded ratio of the exact counts. A
@@ -62,8 +74,9 @@ BLOCK = 256  # the most sources in a block
 LEVEL_SLOTS = 1 << 17  # neighbor slots in a block's widest level
 BUDGET = 1 << 30  # bytes of DAG arcs for the blocks that run at once
 # bytes per DAG arc: a source's DAG has at most m arcs, and the traced
-# peak of a one-source block on WS n=100000, d=10 was at most 71.4 bytes
-# per edge (unit and positive weights, product and path f)
+# peak of a one-source block on WS n=100000, d=10 is at most 70.6 bytes
+# per edge (weights U(0.5, 2); unit weights 61.1 to 65.9), product and
+# path f
 ARC_BYTES = 72
 EXACT_LIMIT = 2.0**53
 # two path lengths tie when they differ by at most TIE_TOL * max(1, either)
@@ -71,6 +84,13 @@ TIE_TOL = 1e-12
 # slots per chunk of the distance front-end: its temporaries stay a few
 # hundred KB, in cache and recycled by the allocator instead of paged in
 _CHUNK = 1 << 16
+# positions per chunk of pairwise f, whose temporaries then stay below
+# the block's own arrays
+_PAIRS = 1 << 14
+# a top-down BFS step scans the block for its new nodes when its kept
+# heads number at least 1/_SCAN of the block's nodes, and sorts them
+# below that, so that a thin level never pays a pass over the block
+_SCAN = 4
 
 
 @dataclass
@@ -84,7 +104,8 @@ class _Dag:
     from ``base`` on, head the positions of level k. ``out[k]`` holds the
     arcs out of level k as (tail, base, head, slot): tail indexes the
     positions of level k, head positions from ``base`` on, and slot is
-    the edge's CSR slot.
+    the edge's CSR slot (int32 from ``_bfs``: the memory guard keeps 2m
+    far below 2**31).
     """
 
     node: np.ndarray
@@ -144,7 +165,7 @@ def _bfs(g: Graph, S: np.ndarray) -> _Dag:
     while True:
         depth = len(out)
         if deg[x].sum() <= unvisited_slots:
-            step = _top_down(g, level, pos, nodes, x)
+            step = _top_down(g, level, pos, nodes, x, depth)
         else:
             unvisited = (np.flatnonzero((level < 0) & np.tile(deg > 0, b))
                          if unvisited is None else unvisited[level[unvisited] < 0])
@@ -162,16 +183,22 @@ def _bfs(g: Graph, S: np.ndarray) -> _Dag:
     return _Dag(np.concatenate(levels), _offsets(list(map(len, levels))), None, into, out)
 
 
-def _top_down(g: Graph, level, pos, nodes, x):
-    """One step from the frontier ``nodes`` (vertices ``x``): the next
-    level and its arcs, read off the frontier's neighbor slots."""
+def _top_down(g: Graph, level, pos, nodes, x, depth: int):
+    """One step from the frontier ``nodes`` (vertices ``x``) at ``depth``:
+    the next level and its arcs, read off the frontier's neighbor slots.
+    The new nodes are the kept heads, ascending and each once, found by
+    a scan of the block or a sort (``_SCAN``)."""
     indptr, nbr, _ = g.neighbor_csr
     tp, slot = _ragged(indptr[x + 1] - indptr[x], indptr[x])
     head = (nodes - x)[tp] + nbr[slot]
     keep = np.flatnonzero(level[head] < 0)
-    tp, head, slot = tp[keep], head[keep], slot[keep]
-    new = np.sort(head)
-    new = new[_firsts(new)]
+    tp, head, slot = tp[keep], head[keep], slot[keep].astype(np.int32)
+    if _SCAN * len(head) >= len(level):
+        level[head] = depth + 1
+        new = np.flatnonzero(level == depth + 1)
+    else:
+        new = np.sort(head)
+        new = new[_firsts(new)]
     pos[new] = np.arange(len(new))
     return new, tp, pos[head], slot
 
@@ -185,7 +212,7 @@ def _bottom_up(g: Graph, level, pos, unvisited, depth: int):
     hi, slot = _ragged(indptr[y + 1] - indptr[y], indptr[y])
     tail = (unvisited - y)[hi] + nbr[slot]
     keep = np.flatnonzero(level[tail] == depth)
-    hi, tail, slot = hi[keep], tail[keep], slot[keep]
+    hi, tail, slot = hi[keep], tail[keep], slot[keep].astype(np.int32)
     first = _firsts(hi)  # hi ascends: the first arc into each head
     new = unvisited[hi[first]]
     pos[new] = np.arange(len(new))
@@ -295,7 +322,7 @@ def _by_distance(g: Graph, S: np.ndarray) -> _Dag:
 
 def _path_counts(dag: _Dag) -> np.ndarray:
     """sigma per position, in float64."""
-    cut, sigma = dag.cut, np.empty(len(dag.node))
+    cut, sigma = dag.cut, np.empty(dag.cut[-1])
     sigma[:cut[1]] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):  # callers check for inf
         for k, (base, t, h) in enumerate(dag.into, 1):
@@ -320,7 +347,7 @@ def _path_state(dag: _Dag, variant: Variant, sigma, r, vert) -> np.ndarray:
     """Per position, over the shortest paths to the node, the sum of
     their R products (PATH_PROD) or of their R totals (PATH_SUM); ``r``
     is R per vertex and ``vert`` the vertex per position."""
-    cut, fwd = dag.cut, np.empty(len(dag.node))
+    cut, fwd = dag.cut, np.empty(dag.cut[-1])
     fwd[:cut[1]] = r[vert[:cut[1]]]
     # an overflow to inf reaches the reports, which raise SigmaOverflowError
     with np.errstate(over="ignore", invalid="ignore"):
@@ -351,10 +378,15 @@ def block(g, R, f, S: np.ndarray, harmonic: bool, betweenness: bool):
         sigma = _path_counts(dag)
         if not np.all(sigma < EXACT_LIMIT):  # also false for inf and nan
             exact = _exact_counts(dag)
-    cut, vert = dag.cut, dag.node % n
+    cut = dag.cut
+    src = dag.node // n  # each position's block source and vertex
+    vert = dag.node - src * n
+    dag.node = None  # the flat ids are not read again
     fv = fwd = None
     if variant.is_pairwise:
-        fv = pair_values(f, S[dag.node // n], vert, R)
+        fv = np.empty(len(vert))
+        for i in range(0, len(vert), _PAIRS):
+            fv[i:i + _PAIRS] = pair_values(f, S[src[i:i + _PAIRS]], vert[i:i + _PAIRS], R)
     else:
         if exact is not None:
             try:
@@ -366,13 +398,16 @@ def block(g, R, f, S: np.ndarray, harmonic: bool, betweenness: bool):
         fwd = _path_state(dag, variant, sigma, r, vert)
 
     hv = None
-    if harmonic:
-        w = fv[b:] if fwd is None else fwd[b:] / sigma[b:]
-        if dag.dist is None:
-            dist = np.repeat(np.arange(1, len(cut) - 1, dtype=np.float64), np.diff(cut[1:]))
-        else:
-            dist = dag.dist[b:]
-        hv = np.bincount(dag.node[b:] // n, w / dist, b)
+    if harmonic:  # w / d per reached target, a level at a time
+        terms = np.empty(len(vert) - b)
+        for k in range(1, len(cut) - 1):
+            lo, hi = cut[k], cut[k + 1]
+            t = terms[lo - b:hi - b]
+            d = float(k) if dag.dist is None else dag.dist[lo:hi]
+            w = fv[lo:hi] if fwd is None else np.divide(fwd[lo:hi], sigma[lo:hi], out=t)
+            np.divide(w, d, out=t)
+        hv = np.bincount(src[b:], terms, b)
+    del src
     if not betweenness:
         return hv, None, None
 

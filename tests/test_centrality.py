@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -538,6 +540,90 @@ def test_engine_dag_matches_oracle_shortest_paths(seed, weighted):
         assert distances_tied(dist[t], d) and sigma[t] == len(paths)
         steps |= {q for p in paths for q in zip(p, p[1:])}
     assert {(t, h) for t, h, _ in arcs} == steps
+
+
+def _bfs_layout(g, s):
+    """Source s's levels as {vertex: distance} and its DAG arcs as
+    (tail, head, edge id), from a plain queue BFS."""
+    indptr, nbr, eid = g.neighbor_csr
+    dist, queue = {s: 0}, deque([s])
+    while queue:
+        x = queue.popleft()
+        for y in nbr[indptr[x]:indptr[x + 1]].tolist():
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    u, v = g.edge_endpoints
+    arcs = set()
+    for a, c, e in zip(u.tolist(), v.tolist(), range(g.edge_count)):
+        for t, h in ((a, c), (c, a)):
+            if t in dist and dist.get(h) == dist[t] + 1:
+                arcs.add((t, h, e))
+    return dist, arcs
+
+
+def _block_layouts(g, S):
+    """Per source of the block, its levels and arcs as ``_bfs`` lays them
+    out, checking on the way that each level lists its flat nodes in
+    ascending order and that ``into`` holds the arcs of ``out``."""
+    dag = _batched._bfs(g, np.asarray(S))
+    n, eid = g.vertex_count, g.neighbor_csr[2]
+    levels, arcs = [{} for _ in S], [set() for _ in S]
+    for k in range(len(dag.cut) - 1):
+        nodes = dag.node[dag.cut[k]:dag.cut[k + 1]]
+        assert (np.diff(nodes) > 0).all(), k
+        for x in nodes.tolist():
+            levels[x // n][x % n] = k
+    out, into = set(), set()
+    for k, (tail, base, head, slot) in enumerate(dag.out):
+        t, h = dag.node[dag.cut[k] + tail], dag.node[base + head]
+        out |= set(zip(t.tolist(), h.tolist()))
+        for p, w, e in zip(t.tolist(), h.tolist(), eid[slot].tolist()):
+            assert p // n == w // n
+            arcs[p // n].add((p % n, w % n, e))
+    for k, (base, tail, head) in enumerate(dag.into, 1):
+        t, h = dag.node[base + tail], dag.node[dag.cut[k] + head]
+        into |= set(zip(t.tolist(), h.tolist()))
+    assert into == out
+    return levels, arcs
+
+
+def _assert_block_layout_is_per_source(g, S):
+    levels, arcs = _block_layouts(g, S)
+    for i, s in enumerate(S):
+        alone = _block_layouts(g, [s])
+        assert (levels[i], arcs[i]) == (alone[0][0], alone[1][0]), s
+        assert (levels[i], arcs[i]) == _bfs_layout(g, s), s
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 14), isolated=st.integers(0, 3),
+       density=st.sampled_from([0.0, 0.15, 0.4, 1.0]))
+def test_block_layout_equals_each_sources_own(seed, n, isolated, density):
+    rng = np.random.default_rng(seed)
+    labels = [f"v{i}" for i in range(n + isolated)]
+    records = [(labels[a], labels[c]) for a in range(n) for c in range(a + 1, n)
+               if rng.random() < density]
+    g = build_graph(records, vertices=labels)
+    b = int(rng.integers(1, g.vertex_count + 1))
+    _assert_block_layout_is_per_source(g, rng.permutation(g.vertex_count)[:b].tolist())
+
+
+@pytest.mark.parametrize("name, scans", [("ws300", True), ("ring600", False)])
+def test_block_layout_equals_each_sources_own_beyond_oracle(monkeypatch, name, scans):
+    """ws300's dense levels find their new nodes by a scan of the block,
+    ring600's thin ones by a sort; both lay out each source as alone."""
+    scanned = []
+
+    def spy(g, level, *args, _step=_batched._top_down):
+        step = _step(g, level, *args)
+        scanned.append(_batched._SCAN * len(step[1]) >= len(level))
+        return step
+
+    monkeypatch.setattr(_batched, "_top_down", spy)
+    g = BEYOND_ORACLE[name]()
+    _assert_block_layout_is_per_source(g, list(range(BLOCK)))
+    assert scanned and any(scanned) == scans
 
 
 def _by_label(values, ids):
