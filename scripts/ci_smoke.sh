@@ -83,7 +83,9 @@ EOF
       if grep -q Traceback "$tmp/huge.err"; then exit 1; fi
       ;;
     grid)
-      relcentral experiment --workers 1 --out "$tmp/grid.csv" 2> /dev/null
+      # one progress line per cell goes to the log, shown only on failure
+      relcentral experiment --workers 1 --out "$tmp/grid.csv" 2> "$tmp/grid.log" \
+        || { tail "$tmp/grid.log"; exit 1; }
       PYTHONPATH="tests${PYTHONPATH:+:$PYTHONPATH}" python - "$tmp/grid.csv" <<'EOF'
 import sys
 from test_golden import DATA, assert_grid_matches
