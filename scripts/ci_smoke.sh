@@ -10,13 +10,17 @@
 #   quoted    about 100000 rows, many chunks: a quoted label in the last
 #             row sends only the last chunk through csv.reader, the result
 #             bytes do not change, and they are the json module's
+#   intlabels the same rows with integer labels: every chunk is read as
+#             integers from its bytes, a quoted source in the last row
+#             hands only the last chunk to csv.reader, and the result bytes
+#             do not change
 #   experiment  a tiny correlation grid gives 8 rows and the same CSV
 #             bytes at --workers 1 and 2, and a grid with an integer too
 #             large for a float exits 2 with an error line, no traceback
 #   grid      the default grid at --workers 1 gives the rows of
 #             tests/data/grid-default.csv (about 100 s; needs the test extra)
 #
-# Usage: scripts/ci_smoke.sh florence version workers quoted experiment grid
+# Usage: scripts/ci_smoke.sh florence version workers quoted intlabels experiment grid
 set -euo pipefail
 
 tmp="$(mktemp -d)"
@@ -64,6 +68,42 @@ EOF
 import json, sys
 b = open(sys.argv[1], "rb").read()
 assert b == (json.dumps(json.loads(b), sort_keys=True, indent=2) + "\n").encode()
+EOF
+      ;;
+    intlabels)
+      relcentral generate --kind ws --n 20000 --d 10 --p 1 --out-prefix "$tmp/int"
+      sed -i '2,$ s/v//g' "$tmp/int.edges.csv"  # labels 0 to 19999
+      mkdir "$tmp/intq"
+      cp "$tmp/int.edges.csv" "$tmp/intq/int.edges.csv"
+      sed -i '$ s/^\([^,]*\),/"\1",/' "$tmp/intq/int.edges.csv"
+      for d in "$tmp" "$tmp/intq"; do
+        relcentral compute "$d/int.edges.csv" --metric degree --out "$d/degree.json"
+      done
+      cmp "$tmp/degree.json" "$tmp/intq/degree.json"
+      python - "$tmp/int.edges.csv" "$tmp/intq/int.edges.csv" <<'EOF'
+import csv, sys
+import numpy as np
+from relcentral import io_formats
+
+def chunks(path):
+    """(integer labels?, rows) of each chunk the edge reader yields, and
+    whether csv.reader was started."""
+    calls, reader = [], csv.reader
+    io_formats.csv.reader = lambda *args: calls.append(1) or reader(*args)
+    try:
+        out = [(isinstance(s, np.ndarray), len(s)) for s, _, _ in io_formats.load_edge_chunks(path)]
+    finally:
+        io_formats.csv.reader = reader
+    return out, bool(calls)
+
+plain, plain_csv = chunks(sys.argv[1])
+quoted, quoted_csv = chunks(sys.argv[2])
+assert len(plain) > 10 and all(ints for ints, _ in plain) and not plain_csv
+assert sum(rows for _, rows in plain) == sum(rows for _, rows in quoted) == 100000
+# the last chunk of text leaves the integer path for csv.reader, no other does
+k = len(plain) - 1
+assert quoted[:k] == plain[:k] and quoted_csv
+assert not any(ints for ints, _ in quoted[k:])
 EOF
       ;;
     experiment)

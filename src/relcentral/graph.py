@@ -97,7 +97,7 @@ class Graph:
         n, m = self.vertex_count, self.edge_count
         src = np.concatenate([self._u, self._v])
         dst = np.concatenate([self._v, self._u])
-        order = np.lexsort((dst, src))
+        order = np.argsort(src * n + dst)  # one key: the (src, dst) pairs are unique
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         out = (indptr, dst[order], np.tile(np.arange(m), 2)[order])
@@ -153,6 +153,11 @@ def build_graph_chunks(chunks: Iterable[tuple[list, list, list | None]]) -> Grap
     ``(source[k], target[k], weight[k])``, and a weight is 1 when
     ``weight`` or ``weight[k]`` is None.
 
+    A source and target column may instead be integer arrays, each value
+    standing for its decimal string (the edge reader's canonical integer
+    labels), which are numbered with no string per cell (see
+    ``_Interner``).
+
     Labels are numbered as each chunk arrives and only its endpoint ids,
     weights and a mask of its edge records are kept, so no label column
     outlives its chunk. Every chunk is drawn before any array check
@@ -203,17 +208,30 @@ def _checked_graph(cols, fault) -> Graph:
 # not fit in memory, and half the bytes of int64 lower the build's peak
 _ID = np.int32
 
+# entries of the integer label table per label cell taken: the table is
+# indexed by value, so this bounds its bytes by those of the input
+_TABLE_PER_CELL = 4
+
 
 class _Interner:
     """The labels and edges of records taken a chunk at a time.
 
-    The label dict grows in record order, so labels are numbered by
-    first appearance across chunks; each chunk leaves only its endpoint
-    ids, its weights (None when all are 1) and a mask of its records
-    that are edges. The array checks run once, in :meth:`graph`. A chunk
-    with a record that breaks a label or weight rule goes through the
-    per-record pass, which places the fault, and no chunk after it is
-    taken.
+    Labels are numbered by first appearance across chunks; each chunk
+    leaves only its endpoint ids, its weights (None when all are 1) and
+    a mask of its records that are edges. The array checks run once, in
+    :meth:`graph`. A chunk with a record that breaks a label or weight
+    rule goes through the per-record pass, which places the fault, and
+    no chunk after it is taken.
+
+    Label columns that are integer arrays (the edge reader's canonical
+    decimal labels) are numbered through a table indexed by value, with
+    no string per cell, while every label so far came that way and the
+    table stays within ``_TABLE_PER_CELL`` entries per label cell taken;
+    only each new label's value is kept. From the first chunk that breaks
+    either rule, the values numbered so far enter the label dict as their
+    decimal strings, in their order, and every label after goes through
+    the dict; else they enter it when the graph is made. Either way, one
+    string is made per label, and the dict is that of the labels' text.
     """
 
     def __init__(self, seeded: dict[str, int]):
@@ -221,13 +239,24 @@ class _Interner:
         self._ia, self._ib = [np.zeros(0, _ID)], [np.zeros(0, _ID)]
         self._w, self._edge = [np.zeros(0)], [np.zeros(0, dtype=bool)]
         self.fault = None
+        # value -> id (-1: not yet numbered), until the labels go to the dict
+        self._table = None if seeded else np.zeros(0, _ID)
+        self._new, self._cells = [], 0  # each chunk's new values; label cells taken
 
-    def add(self, source: list, target: list, weight: list | None = None) -> bool:
+    def add(self, source: list | np.ndarray, target: list | np.ndarray,
+            weight: list | None = None) -> bool:
         """Take a chunk of records held as columns; False when the column
         pass could not take it."""
         if self.fault is not None:
             return False
-        chunk = _intern(source, target, weight, self._index)
+        chunk = None
+        if _integers(source) and _integers(target):
+            chunk = self._number(source, target, weight)
+            if chunk is None:
+                source, target = _decimal(source), _decimal(target)
+        if chunk is None:
+            self._to_dict()
+            chunk = _intern(source, target, weight, self._index)
         if chunk is None:
             self.add_records(list(zip(source, target, weight or repeat(None))))
             return False
@@ -235,8 +264,53 @@ class _Interner:
             parts.append(part)
         return True
 
+    def _number(self, source: np.ndarray, target: np.ndarray, weight):
+        """(ia, ib, w, edge mask) of a chunk of integer labels, its new
+        values numbered through the table; None when the table does not
+        take it, or a weight is one float() rejects."""
+        if self._table is None:
+            return None
+        n = len(source)
+        self._cells += 2 * n
+        ends = np.empty(2 * n, np.int64)  # endpoints interleaved in record order
+        ends[0::2], ends[1::2] = source, target
+        if n and not 0 <= ends.min() <= ends.max() < _TABLE_PER_CELL * self._cells:
+            return None
+        edge = np.ones(n, dtype=bool)
+        try:
+            w = _weights(weight, edge)
+        except (TypeError, ValueError):  # a weight float() rejects
+            return None
+        if n and ends.max() >= len(self._table):
+            grown = min(max(int(ends.max()) + 1, 2 * len(self._table)),
+                        _TABLE_PER_CELL * self._cells)
+            self._table = np.concatenate(
+                [self._table, np.full(grown - len(self._table), -1, _ID)])
+        ids = self._table[ends]
+        new = ends[ids < 0]
+        if len(new):
+            new = new[np.sort(np.unique(new, return_index=True)[1])]  # by first appearance
+            count = sum(map(len, self._new))
+            self._table[new] = np.arange(count, count + len(new), dtype=_ID)
+            self._new.append(new)
+            ids = self._table[ends]
+        return ids[0::2], ids[1::2], w, edge
+
+    def _labels(self) -> list[str]:
+        """The decimal strings of the values numbered through the table, in their order."""
+        return _decimal(np.concatenate([np.zeros(0, np.int64), *self._new]))
+
+    def _to_dict(self) -> None:
+        """Enter the labels numbered through the table into the dict; the
+        table is then done."""
+        if self._table is not None:
+            labels = self._labels()
+            self._index.update(zip(labels, range(len(labels))))
+            self._table = self._new = None
+
     def add_records(self, records: list, fault=None) -> None:
         """Take a chunk of records through the per-record rules."""
+        self._to_dict()
         start = sum(map(len, self._edge))
         (index, ia, ib, w, pos), self.fault = _intern_records(records, self._index, fault, start)
         self._index = _numbering(index)
@@ -247,7 +321,12 @@ class _Interner:
 
     def columns(self):
         """(index, ia, ib, w, edge mask) of every chunk taken, joined."""
-        index, self._index = dict(self._index), None
+        if self._table is None:
+            index = dict(self._index)
+        else:  # every label came through the table
+            labels = self._labels()
+            index = dict(zip(labels, range(len(labels))))
+        self._index = self._table = self._new = None
         w = [np.ones(len(a)) if x is None else x for a, x in zip(self._ia, self._w)]
         return (index, *map(np.concatenate, (self._ia, self._ib, w, self._edge)))
 
@@ -255,6 +334,25 @@ class _Interner:
         cols = self.columns()
         self._ia = self._ib = self._w = self._edge = None  # freed before the checks
         return _checked_graph(cols, self.fault)
+
+
+def _integers(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype.kind in "iu"
+
+
+def _decimal(values: np.ndarray) -> list[str]:
+    """The decimal text of each integer."""
+    return list(map(str, values.tolist()))
+
+
+def _weights(weight, edge: np.ndarray) -> np.ndarray | None:
+    """The weights of a chunk's edge records (``edge`` masks them) as
+    floats, None where all are 1 (``weight`` None); a weight of None is 1.
+    Raises TypeError or ValueError on a weight float() rejects."""
+    if weight is None:
+        return None
+    return np.fromiter((1.0 if x is None else float(x) for x in compress(weight, edge)),
+                       np.float64, int(edge.sum()))
 
 
 def _numbering(index: dict[str, int]) -> defaultdict:
@@ -296,13 +394,10 @@ def _intern(source: list, target: list, weight, index: defaultdict):
     n, before = len(source), len(index)
     edge = np.fromiter(map(is_not, target, repeat(None)), bool, n)
     bare = np.flatnonzero(~edge).tolist()
-    w = None
-    if weight is not None:
-        try:
-            w = np.fromiter((1.0 if x is None else float(x) for x in compress(weight, edge)),
-                            np.float64, n - len(bare))
-        except (TypeError, ValueError):  # a weight float() rejects
-            return None
+    try:
+        w = _weights(weight, edge)
+    except (TypeError, ValueError):  # a weight float() rejects
+        return None
     # endpoints interleaved in record order; a bare record names its vertex twice
     ends = [None] * (2 * n)
     ends[0::2] = source

@@ -21,14 +21,26 @@ the other line breaks of ``str.splitlines``, which csv keeps inside a
 field. From the first chunk that is not so, quoted labels included,
 ``csv.reader`` reads the rest of the file in batches of rows, and its
 errors are reported as a MalformedRowError at its line. Either way the
-cells are stripped column by column, and each row check (field count,
-missing source, weight without target, unparsable or non-positive
-value, unknown or repeated vertex, matrix cell) is a mask over the rows
-of a chunk. The first faulty line decides the error, and within a line
-the checks apply in the order just listed, so messages and line numbers
-are those of a row-by-row reader; every row of an edge file is checked
-before any graph check, and a matrix file's row count before any of its
-rows. Line numbers count CSV records, blank rows included.
+cells are stripped column by column, a pass a split chunk skips when
+its text is ASCII with no whitespace but its line breaks; and each row
+check (field count, missing source, weight without target, unparsable
+or non-positive value, unknown or repeated vertex, matrix cell) is a
+mask over the rows of a chunk. The first faulty line decides the error,
+and within a line the checks apply in the order just listed, so
+messages and line numbers are those of a row-by-row reader; every row
+of an edge file is checked before any graph check, and a matrix file's
+row count before any of its rows. Line numbers count CSV records, blank
+rows included.
+
+Integer labels take a path of their own. When every source and target
+cell of a split edge chunk is a canonical decimal integer (digits only,
+no leading zero but in ``0`` itself, at most 18 digits, so ``str`` of
+the value gives the cell back), those two columns are read from the
+chunk's UTF-8 bytes with numpy as int64 arrays, with no string per
+cell; the weight column is cut from the same bytes and parsed with
+``float`` as before. The graph builder numbers these values through a
+table indexed by value (see ``graph._Interner``). From the first chunk
+that is not so, every chunk of the file comes as strings.
 
 A result document is its metadata and its reports. The JSON writer
 knows the result's one layout (keys ``edges``, ``metadata``,
@@ -90,12 +102,21 @@ CHUNK = 1 << 16
 # the separators of an unquoted CSV line: ',' and '\n', as UTF-8 bytes
 _COMMA, _NEWLINE = 44, 10
 
+# the whitespace that str.strip removes and a plain chunk's ASCII text may
+# hold inside a cell (not \n, which ends its lines, nor \r, only in \r\n)
+_ASCII_SPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
-def _plain_cells(text: str, width: int | None = None) -> tuple[int, list[str]] | None:
+# the longest integer label read from bytes: 18 digits fit an int64
+_INT_DIGITS = 18
+
+
+def _plain_cells(text: str, width: int | None = None
+                 ) -> tuple[int, str, np.ndarray, np.ndarray] | None:
     """The field count ``width`` (by default, that of the first line of
-    ``text``) and the cells of all lines of ``text`` in one list, when
-    ``csv.reader`` would read every line as its ``str.split(",")`` and
-    all lines have ``width`` fields; else None.
+    ``text``), the text with \\r\\n as \\n and a final \\n, its UTF-8
+    bytes and the offsets of their separators, when ``csv.reader`` would
+    read every line as its ``str.split(",")`` and all lines have
+    ``width`` fields; else None.
 
     That holds when the text has no quote, no NUL and no \\r outside
     \\r\\n, every line has ``width - 1`` commas, and no line is longer
@@ -124,8 +145,90 @@ def _plain_cells(text: str, width: int | None = None) -> tuple[int, list[str]] |
         return None
     if np.diff(sep[width - 1::width], prepend=-1).max() - 1 > csv.field_size_limit():
         return None
-    del b, sep  # freed before the cells are made
-    return width, text[:-1].replace("\n", ",").split(",")
+    return width, text, b, sep
+
+
+def _bounds(sep: np.ndarray, width: int, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """The byte offsets where each cell of the lines from byte ``start``
+    on begins and ends, as (lines, width) arrays, from the offsets
+    ``sep`` of those lines' separators."""
+    ends = sep.reshape(-1, width)
+    starts = np.empty_like(ends)
+    starts[:, 1:] = ends[:, :-1] + 1
+    starts[:1, 0] = start
+    starts[1:, 0] = ends[:-1, -1] + 1
+    return starts, ends
+
+
+def _int_labels(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The values of the first two cells of every line, interleaved line
+    by line, when each is a canonical decimal integer: digits only, no
+    leading zero but in ``0`` itself, at most ``_INT_DIGITS`` of them, so
+    that ``str`` of the value gives back the cell; else None. ``starts``
+    and ``ends`` bound the cells of the lines in the bytes ``b``."""
+    if not len(starts):
+        return np.zeros(0, np.int64)
+    width, start = ends.shape[1], int(starts[0, 0])
+    # a byte that is no digit and no separator must lie in a later column
+    data = b[start:]
+    odd = np.flatnonzero((data - 48 > 9) & (data != _COMMA) & (data != _NEWLINE)) + start
+    if (np.searchsorted(ends.ravel(), odd) % width < 2).any():
+        return None
+    first, last = starts[:, :2].ravel(), ends[:, :2].ravel()
+    size = last - first
+    if size.min() < 1 or size.max() > _INT_DIGITS or ((b[first] == 48) & (size > 1)).any():
+        return None
+    values, place = b[last - 1].astype(np.int64) - 48, 1
+    for k in range(2, int(size.max()) + 1):  # the digit places above the ones, in turn
+        place *= 10
+        values += np.where(size >= k, b[last - k].astype(np.int64) - 48, 0) * place
+    return values
+
+
+def _text_cells(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+    """The text of the cells ``b[starts[k]:ends[k]]`` of one column; each
+    ends at a separator, so no cell splits a UTF-8 character."""
+    inside = np.zeros(len(b) + 1, np.int8)
+    inside[starts] += 1
+    inside[ends] -= 1
+    keep = np.cumsum(inside[:-1], dtype=np.int8).astype(bool)
+    keep[ends] = True  # each cell's separator, made a \n below
+    cells = b[keep]
+    cells[cells == _COMMA] = _NEWLINE
+    return cells.tobytes().decode().split("\n")[:-1]
+
+
+def _strippable(text: str) -> bool:
+    """Whether ``str.strip`` might change a cell of a plain chunk's text:
+    False when the text is ASCII and holds no whitespace but its line
+    breaks."""
+    return not text.isascii() or any(c in text for c in _ASCII_SPACE)
+
+
+def _int_columns(text: str, b: np.ndarray, sep: np.ndarray, width: int,
+                 start: int) -> list | None:
+    """The columns of the lines of a plain chunk from byte ``start`` on,
+    the first two as int64 arrays of their values, when every cell there
+    is a canonical decimal integer (:func:`_int_labels`); else None. The
+    other columns are stripped strings."""
+    starts, ends = _bounds(sep, width, start)
+    values = _int_labels(b, starts, ends)
+    if values is None:
+        return None
+    rest = [_text_cells(b, starts[:, j], ends[:, j]) for j in range(2, width)]
+    if rest and _strippable(text):
+        rest = [list(map(str.strip, column)) for column in rest]
+    return [values[0::2], values[1::2], *rest]
+
+
+def _str_columns(text: str, width: int, rows: int) -> list[list[str]]:
+    """The stripped cells of the last ``rows`` lines of a plain chunk's
+    ``text`` as ``width`` columns."""
+    cells = text[:-1].replace("\n", ",").split(",")
+    del cells[:len(cells) - rows * width]  # the header's, in a file's first chunk
+    if not _strippable(text):
+        return [cells[j::width] for j in range(width)]
+    return [list(map(str.strip, cells[j::width])) for j in range(width)]
 
 
 def _texts(fh):
@@ -144,7 +247,7 @@ def _texts(fh):
         yield "".join(pieces)
 
 
-def _read_chunks(path, check_header, fits):
+def _read_chunks(path, check_header, fits, labels=False):
     """Read a CSV file a chunk of lines at a time. Per chunk, yield the
     stripped cells of its data rows as one column per header field, the
     number of its rows, and the field count of the row in it that ends
@@ -156,10 +259,16 @@ def _read_chunks(path, check_header, fits):
     data row is read, and raises if it is wrong. Rows shorter than the
     header are padded with empty cells; a row of another length that
     ``fits(row, width)`` rejects ends the columns. Chunks that
-    ``_plain_cells`` splits are read without per-row objects. From the
-    first chunk it does not split, ``csv.reader`` reads the rest of the
+    ``_plain_cells`` accepts are read without per-row objects. From the
+    first chunk it does not accept, ``csv.reader`` reads the rest of the
     file in batches of rows; a csv error becomes a MalformedRowError at
     its line once the rows before it are yielded.
+
+    With ``labels``, the first two columns of a plain chunk whose cells
+    there are all canonical decimal integers (:func:`_int_labels`) come
+    as int64 arrays of their values, read from the chunk's bytes with no
+    string per cell; from the first chunk that is not so, every chunk
+    comes as strings.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         texts = _texts(fh)
@@ -168,15 +277,21 @@ def _read_chunks(path, check_header, fits):
             plain = _plain_cells(text, width)
             if plain is None:
                 break
-            cells = plain[1]
+            _, text, b, sep = plain
+            start = 0  # the offset of the chunk's first data row
             if width is None:
                 width = plain[0]
-                check_header(cells[:width])
-                del cells[:width]
+                check_header(text[:text.index("\n")].split(","))
+                start, sep = int(sep[width - 1]) + 1, sep[width:]
                 lines = 1
-            rows = len(cells) // width
+            rows = len(sep) // width
             lines += rows
-            yield [list(map(str.strip, cells[j::width])) for j in range(width)], rows, None
+            columns = _int_columns(text, b, sep, width, start) if labels else None
+            labels = columns is not None
+            if not labels:
+                del plain, b, sep  # freed before the cells are made
+                columns = _str_columns(text, width, rows)
+            yield columns, rows, None
         else:
             if width is None:
                 check_header(None)
@@ -241,8 +356,8 @@ def _blank(row: list[str]) -> bool:
     return not any(map(str.strip, row))
 
 
-def _filled(column: list[str]) -> np.ndarray:
-    if all(column):
+def _filled(column) -> np.ndarray:
+    if isinstance(column, np.ndarray) or all(column):  # an integer label column is full
         return np.ones(len(column), dtype=bool)
     return np.fromiter(map(bool, column), bool, len(column))
 
@@ -273,19 +388,21 @@ def load_edge_chunks(path):
     """The records of an edge file a chunk at a time, as columns (source,
     target, weight), the form :func:`graph.build_graph_chunks` takes: a
     None target is a bare vertex, a None weight column or weight is 1.
+    The source and target of a chunk of canonical decimal integer labels
+    come as int64 arrays of their values (see :func:`_read_chunks`).
     Every row check of a chunk runs before the next chunk is read."""
     check = _header_check(
         path, (["source", "target", "weight"], ["source", "target"]), "source,target[,weight]"
     )
     line = 2  # the record number of a chunk's first row
     for cols, rows, wide in _read_chunks(
-        path, check, lambda row, width: len(row) < width or _blank(row)
+        path, check, lambda row, width: len(row) < width or _blank(row), labels=True
     ):
         yield _edge_records(path, line, cols, wide)
         line += rows
 
 
-def _edge_records(path, line: int, cols: list[list[str]], wide: int | None):
+def _edge_records(path, line: int, cols: list, wide: int | None):
     """The records of the columns of one chunk whose first row is record
     ``line``, after the row checks."""
     src, tgt = cols[0], cols[1]
@@ -311,7 +428,10 @@ def _edge_records(path, line: int, cols: list[list[str]], wide: int | None):
     if wide is not None:
         raise MalformedRowError(path, line + end, f"too many fields ({wide})")
     weights = values.tolist()
-    if has_s.all() and has_t.all() and len(weights) in (0, end):  # every row a record alike
+    if has_s.all() and has_t.all():  # every row an edge
+        if len(weights) not in (0, end):
+            w = iter(weights)
+            weights = [next(w) if x else None for x in weighted.tolist()]
         return src, tgt, weights or None
     # a row without a source is blank; one without a target a bare vertex
     w = iter(weights)
@@ -326,6 +446,8 @@ def load_edge_csv(path) -> list[tuple]:
     is empty, ``(source,)`` for a bare vertex."""
     records = []
     for src, tgt, weight in load_edge_chunks(path):
+        if isinstance(src, np.ndarray):  # integer labels, as the text they were read from
+            src, tgt = list(map(str, src.tolist())), list(map(str, tgt.tolist()))
         if None not in tgt and (weight is None or None not in weight):
             records += zip(src, tgt) if weight is None else zip(src, tgt, weight)
         else:

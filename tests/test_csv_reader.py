@@ -11,13 +11,14 @@ import csv
 import math
 import tracemalloc
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relcentral import io_formats
+from relcentral import graph, io_formats
 from relcentral.errors import (
     MalformedRowError,
     MatrixShapeMismatchError,
@@ -32,6 +33,8 @@ from relcentral.io_formats import (
     load_f_matrix_csv,
     load_relevance_csv,
 )
+
+DATA = Path(__file__).parent / "data"
 
 # --- references: one csv.reader row at a time ---
 
@@ -158,11 +161,13 @@ def outcome(fn, *args):
 
 
 def graph_outcome(fn):
+    """The labels and the u, v and w arrays of the graph ``fn()`` builds,
+    or the type and message of the error it raised."""
     try:
         g = fn()
-    except Exception as exc:
+    except Exception as exc:  # every error must match, whatever its type
         return type(exc), str(exc)
-    return g.labels, g.edge_records()
+    return g.labels, *(a.tolist() for a in (*g.edge_endpoints, g.edge_weights))
 
 
 def write(tmp_path, name, text):
@@ -492,3 +497,126 @@ def test_reading_and_building_a_large_edge_file_keeps_no_string_per_cell(tmp_pat
         tracemalloc.stop()
     assert (g.vertex_count, g.edge_count) == (n, 5 * n)
     assert peak <= 19.8 / 2 * 2**20
+
+
+# --- integer labels: read from the bytes, numbered through a table ---
+
+
+# labels the integer path must not read as integers; a quoted cell sends
+# the rest of the file to csv.reader
+_ODD_LABELS = ("007", "00", "+5", "-3", " 7", "7\t", "\xa07", "1234567890123456789",
+               str(10 ** 17),  # 18 digits: an integer label past the table's bound
+               "a", "x y", '"5"', '"q,1"')
+_GOOD_WEIGHTS = ("", "1", "2.5", " 3 ", "1e3", "0.25")
+
+
+@st.composite
+def _int_label_tables(draw):
+    """Text of an edge file whose labels are mostly canonical integers
+    below ``span``, with bare, blank and faulty rows among its edges.
+    The table bound allows 4 entries per label cell read: labels below 8
+    fit it from a file's first row on, larger ones may not."""
+    weighted = draw(st.booleans())
+    span = draw(st.sampled_from([8, 8, 30, 100]))
+    odd = draw(st.sampled_from([0, 0, 2, 20]))  # percent of the labels drawn from _ODD_LABELS
+
+    def label(value):
+        if draw(st.integers(0, 99)) < odd:
+            return draw(st.sampled_from(_ODD_LABELS))
+        return str(value)
+
+    pair = st.tuples(st.integers(0, span - 1), st.integers(0, span - 1))
+    pairs = draw(st.lists(pair.filter(lambda p: p[0] != p[1]), unique_by=frozenset, max_size=24))
+    rows = []
+    for a, b in pairs:
+        kind = draw(st.sampled_from(["edge"] * 80 + ["bare", "bare", "blank", "no source",
+                                                     "loose", "loop", "repeat"]))
+        if kind == "loop":
+            b = a
+        elif kind == "repeat":
+            a, b = draw(st.sampled_from(pairs))
+        s = "" if kind in ("blank", "no source") else label(a)
+        t = "" if kind in ("blank", "bare", "loose") else label(b)
+        cells = [s, t]
+        if weighted:
+            if kind == "loose":  # a weight without a target
+                cells.append("2")
+            elif t:
+                bad = draw(st.integers(0, 79)) == 0
+                cells.append(draw(st.sampled_from(("0", "-1", "x") if bad else _GOOD_WEIGHTS)))
+            else:
+                cells.append("")
+        rows.append(",".join(cells))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(["source,target,weight" if weighted else "source,target"] + rows) + eol
+
+
+@pytest.mark.parametrize("chars", [8, 40, io_formats.CHUNK])
+@settings(max_examples=200, deadline=None)
+@given(text=_int_label_tables())
+def test_integer_labels_build_the_graph_of_their_records(tmp_path_factory, chars, text):
+    # small chunks: a file spans many, and its labels switch paths mid-file
+    p = write(tmp_path_factory.mktemp("e"), "e.csv", text)
+    want = graph_outcome(lambda: build_graph(_read_with(p, _edge_rows)))
+    with _chunks_of(chars):
+        assert graph_outcome(lambda: build_graph_chunks(load_edge_chunks(p))) == want
+
+
+def string_interner_calls(monkeypatch):
+    """Calls of the interner's string paths: the dict's column pass and
+    the per-record pass."""
+    calls = []
+    for name in ("_intern", "_intern_records"):
+        real = getattr(graph, name)
+
+        def spy(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(graph, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("chars", [4096, io_formats.CHUNK])
+def test_integer_labels_never_reach_the_string_interner(monkeypatch, chars):
+    path = DATA / "ws-lowdiam.edges.csv"
+    want = build_graph(load_edge_csv(path))
+    calls = string_interner_calls(monkeypatch)
+    with _chunks_of(chars):
+        chunks = list(load_edge_chunks(path))
+        g = build_graph_chunks(chunks)
+    assert not calls
+    assert len(chunks) > (chars < io_formats.CHUNK)
+    assert all(isinstance(src, np.ndarray) and isinstance(tgt, np.ndarray)
+               for src, tgt, _ in chunks)
+    assert (g.labels, g.edge_records()) == (want.labels, want.edge_records())
+    assert g.index_of("0") == 0
+
+
+def test_a_label_past_the_table_bound_takes_the_string_path(tmp_path, monkeypatch):
+    big = str(10 ** 15)
+    p = write(tmp_path, "e.csv", f"source,target\n0,{big}\n{big},7\n7,0\n")
+    want = build_graph(load_edge_csv(p))
+    calls = string_interner_calls(monkeypatch)
+    g = build_graph_chunks(load_edge_chunks(p))
+    assert calls
+    assert g.labels == want.labels == ("0", big, "7")
+    assert g.edge_records() == want.edge_records()
+
+
+# whitespace str.strip removes, ASCII and not
+_PADDING = st.lists(st.sampled_from([" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\x85",
+                                     "\u2002", "\u2028", "\u3000"]), max_size=2).map("".join)
+# text of a cell that keeps its chunk plain
+_CORE = st.text(st.characters(), max_size=3).filter(lambda t: not set(t) & set(',"\n\r\x00'))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.tuples(_PADDING, _CORE, _PADDING).map("".join),
+                         min_size=2, max_size=2), max_size=10))
+def test_plain_chunks_strip_their_cells_like_str_strip(tmp_path_factory, rows):
+    p = write(tmp_path_factory.mktemp("s"), "s.csv",
+              "a,b\n" + "".join(",".join(row) + "\n" for row in rows))
+    chunks = list(io_formats._read_chunks(p, lambda header: None, lambda row, width: False))
+    assert [columns for columns, _, _ in chunks] == [
+        [[row[j].strip() for row in rows] for j in range(2)]]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relcentral.errors import (
     DuplicateEdgeError,
@@ -88,6 +90,38 @@ def test_neighbor_csr_sorted_by_index_with_edge_ids():
     # every edge appears once from each end, so the slots are symmetric
     ends = np.repeat(np.arange(g.vertex_count), np.diff(indptr))
     assert sorted(zip(ends.tolist(), nbr.tolist())) == sorted(zip(nbr.tolist(), ends.tolist()))
+
+
+@st.composite
+def _graphs(draw):
+    """A graph of 0 to 25 vertices, isolated ones among them, its edges
+    in random order."""
+    n = draw(st.integers(0, 25))
+    labels = [f"x{i}" for i in draw(st.permutations(range(n)))]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    edges = draw(st.lists(pairs, unique_by=lambda p: frozenset(p), max_size=3 * n)) if n > 1 else []
+    return build_graph([(labels[a], labels[b]) for a, b in edges], vertices=labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graphs())
+def test_neighbor_csr_equals_the_two_key_sort(g):
+    u, v = g.edge_endpoints
+    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(g.vertex_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=g.vertex_count), out=indptr[1:])
+    want = (indptr, dst[order], np.tile(np.arange(g.edge_count), 2)[order])
+    for got, expected in zip(g.neighbor_csr, want):
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("vertices", [[], ["a"]])
+def test_neighbor_csr_of_a_graph_without_edges(vertices):
+    indptr, nbr, eid = build_graph([], vertices=vertices).neighbor_csr
+    assert indptr.tolist() == [0] * (len(vertices) + 1)
+    assert nbr.size == eid.size == 0
 
 
 def test_edge_endpoints_arrays_align_with_edge_records():
