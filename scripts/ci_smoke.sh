@@ -10,10 +10,10 @@
 #   quoted    about 100000 rows, many chunks: a quoted label in the last
 #             row sends only the last chunk through csv.reader, the result
 #             bytes do not change, and they are the json module's
-#   intlabels the same rows with integer labels: every chunk is read as
-#             integers from its bytes, a quoted source in the last row
-#             hands only the last chunk to csv.reader, and the result bytes
-#             do not change
+#   intlabels the same rows with integer labels, and a relevance file with
+#             integer vertices: every chunk of both is read as integers from
+#             its bytes, a quoted cell in the last row of either hands only
+#             its last chunk to csv.reader, and the result bytes do not change
 #   experiment  a tiny correlation grid gives 8 rows and the same CSV
 #             bytes at --workers 1 and 2, and a grid with an integer too
 #             large for a float exits 2 with an error line, no traceback
@@ -71,39 +71,65 @@ assert b == (json.dumps(json.loads(b), sort_keys=True, indent=2) + "\n").encode(
 EOF
       ;;
     intlabels)
-      relcentral generate --kind ws --n 20000 --d 10 --p 1 --out-prefix "$tmp/int"
-      sed -i '2,$ s/v//g' "$tmp/int.edges.csv"  # labels 0 to 19999
-      mkdir "$tmp/intq"
-      cp "$tmp/int.edges.csv" "$tmp/intq/int.edges.csv"
+      relcentral generate --kind ws --n 20000 --d 10 --p 1 --r 0.5 --out-prefix "$tmp/int"
+      sed -i '2,$ s/v//g' "$tmp/int.edges.csv" "$tmp/int.relevance.csv"  # labels 0 to 19999
+      # intq: the last edge row's source quoted; intr: the last relevance row's vertex
+      mkdir "$tmp/intq" "$tmp/intr"
+      cp "$tmp/int.edges.csv" "$tmp/int.relevance.csv" "$tmp/intq/"
+      cp "$tmp/int.edges.csv" "$tmp/int.relevance.csv" "$tmp/intr/"
       sed -i '$ s/^\([^,]*\),/"\1",/' "$tmp/intq/int.edges.csv"
-      for d in "$tmp" "$tmp/intq"; do
-        relcentral compute "$d/int.edges.csv" --metric degree --out "$d/degree.json"
+      sed -i '$ s/^\([^,]*\),/"\1",/' "$tmp/intr/int.relevance.csv"
+      for d in "$tmp" "$tmp/intq" "$tmp/intr"; do
+        relcentral compute "$d/int.edges.csv" --relevance "$d/int.relevance.csv" \
+          --metric degree --out "$d/degree.json"
       done
       cmp "$tmp/degree.json" "$tmp/intq/degree.json"
-      python - "$tmp/int.edges.csv" "$tmp/intq/int.edges.csv" <<'EOF'
+      cmp "$tmp/degree.json" "$tmp/intr/degree.json"
+      python - "$tmp" "$tmp/intq" "$tmp/intr" <<'EOF'
 import csv, sys
 import numpy as np
 from relcentral import io_formats
+from relcentral.graph import build_graph_chunks
 
-def chunks(path):
-    """(integer labels?, rows) of each chunk the edge reader yields, and
-    whether csv.reader was started."""
+def chunks(read):
+    """(integer labels?, rows) of each chunk that read() yields as
+    (labels, ...), and whether csv.reader was started."""
     calls, reader = [], csv.reader
     io_formats.csv.reader = lambda *args: calls.append(1) or reader(*args)
     try:
-        out = [(isinstance(s, np.ndarray), len(s)) for s, _, _ in io_formats.load_edge_chunks(path)]
+        out = [(isinstance(labels, np.ndarray), len(labels)) for labels, *_ in read()]
     finally:
         io_formats.csv.reader = reader
     return out, bool(calls)
 
-plain, plain_csv = chunks(sys.argv[1])
-quoted, quoted_csv = chunks(sys.argv[2])
-assert len(plain) > 10 and all(ints for ints, _ in plain) and not plain_csv
-assert sum(rows for _, rows in plain) == sum(rows for _, rows in quoted) == 100000
-# the last chunk of text leaves the integer path for csv.reader, no other does
-k = len(plain) - 1
-assert quoted[:k] == plain[:k] and quoted_csv
-assert not any(ints for ints, _ in quoted[k:])
+def edges(d):
+    return chunks(lambda: io_formats.load_edge_chunks(f"{d}/int.edges.csv"))
+
+def relevance(d):
+    """The chunks load_relevance_csv reads for the graph of d's edges."""
+    g = build_graph_chunks(io_formats.load_edge_chunks(f"{d}/int.edges.csv"))
+    real = io_formats._read_chunks
+
+    def read():
+        seen = []
+        io_formats._read_chunks = lambda *args: (seen.append(c[0]) or c for c in real(*args))
+        try:
+            io_formats.load_relevance_csv(f"{d}/int.relevance.csv", g)
+        finally:
+            io_formats._read_chunks = real
+        return seen
+    return chunks(read)
+
+plain_dir, edge_dir, rel_dir = sys.argv[1:]
+for read, quoted_dir, rows in ((edges, edge_dir, 100000), (relevance, rel_dir, 20000)):
+    plain, plain_csv = read(plain_dir)
+    quoted, quoted_csv = read(quoted_dir)
+    assert len(plain) > 2 and all(ints for ints, _ in plain) and not plain_csv
+    assert sum(n for _, n in plain) == sum(n for _, n in quoted) == rows
+    # the last chunk of text leaves the integer path for csv.reader, no other does
+    k = len(plain) - 1
+    assert quoted[:k] == plain[:k] and quoted_csv
+    assert not any(ints for ints, _ in quoted[k:])
 EOF
       ;;
     experiment)

@@ -5,10 +5,13 @@ Vertices carry external string labels and dense internal indices
 distances: lower weight means the endpoints are closer.
 
 A graph is stored as flat arrays: edge k joins ``u[k] < v[k]`` with
-weight ``w[k]``, edges in construction order, and the label->index
-dict is the only per-vertex Python structure. The one derived form is
-the CSR neighbor lists that the engine walks, built from these arrays
-with numpy on first use.
+weight ``w[k]``, edges in construction order, and the labels tuple is
+the only per-vertex Python structure kept from the start. The
+label->index dict and the CSR neighbor lists that the engine walks are
+built on first use. When every label came as an integer value (the edge
+reader's canonical decimal labels), the graph also keeps those values
+and the table that numbered them, so that a reader of the same integer
+labels finds their indices without the dict.
 """
 
 from __future__ import annotations
@@ -34,15 +37,31 @@ __all__ = ["Graph", "build_graph", "build_graph_chunks"]
 class Graph:
     """Validated undirected simple graph. Immutable after construction;
     safe to share across worker threads. Made by :func:`build_graph`.
+
+    ``values`` and ``table``, when given, are every label's integer value
+    (``labels[i]`` is its decimal text) and a table from value to index
+    (-1: no vertex), both read-only. A view built on first use (a
+    ``cached_property``) may be built twice by threads that race for it,
+    which is harmless: both builds are equal.
     """
 
-    def __init__(self, index: dict[str, int], u: np.ndarray, v: np.ndarray, w: np.ndarray):
-        self._index = index
-        self.labels: tuple[str, ...] = tuple(index)
-        for a in (u, v, w):
-            a.setflags(write=False)
+    def __init__(self, labels: tuple[str, ...], u: np.ndarray, v: np.ndarray, w: np.ndarray,
+                 index: dict[str, int] | None = None, values: np.ndarray | None = None,
+                 table: np.ndarray | None = None):
+        self.labels = labels
+        if index is not None:  # the builder's dict, so _index is not built again
+            self._index = index
+        for a in (u, v, w, values, table):
+            if a is not None:
+                a.setflags(write=False)
         self._u, self._v, self._w = u, v, w
+        self._values, self._table = values, table
         self.weighted: bool = bool(np.any(w != 1.0))
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        """label -> index, built when a label is first looked up."""
+        return dict(zip(self.labels, range(len(self.labels))))
 
     # --- basic queries ---
 
@@ -67,6 +86,14 @@ class Graph:
 
     def has_vertex(self, label: str) -> bool:
         return label in self._index
+
+    def _indices_of_values(self, values: np.ndarray) -> np.ndarray:
+        """The index of the vertex labelled by each non-negative integer
+        value, -1 where none is; for a graph with integer ``_values``."""
+        idx = np.full(len(values), -1, np.intp)
+        inside = values < len(self._table)
+        idx[inside] = self._table[values[inside]]
+        return idx
 
     def edge_labels(self) -> list[tuple[str, str]]:
         """Edges as (label, label) pairs, in construction order."""
@@ -172,13 +199,14 @@ def build_graph_chunks(chunks: Iterable[tuple[list, list, list | None]]) -> Grap
     return interner.graph()
 
 
-def _checked_graph(cols, fault) -> Graph:
-    """The graph of interned columns (index, ia, ib, w and a mask of the
+def _checked_graph(cols, fault, lookup: dict) -> Graph:
+    """The graph of interned columns (labels, ia, ib, w and a mask of the
     records that are edges) after the array checks (self-loop, weight,
     duplicate), whose first faulty record decides the error; ``fault``,
-    from a later record, is raised when they pass."""
-    index, ia, ib, w, edge = cols
-    n = len(index)
+    from a later record, is raised when they pass. ``lookup`` holds the
+    graph's keyword arguments for finding a label's index."""
+    labels, ia, ib, w, edge = cols
+    n = len(labels)
     u, v = np.minimum(ia, ib, dtype=np.int64), np.maximum(ia, ib, dtype=np.int64)
     loop = ia == ib
     bad_weight = ~(np.isfinite(w) & (w > 0.0))
@@ -192,7 +220,6 @@ def _checked_graph(cols, fault) -> Graph:
     faulty = loop | bad_weight | repeated
     if faulty.any():
         k = int(np.argmax(faulty))
-        labels = list(index)
         pos, a, b = int(np.flatnonzero(edge)[k]), labels[ia[k]], labels[ib[k]]
         if loop[k]:
             raise SelfLoopError(f"record {pos}: self-loop at {a!r}")
@@ -201,7 +228,7 @@ def _checked_graph(cols, fault) -> Graph:
         raise DuplicateEdgeError(f"record {pos}: duplicate edge {a!r}-{b!r}")
     if fault is not None:
         raise fault
-    return Graph(index, u, v, w)
+    return Graph(labels, u, v, w, **lookup)
 
 
 # endpoint ids while records are interned: a graph of 2^31 labels would
@@ -209,8 +236,11 @@ def _checked_graph(cols, fault) -> Graph:
 _ID = np.int32
 
 # entries of the integer label table per label cell taken: the table is
-# indexed by value, so this bounds its bytes by those of the input
+# indexed by value, so this bounds its bytes by those of the input...
 _TABLE_PER_CELL = 4
+# ...or by 4 MiB of int32, whichever is more, so that a file sorted by
+# source, whose first rows name its largest labels, stays on the table
+_TABLE_FLOOR = 1 << 20
 
 
 class _Interner:
@@ -226,12 +256,14 @@ class _Interner:
     Label columns that are integer arrays (the edge reader's canonical
     decimal labels) are numbered through a table indexed by value, with
     no string per cell, while every label so far came that way and the
-    table stays within ``_TABLE_PER_CELL`` entries per label cell taken;
-    only each new label's value is kept. From the first chunk that breaks
-    either rule, the values numbered so far enter the label dict as their
-    decimal strings, in their order, and every label after goes through
-    the dict; else they enter it when the graph is made. Either way, one
-    string is made per label, and the dict is that of the labels' text.
+    table stays within ``_TABLE_PER_CELL`` entries per label cell taken
+    or ``_TABLE_FLOOR`` entries, whichever is more; only each new label's
+    value is kept. From the first chunk that breaks either rule, the
+    values numbered so far enter the label dict as their decimal strings,
+    in their order, and every label after goes through the dict. Else
+    the graph keeps the values and the table, and builds its dict only
+    when a label is first looked up. Either way, one string is made per
+    label.
     """
 
     def __init__(self, seeded: dict[str, int]):
@@ -274,7 +306,8 @@ class _Interner:
         self._cells += 2 * n
         ends = np.empty(2 * n, np.int64)  # endpoints interleaved in record order
         ends[0::2], ends[1::2] = source, target
-        if n and not 0 <= ends.min() <= ends.max() < _TABLE_PER_CELL * self._cells:
+        bound = max(_TABLE_FLOOR, _TABLE_PER_CELL * self._cells)
+        if n and not 0 <= ends.min() <= ends.max() < bound:
             return None
         edge = np.ones(n, dtype=bool)
         try:
@@ -282,8 +315,7 @@ class _Interner:
         except (TypeError, ValueError):  # a weight float() rejects
             return None
         if n and ends.max() >= len(self._table):
-            grown = min(max(int(ends.max()) + 1, 2 * len(self._table)),
-                        _TABLE_PER_CELL * self._cells)
+            grown = min(max(int(ends.max()) + 1, 2 * len(self._table)), bound)
             self._table = np.concatenate(
                 [self._table, np.full(grown - len(self._table), -1, _ID)])
         ids = self._table[ends]
@@ -296,15 +328,15 @@ class _Interner:
             ids = self._table[ends]
         return ids[0::2], ids[1::2], w, edge
 
-    def _labels(self) -> list[str]:
-        """The decimal strings of the values numbered through the table, in their order."""
-        return _decimal(np.concatenate([np.zeros(0, np.int64), *self._new]))
+    def _values(self) -> np.ndarray:
+        """The values numbered through the table, in their order."""
+        return np.concatenate([np.zeros(0, np.int64), *self._new])
 
     def _to_dict(self) -> None:
         """Enter the labels numbered through the table into the dict; the
         table is then done."""
         if self._table is not None:
-            labels = self._labels()
+            labels = _decimal(self._values())
             self._index.update(zip(labels, range(len(labels))))
             self._table = self._new = None
 
@@ -320,20 +352,23 @@ class _Interner:
             parts.append(part)
 
     def columns(self):
-        """(index, ia, ib, w, edge mask) of every chunk taken, joined."""
+        """(labels, ia, ib, w, edge mask) of every chunk taken, joined, and
+        the graph's lookup of its labels: their dict, or, when every label
+        came through the table, their values and the table."""
         if self._table is None:
             index = dict(self._index)
-        else:  # every label came through the table
-            labels = self._labels()
-            index = dict(zip(labels, range(len(labels))))
+            labels, lookup = tuple(index), {"index": index}
+        else:
+            values = self._values()
+            labels, lookup = tuple(_decimal(values)), {"values": values, "table": self._table}
         self._index = self._table = self._new = None
         w = [np.ones(len(a)) if x is None else x for a, x in zip(self._ia, self._w)]
-        return (index, *map(np.concatenate, (self._ia, self._ib, w, self._edge)))
+        return (labels, *map(np.concatenate, (self._ia, self._ib, w, self._edge))), lookup
 
     def graph(self) -> Graph:
-        cols = self.columns()
+        cols, lookup = self.columns()
         self._ia = self._ib = self._w = self._edge = None  # freed before the checks
-        return _checked_graph(cols, self.fault)
+        return _checked_graph(cols, self.fault, lookup)
 
 
 def _integers(column) -> bool:

@@ -37,22 +37,29 @@ cell of a split edge chunk is a canonical decimal integer (digits only,
 no leading zero but in ``0`` itself, at most 18 digits, so ``str`` of
 the value gives the cell back), those two columns are read from the
 chunk's UTF-8 bytes with numpy as int64 arrays, with no string per
-cell; the weight column is cut from the same bytes and parsed with
+cell; the weight column is split from the chunk's text and parsed with
 ``float`` as before. The graph builder numbers these values through a
-table indexed by value (see ``graph._Interner``). From the first chunk
-that is not so, every chunk of the file comes as strings.
+table indexed by value (see ``graph._Interner``), and a graph whose
+labels all came so keeps their values and that table. For such a graph
+the relevance reader reads the ``vertex`` column of a split chunk the
+same way, and finds each value's index through the table, with no
+string per label and no label dict. Either reader, from the first chunk
+that is not so (a quoted or non-canonical cell, say), reads every chunk
+of the rest of the file as strings.
 
-A result document is its metadata and its reports. The JSON writer
-knows the result's one layout (keys ``edges``, ``metadata``,
-``rankings``, ``vertices``; metric names sorted; vertex tables sorted by
-label) and formats each table from the report's ``ids``, ``values`` and
-``ranking`` columns with one join, every float cut to 12 significant
-digits once; the bytes equal ``json.dumps(..., sort_keys=True,
-indent=2)`` of the same result as nested dicts and lists. A non-finite
-value is refused. The text comes in pieces of at most ``_PIECE`` table
-items, which the command line writes to its file as they come, so no
-copy of the whole text is held; the CSV result is written row by row
-the same way.
+A result document is its metadata, its reports and the graph they are
+of. The JSON writer knows the result's one layout (keys ``edges``,
+``metadata``, ``rankings``, ``vertices``; metric names sorted; vertex
+tables sorted by label, in an order found once per document, by one
+lexsort for integer labels) and formats each table from the report's
+``ids``, ``values`` and ``ranking`` columns with one join, every float
+cut to 12 significant digits once, by one ``%`` call per piece; the
+bytes equal ``json.dumps(..., sort_keys=True, indent=2)`` of the same
+result as nested dicts and lists. A non-finite value is refused. The
+text comes in pieces of at most ``_PIECE`` table items, which the
+command line writes to its file as they come, so no copy of the whole
+text is held; the CSV result is written row by row the same way, its
+floats made by the same ``%`` call.
 """
 
 from __future__ import annotations
@@ -61,6 +68,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 
@@ -108,6 +116,7 @@ _ASCII_SPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
 # the longest integer label read from bytes: 18 digits fit an int64
 _INT_DIGITS = 18
+_POW10 = 10 ** np.arange(_INT_DIGITS + 1, dtype=np.int64)
 
 
 def _plain_cells(text: str, width: int | None = None
@@ -160,8 +169,9 @@ def _bounds(sep: np.ndarray, width: int, start: int) -> tuple[np.ndarray, np.nda
     return starts, ends
 
 
-def _int_labels(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """The values of the first two cells of every line, interleaved line
+def _int_labels(b: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                k: int) -> np.ndarray | None:
+    """The values of the first ``k`` cells of every line, interleaved line
     by line, when each is a canonical decimal integer: digits only, no
     leading zero but in ``0`` itself, at most ``_INT_DIGITS`` of them, so
     that ``str`` of the value gives back the cell; else None. ``starts``
@@ -172,9 +182,9 @@ def _int_labels(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarr
     # a byte that is no digit and no separator must lie in a later column
     data = b[start:]
     odd = np.flatnonzero((data - 48 > 9) & (data != _COMMA) & (data != _NEWLINE)) + start
-    if (np.searchsorted(ends.ravel(), odd) % width < 2).any():
+    if (np.searchsorted(ends.ravel(), odd) % width < k).any():
         return None
-    first, last = starts[:, :2].ravel(), ends[:, :2].ravel()
+    first, last = starts[:, :k].ravel(), ends[:, :k].ravel()
     size = last - first
     if size.min() < 1 or size.max() > _INT_DIGITS or ((b[first] == 48) & (size > 1)).any():
         return None
@@ -185,19 +195,6 @@ def _int_labels(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarr
     return values
 
 
-def _text_cells(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
-    """The text of the cells ``b[starts[k]:ends[k]]`` of one column; each
-    ends at a separator, so no cell splits a UTF-8 character."""
-    inside = np.zeros(len(b) + 1, np.int8)
-    inside[starts] += 1
-    inside[ends] -= 1
-    keep = np.cumsum(inside[:-1], dtype=np.int8).astype(bool)
-    keep[ends] = True  # each cell's separator, made a \n below
-    cells = b[keep]
-    cells[cells == _COMMA] = _NEWLINE
-    return cells.tobytes().decode().split("\n")[:-1]
-
-
 def _strippable(text: str) -> bool:
     """Whether ``str.strip`` might change a cell of a plain chunk's text:
     False when the text is ASCII and holds no whitespace but its line
@@ -206,29 +203,27 @@ def _strippable(text: str) -> bool:
 
 
 def _int_columns(text: str, b: np.ndarray, sep: np.ndarray, width: int,
-                 start: int) -> list | None:
+                 start: int, k: int) -> list | None:
     """The columns of the lines of a plain chunk from byte ``start`` on,
-    the first two as int64 arrays of their values, when every cell there
+    the first ``k`` as int64 arrays of their values, when every cell there
     is a canonical decimal integer (:func:`_int_labels`); else None. The
     other columns are stripped strings."""
     starts, ends = _bounds(sep, width, start)
-    values = _int_labels(b, starts, ends)
+    values = _int_labels(b, starts, ends, k)
     if values is None:
         return None
-    rest = [_text_cells(b, starts[:, j], ends[:, j]) for j in range(2, width)]
-    if rest and _strippable(text):
-        rest = [list(map(str.strip, column)) for column in rest]
-    return [values[0::2], values[1::2], *rest]
+    rest = _str_columns(text, width, len(starts), k) if k < width else []
+    return [values[j::k] for j in range(k)] + rest
 
 
-def _str_columns(text: str, width: int, rows: int) -> list[list[str]]:
+def _str_columns(text: str, width: int, rows: int, first: int = 0) -> list[list[str]]:
     """The stripped cells of the last ``rows`` lines of a plain chunk's
-    ``text`` as ``width`` columns."""
+    ``text`` as columns ``first`` to ``width - 1``."""
     cells = text[:-1].replace("\n", ",").split(",")
     del cells[:len(cells) - rows * width]  # the header's, in a file's first chunk
     if not _strippable(text):
-        return [cells[j::width] for j in range(width)]
-    return [list(map(str.strip, cells[j::width])) for j in range(width)]
+        return [cells[j::width] for j in range(first, width)]
+    return [list(map(str.strip, cells[j::width])) for j in range(first, width)]
 
 
 def _texts(fh):
@@ -247,7 +242,7 @@ def _texts(fh):
         yield "".join(pieces)
 
 
-def _read_chunks(path, check_header, fits, labels=False):
+def _read_chunks(path, check_header, fits, ints: int = 0):
     """Read a CSV file a chunk of lines at a time. Per chunk, yield the
     stripped cells of its data rows as one column per header field, the
     number of its rows, and the field count of the row in it that ends
@@ -264,11 +259,10 @@ def _read_chunks(path, check_header, fits, labels=False):
     file in batches of rows; a csv error becomes a MalformedRowError at
     its line once the rows before it are yielded.
 
-    With ``labels``, the first two columns of a plain chunk whose cells
-    there are all canonical decimal integers (:func:`_int_labels`) come
-    as int64 arrays of their values, read from the chunk's bytes with no
-    string per cell; from the first chunk that is not so, every chunk
-    comes as strings.
+    The first ``ints`` columns of a plain chunk whose cells there are all
+    canonical decimal integers (:func:`_int_labels`) come as int64 arrays
+    of their values, read from the chunk's bytes with no string per cell;
+    from the first chunk that is not so, every chunk comes as strings.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         texts = _texts(fh)
@@ -286,9 +280,9 @@ def _read_chunks(path, check_header, fits, labels=False):
                 lines = 1
             rows = len(sep) // width
             lines += rows
-            columns = _int_columns(text, b, sep, width, start) if labels else None
-            labels = columns is not None
-            if not labels:
+            columns = _int_columns(text, b, sep, width, start, ints) if ints else None
+            if columns is None:
+                ints = 0
                 del plain, b, sep  # freed before the cells are made
                 columns = _str_columns(text, width, rows)
             yield columns, rows, None
@@ -396,7 +390,7 @@ def load_edge_chunks(path):
     )
     line = 2  # the record number of a chunk's first row
     for cols, rows, wide in _read_chunks(
-        path, check, lambda row, width: len(row) < width or _blank(row), labels=True
+        path, check, lambda row, width: len(row) < width or _blank(row), ints=2
     ):
         yield _edge_records(path, line, cols, wide)
         line += rows
@@ -473,19 +467,33 @@ def save_edge_csv(g: Graph, path) -> None:
 
 
 def load_relevance_csv(path, g: Graph) -> RelevanceVector:
+    """The relevance of every vertex, 1 where the file lists none. When
+    the graph's labels came as integer values, a plain chunk whose vertex
+    cells are all canonical decimal integers is read from its bytes, and
+    the values find their indices through the graph's table, with no
+    string per label and no label dict; from the first chunk that is not
+    so, the rest of the file is read as strings."""
     check = _header_check(path, (["vertex", "relevance"],), "vertex,relevance")
     R = np.ones(g.vertex_count)
     listed_before = np.zeros(g.vertex_count, dtype=bool)
     line = 2  # the record number of a chunk's first row
-    for (labels, vtxt), rows, wrong in _read_chunks(path, check, lambda row, width: _blank(row)):
+    ints = 0 if g._values is None else 1
+    for (labels, vtxt), rows, wrong in _read_chunks(
+        path, check, lambda row, width: _blank(row), ints
+    ):
         end = len(labels)
         listed = _filled(labels) | _filled(vtxt)
-        idx = np.fromiter(map(g._index.get, labels, repeat(-1)), np.intp, end)
+        if isinstance(labels, np.ndarray):
+            idx = g._indices_of_values(labels)
+        else:
+            idx = np.fromiter(map(g._index.get, labels, repeat(-1)), np.intp, end)
         unknown = listed & (idx < 0)
         known = np.flatnonzero(listed & (idx >= 0))
         duplicate = np.zeros(end, dtype=bool)
-        duplicate[known] = True
-        duplicate[known[np.unique(idx[known], return_index=True)[1]]] = False
+        seen = np.sort(idx[known])
+        if (seen[1:] == seen[:-1]).any():  # a vertex listed twice in the chunk
+            duplicate[known] = True
+            duplicate[known[np.unique(idx[known], return_index=True)[1]]] = False
         duplicate[known] |= listed_before[idx[known]]
         at = np.flatnonzero(listed)
         values, bad = _float_cells(list(compress(vtxt, listed)))
@@ -498,12 +506,13 @@ def load_relevance_csv(path, g: Graph) -> RelevanceVector:
         # per row, in the order the checks apply
         k = _first(unknown | duplicate | bad_value | not_positive)
         if k < end:
+            label = str(labels[k])  # an integer label's text is str of its value
             if unknown[k]:
                 raise UnknownVertexInRelevanceError(
-                    f"{path}:{line + k}: vertex {labels[k]!r} is not in the graph"
+                    f"{path}:{line + k}: vertex {label!r} is not in the graph"
                 )
             if duplicate[k]:
-                raise MalformedRowError(path, line + k, f"duplicate vertex {labels[k]!r}")
+                raise MalformedRowError(path, line + k, f"duplicate vertex {label!r}")
             if bad_value[k]:
                 raise MalformedRowError(path, line + k, f"bad relevance {vtxt[k]!r}")
             raise MalformedRowError(
@@ -621,10 +630,13 @@ def _matrix_rows(path, line, g, col_labels, labels, columns, wrong, F, listed_be
 @dataclass
 class ResultDocument:
     """The metadata of a result and the reports it holds, by metric: a
-    later report of a metric replaces an earlier one."""
+    later report of a metric replaces an earlier one. ``graph``, when
+    given, is the graph whose labels are the vertex reports' ids: their
+    sorted order is then found once for the document."""
 
     metadata: dict
     reports: tuple[CentralityReport, ...]
+    graph: Graph | None = None
 
 
 def build_result_document(
@@ -638,7 +650,7 @@ def build_result_document(
         "f": reports[0].f_label if reports else "",
         "relevance": reports[0].relevance_source if reports else "",
     }
-    return ResultDocument(meta, tuple(reports))
+    return ResultDocument(meta, tuple(reports), g)
 
 
 def _tables(doc: ResultDocument) -> tuple[dict, dict]:
@@ -655,15 +667,20 @@ def _tables(doc: ResultDocument) -> tuple[dict, dict]:
 _json_str = json.encoder.encode_basestring_ascii
 
 
+def _g12(values: np.ndarray) -> list[str]:
+    """The "%.12g" text of each value, all made by one % call."""
+    return ("%.12g\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
+
+
 def _json_floats(values: np.ndarray) -> list[str]:
     """The JSON text of each finite value cut to 12 significant digits:
     what ``float.__repr__`` writes for the cut value."""
     a = np.abs(values)
-    # "{:.12g}" writes what float.__repr__ writes for the 12-digit value,
+    # "%.12g" writes what float.__repr__ writes for the 12-digit value,
     # except ".0" on whole numbers and in two bands, which keep the float
     # and repr round trip: exponents 12 to 15, which repr writes without
     # one, and subnormals, whose repr can be shorter (both with a margin)
-    texts = list(map("{:.12g}".format, values.tolist()))
+    texts = _g12(values)
     for i in np.flatnonzero(((a >= 9e11) & (a < 1e16)) | ((a > 0) & (a < 1e-307))).tolist():
         texts[i] = float.__repr__(float(texts[i]))
     return [t if "." in t or "e" in t else t + ".0" for t in texts]
@@ -711,9 +728,24 @@ def _pairs(template: str, pairs: tuple, *columns):
                map(_json_str, map(itemgetter(1), pairs)), *columns)
 
 
-def _vertex_values(rep: CentralityReport, pad: str):
-    order = sorted(range(len(rep.ids)), key=rep.ids.__getitem__)
-    labels, values = list(map(rep.ids.__getitem__, order)), rep.values[order]
+def _label_order(labels: tuple, values: np.ndarray | None = None) -> np.ndarray:
+    """The indices of ``labels`` in ascending string order. ``values``,
+    when given, are their integer values, each label the decimal text of
+    its value: the order is then one lexsort by the value left-aligned to
+    ``_INT_DIGITS`` digits, then by its digit count ("1" < "10" < "9")."""
+    if values is None:
+        return np.array(sorted(range(len(labels)), key=labels.__getitem__), dtype=np.intp)
+    digits = 1 + np.searchsorted(_POW10[1:_INT_DIGITS], values, side="right")
+    return np.lexsort((digits, values * _POW10[_INT_DIGITS - digits]))
+
+
+def _vertex_values(rep: CentralityReport, pad: str, graph_order: tuple):
+    """A vertex table, its rows by label; ``graph_order`` is a graph's
+    labels and their order, taken when they are the report's ids."""
+    labels, order = graph_order
+    if rep.ids is not labels:
+        order = _label_order(rep.ids)
+    labels, values = list(map(rep.ids.__getitem__, order.tolist())), rep.values[order]
     return _container("{}", len(order), lambda i, j: map(
         "{}: {}".format, map(_json_str, labels[i:j]), _json_floats(values[i:j])), pad)
 
@@ -738,7 +770,7 @@ def _edge_ranking(rep: CentralityReport, pad: str):
                       lambda i, j: _pairs(template, rep.ranking[i:j]), pad)
 
 
-def _json_pieces(metadata: dict, vertex: dict, edge: dict):
+def _json_pieces(metadata: dict, vertex: dict, edge: dict, graph_order: tuple):
     yield '{\n  "edges": '
     yield from _by_metric(edge, _edge_values, "  ")
     # six scalars, laid out by the json module one level in
@@ -749,7 +781,7 @@ def _json_pieces(metadata: dict, vertex: dict, edge: dict):
     yield ',\n    "vertices": '
     yield from _by_metric(vertex, _vertex_ranking, "    ")
     yield '\n  },\n  "vertices": '
-    yield from _by_metric(vertex, _vertex_values, "  ")
+    yield from _by_metric(vertex, partial(_vertex_values, graph_order=graph_order), "  ")
     yield "\n}\n"
 
 
@@ -757,7 +789,11 @@ def results_json_pieces(doc: ResultDocument):
     """The text of :func:`write_results_json` in pieces, none longer than
     _PIECE table items: what a writer puts in a file as it comes. Raises
     ValueError, before the first piece, on a non-finite value."""
-    return _json_pieces(doc.metadata, *_tables(doc))
+    vertex, edge = _tables(doc)
+    g, graph_order = doc.graph, (None, None)
+    if g is not None and vertex:  # one order for every vertex table of the graph
+        graph_order = g.labels, _label_order(g.labels, g._values)
+    return _json_pieces(doc.metadata, vertex, edge, graph_order)
 
 
 def write_results_json(doc: ResultDocument) -> bytes:
@@ -775,11 +811,10 @@ def write_results_csv(doc: ResultDocument, fh) -> None:
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(["metric", "source", "target", "value"])
     for name, rep in vertex.items():
-        w.writerows(zip(repeat(name), rep.ids, repeat(""),
-                        map("{:.12g}".format, rep.values.tolist())))
+        w.writerows(zip(repeat(name), rep.ids, repeat(""), _g12(rep.values)))
     for name, rep in edge.items():
         w.writerows(zip(repeat(name), map(itemgetter(0), rep.ids), map(itemgetter(1), rep.ids),
-                        map("{:.12g}".format, rep.values.tolist())))
+                        _g12(rep.values)))
 
 
 # --- DOT export ---

@@ -4,15 +4,20 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relcentral
+import relcentral.cli as cli
 from relcentral import GeneratorConfig, assign_relevance, experiments, io_formats, watts_strogatz
 from relcentral._batched import BLOCK
 from relcentral.centrality import (
+    CentralityReport,
     Metric,
     _make_report,
     betweenness_reports,
@@ -25,6 +30,7 @@ from relcentral.graph import build_graph_chunks
 from relcentral.io_formats import save_edge_csv, save_relevance_csv
 from relcentral.relevance import RelevanceFunction, Variant
 
+DATA = Path(__file__).parent / "data"
 RING = "source,target\nA,B\nB,C\nC,D\nA,D\n"
 WRING = "source,target,weight\nA,B,0.5\nB,C,1\nC,D,1\nA,D,1\n"
 REL = "vertex,relevance\nA,2\n"
@@ -57,6 +63,50 @@ def test_top10_prints_the_values_of_the_ranking(capsys, kind):
     names = [e if kind == "vertex" else f"{e[0]} -- {e[1]}" for e in rep.ranking[:10]]
     assert lines == [f"  {pos:2d}. {name}  {rep.value_of(e):.6g}"
                      for pos, (name, e) in enumerate(zip(names, rep.ranking), start=1)]
+
+
+def _full_sort_top10(rep: CentralityReport) -> None:
+    """What _print_top10 printed when it sorted every value."""
+    print(f"{rep.metric.value} (f={rep.f_label}, relevance={rep.relevance_source})")
+    top = rep.values[np.argsort(-rep.values, kind="stable")[:10]].tolist()
+    for pos, (element, value) in enumerate(zip(rep.ranking, top), start=1):
+        name = element if rep.kind == "vertex" else f"{element[0]} -- {element[1]}"
+        print(f"  {pos:2d}. {name}  {value:.6g}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, 3.0, 1e-9, 7.0]) | st.floats(0.0, 4.0),
+                max_size=40))
+def test_top10_prints_what_a_full_sort_printed(values):
+    # many ties, signed zeros, fewer than ten values and none at all
+    rep = _make_report(Metric.DEGREE, "vertex", tuple(f"v{i}" for i in range(len(values))),
+                       np.array(values, dtype=np.float64), RelevanceFunction(Variant.PRODUCT),
+                       "uniform", False)
+    printed = []
+    for show in (_print_top10, _full_sort_top10):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            show(rep)
+        printed.append(out.getvalue().encode())
+    assert printed[0] == printed[1]
+
+
+def test_degree_request_on_integer_labels_builds_no_label_dict(tmp_path, monkeypatch):
+    graphs = []
+    monkeypatch.setattr(cli, "build_graph_chunks",
+                        lambda chunks: graphs.append(build_graph_chunks(chunks)) or graphs[-1])
+    rel = DATA / "ws-lowdiam.relevance.csv"
+    # the same file with its last vertex quoted: that chunk is read as strings
+    quoted = tmp_path / rel.name  # the same name: the result's metadata names it
+    quoted.write_bytes(re.sub(rb"\n(\d+),([^\n]*\n)$", rb'\n"\1",\2', rel.read_bytes()))
+    outs = []
+    for path in (rel, quoted):
+        outs.append(tmp_path / f"degree-{len(outs)}.json")
+        assert main(["compute", str(DATA / "ws-lowdiam.edges.csv"), "--relevance", str(path),
+                     "--metric", "degree", "--out", str(outs[-1])]) == EXIT_OK
+    assert "_index" not in vars(graphs[0])
+    assert "_index" in vars(graphs[1])
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_compute_all_metrics_writes_json(tmp_path):

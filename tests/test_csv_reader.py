@@ -514,8 +514,9 @@ _GOOD_WEIGHTS = ("", "1", "2.5", " 3 ", "1e3", "0.25")
 def _int_label_tables(draw):
     """Text of an edge file whose labels are mostly canonical integers
     below ``span``, with bare, blank and faulty rows among its edges.
-    The table bound allows 4 entries per label cell read: labels below 8
-    fit it from a file's first row on, larger ones may not."""
+    With the table's floor at 0, its bound is 4 entries per label cell
+    read: labels below 8 fit it from a file's first row on, larger ones
+    may not."""
     weighted = draw(st.booleans())
     span = draw(st.sampled_from([8, 8, 30, 100]))
     odd = draw(st.sampled_from([0, 0, 2, 20]))  # percent of the labels drawn from _ODD_LABELS
@@ -553,12 +554,13 @@ def _int_label_tables(draw):
 
 @pytest.mark.parametrize("chars", [8, 40, io_formats.CHUNK])
 @settings(max_examples=200, deadline=None)
-@given(text=_int_label_tables())
-def test_integer_labels_build_the_graph_of_their_records(tmp_path_factory, chars, text):
+@given(text=_int_label_tables(), floor=st.sampled_from([0, graph._TABLE_FLOOR]))
+def test_integer_labels_build_the_graph_of_their_records(tmp_path_factory, chars, text, floor):
     # small chunks: a file spans many, and its labels switch paths mid-file
     p = write(tmp_path_factory.mktemp("e"), "e.csv", text)
     want = graph_outcome(lambda: build_graph(_read_with(p, _edge_rows)))
-    with _chunks_of(chars):
+    with _chunks_of(chars), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_TABLE_FLOOR", floor)
         assert graph_outcome(lambda: build_graph_chunks(load_edge_chunks(p))) == want
 
 
@@ -604,11 +606,94 @@ def test_a_label_past_the_table_bound_takes_the_string_path(tmp_path, monkeypatc
     assert g.edge_records() == want.edge_records()
 
 
+def test_a_source_sorted_file_that_names_large_labels_first_stays_on_the_table(
+        tmp_path, monkeypatch):
+    # each early chunk names labels near 10^5 in a few cells, far past 4
+    # table entries per cell read; the table's floor of 2^20 entries keeps
+    # the whole file on the integer path
+    rows = "".join(f"{s},{99999 - s}\n{s},{50000 + s}\n" for s in range(200))
+    p = write(tmp_path, "e.csv", "source,target\n" + rows)
+    want = build_graph(load_edge_csv(p))
+    calls = string_interner_calls(monkeypatch)
+    with _chunks_of(64):
+        g = build_graph_chunks(load_edge_chunks(p))
+        assert not calls
+        assert (g.labels, g.edge_records()) == (want.labels, want.edge_records())
+        monkeypatch.setattr(graph, "_TABLE_FLOOR", 0)  # the bound by cells alone turns it away
+        build_graph_chunks(load_edge_chunks(p))
+        assert calls
+
+
+# --- integer relevance labels: read as values, found through the graph's table ---
+
+
+# the labels of an integer-labelled graph: 0 to 11, and one below the table's floor
+_INT_VERTICES = (*range(12), 1000000)
+_INT_PAIRS = list(zip(_INT_VERTICES, _INT_VERTICES[1:] + _INT_VERTICES[:1]))
+_INT_GRAPH = build_graph_chunks([tuple(np.array(c) for c in zip(*_INT_PAIRS)) + (None,)])
+_STR_GRAPH = build_graph([(str(a), str(b)) for a, b in _INT_PAIRS])
+# vertex cells that are no canonical integer label of that graph; a quoted
+# one sends the rest of the file to csv.reader
+_ODD_VERTICES = ("007", "00", "+5", " 7", "7\t", "1e3", "-3", "5.0", "x", "12", "999999",
+                 "1234567890123456789", str(10 ** 17), '"5"', '"7,"')
+_GOOD_VALUES = ("2", "0.5", "1e3", " 3 ", "4.25", "1")
+_BAD_VALUES = ("0", "-1", "-0", "inf", "nan", "x", "")
+
+
+@st.composite
+def _int_relevance_tables(draw):
+    """Text of a relevance file of the graph on ``_INT_VERTICES``: its
+    labels once each, in any order, with odd or repeated vertices, bad
+    values and blank rows among them."""
+    rows = []
+    for v in draw(st.permutations(_INT_VERTICES)):
+        kind = draw(st.sampled_from(["row"] * 40 + ["odd", "repeat", "bad", "blank"]))
+        if kind == "blank":
+            rows.append(draw(st.sampled_from(["", ",", " , "])))
+        label = str(v)
+        if kind == "odd":
+            label = draw(st.sampled_from(_ODD_VERTICES))
+        elif kind == "repeat":
+            label = str(draw(st.sampled_from(_INT_VERTICES)))
+        rows.append(f"{label},{draw(st.sampled_from(_BAD_VALUES if kind == 'bad' else _GOOD_VALUES))}")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(["vertex,relevance"] + rows) + eol
+
+
+@pytest.mark.parametrize("chars", [8, 40, io_formats.CHUNK])
+@settings(max_examples=200, deadline=None)
+@given(text=_int_relevance_tables())
+def test_integer_and_string_relevance_paths_agree(tmp_path_factory, chars, text):
+    # small chunks: duplicates within and across chunks, and a switch to
+    # the string path mid-file
+    p = write(tmp_path_factory.mktemp("r"), "r.csv", text)
+    want = outcome(_read_with, p, _relevance_rows, _STR_GRAPH)
+    with _chunks_of(chars):
+        assert outcome(lambda: load_relevance_csv(p, _STR_GRAPH).values) == want
+        assert outcome(lambda: load_relevance_csv(p, _INT_GRAPH).values) == want
+
+
+def test_integer_relevance_labels_are_read_as_values():
+    assert _INT_GRAPH._values is not None and _STR_GRAPH._values is None
+    edges, rel = DATA / "ws-lowdiam.edges.csv", DATA / "ws-lowdiam.relevance.csv"
+    g = build_graph_chunks(load_edge_chunks(edges))
+    with _chunks_of(1024):
+        chunks = list(io_formats._read_chunks(rel, lambda header: None,
+                                              lambda row, width: False, ints=1))
+        R = load_relevance_csv(rel, g)
+    assert len(chunks) > 1 and all(isinstance(c[0], np.ndarray) for c, _, _ in chunks)
+    assert "_index" not in vars(g)  # no label dict was built
+    np.testing.assert_array_equal(R.values, load_relevance_csv(rel, build_graph(
+        load_edge_csv(edges))).values)
+
+
 # whitespace str.strip removes, ASCII and not
 _PADDING = st.lists(st.sampled_from([" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\x85",
                                      "\u2002", "\u2028", "\u3000"]), max_size=2).map("".join)
-# text of a cell that keeps its chunk plain
-_CORE = st.text(st.characters(), max_size=3).filter(lambda t: not set(t) & set(',"\n\r\x00'))
+# text of a cell that keeps its chunk plain and that a UTF-8 file can hold
+# (no surrogate)
+_CORE = st.text(st.characters(), max_size=3).filter(
+    lambda t: not set(t) & set(',"\n\r\x00') and not any("\ud800" <= c <= "\udfff" for c in t))
 
 
 @settings(max_examples=200, deadline=None)

@@ -32,10 +32,11 @@ def test_column_pass_matches_the_per_record_rules(records, vertices):
     interner = _Interner(seeded)
     # valid labels and shapes never need the per-record pass
     assert interner.add(*_record_columns(records))
-    fast_index, *fast, edge = interner.columns()
+    (labels, *fast, edge), lookup = interner.columns()
     (index, ia, ib, w, pos), fault = _intern_records(records, seeded, None)
     assert fault is None
-    assert list(fast_index.items()) == list(index.items())
+    assert list(lookup["index"].items()) == list(index.items())
+    assert labels == tuple(index)
     for got, want in zip(fast + [np.flatnonzero(edge)], (ia, ib, w, pos)):
         np.testing.assert_array_equal(got, want)
 

@@ -20,10 +20,11 @@ from relcentral.errors import (
     NonzeroDiagonalError,
     UnknownVertexInRelevanceError,
 )
-from relcentral.graph import build_graph
+from relcentral.graph import build_graph, build_graph_chunks
 from relcentral.io_formats import (
     ResultDocument,
     _json_floats,
+    _label_order,
     build_result_document,
     export_dot,
     load_edge_csv,
@@ -578,6 +579,31 @@ def test_results_json_bytes_match_for_every_metric_and_f():
                 g, [degree_centrality(g, rel), harmonic_centrality(g, rel), vrep, erep], "g"))
         for doc in docs:
             assert write_results_json(doc) == reference_json(doc)
+
+
+# canonical integer labels, with the prefixes that order by digit count
+_int_labels = st.lists(st.one_of(st.sampled_from([0, 1, 9, 10, 11, 99, 100, 101, 1000, 2**20 - 1]),
+                                 st.integers(0, 2**20 - 1), st.integers(0, 10**18 - 1)),
+                       unique=True, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_labels)
+def test_integer_label_order_is_the_order_of_their_text(values):
+    labels = tuple(map(str, values))
+    order = _label_order(labels, np.array(values, dtype=np.int64))
+    assert [labels[i] for i in order.tolist()] == sorted(labels)
+    # a graph of the labels within the table's floor keeps their values,
+    # and its document lists the vertex rows in the same order
+    small = [x for x in values if x < 2**20]
+    if len(small) < 2:
+        return
+    g = build_graph_chunks([(np.array(small[:-1]), np.array(small[1:]), None)])
+    assert g._values is not None
+    doc = build_result_document(g, [degree_centrality(g), harmonic_centrality(g)], "g")
+    text = write_results_json(doc)
+    assert list(json.loads(text)["vertices"]["harmonic"]) == sorted(map(str, small))
+    assert text == reference_json(doc)
 
 
 def test_result_version_falls_back_to_the_package_version():
