@@ -655,7 +655,8 @@ def _int_relevance_tables(draw):
             label = draw(st.sampled_from(_ODD_VERTICES))
         elif kind == "repeat":
             label = str(draw(st.sampled_from(_INT_VERTICES)))
-        rows.append(f"{label},{draw(st.sampled_from(_BAD_VALUES if kind == 'bad' else _GOOD_VALUES))}")
+        value = draw(st.sampled_from(_BAD_VALUES if kind == "bad" else _GOOD_VALUES))
+        rows.append(f"{label},{value}")
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     return eol.join(["vertex,relevance"] + rows) + eol
 
