@@ -121,10 +121,11 @@ def relevance(d):
     return chunks(read)
 
 plain_dir, edge_dir, rel_dir = sys.argv[1:]
-for read, quoted_dir, rows in ((edges, edge_dir, 100000), (relevance, rel_dir, 20000)):
+for read, quoted_dir, rows, min_chunks in ((edges, edge_dir, 100000, 10),
+                                           (relevance, rel_dir, 20000, 2)):
     plain, plain_csv = read(plain_dir)
     quoted, quoted_csv = read(quoted_dir)
-    assert len(plain) > 2 and all(ints for ints, _ in plain) and not plain_csv
+    assert len(plain) > min_chunks and all(ints for ints, _ in plain) and not plain_csv
     assert sum(n for _, n in plain) == sum(n for _, n in quoted) == rows
     # the last chunk of text leaves the integer path for csv.reader, no other does
     k = len(plain) - 1

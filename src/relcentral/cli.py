@@ -70,19 +70,13 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"--workers must be at least 1, got {workers}")
 
 
-def _top_values(values: np.ndarray, k: int = 10) -> list[float]:
-    """The first k values in the ranking's order (descending, ties by
-    index): a stable sort of only the values at least the k-th largest."""
-    if len(values) <= k:
-        return values[np.argsort(-values, kind="stable")].tolist()
-    kth = np.partition(values, len(values) - k)[len(values) - k]
-    top = values[values >= kth]  # in index order
-    return top[np.argsort(-top, kind="stable")[:k]].tolist()
-
-
 def _print_top10(rep: CentralityReport) -> None:
     print(f"{rep.metric.value} (f={rep.f_label}, relevance={rep.relevance_source})")
-    for pos, (element, value) in enumerate(zip(rep.ranking, _top_values(rep.values)), start=1):
+    top = rep.values
+    if len(top) > 10:  # only the values at least the tenth largest, in index order
+        top = top[top >= np.partition(top, len(top) - 10)[len(top) - 10]]
+    top = top[np.argsort(-top, kind="stable")[:10]].tolist()  # rep.ranking's order
+    for pos, (element, value) in enumerate(zip(rep.ranking, top), start=1):
         name = element if rep.kind == "vertex" else f"{element[0]} -- {element[1]}"
         print(f"  {pos:2d}. {name}  {value:.6g}")
 

@@ -35,17 +35,19 @@ rows included.
 Integer labels take a path of their own. When every source and target
 cell of a split edge chunk is a canonical decimal integer (digits only,
 no leading zero but in ``0`` itself, at most 18 digits, so ``str`` of
-the value gives the cell back), those two columns are read from the
-chunk's UTF-8 bytes with numpy as int64 arrays, with no string per
-cell; the weight column is split from the chunk's text and parsed with
-``float`` as before. The graph builder numbers these values through a
-table indexed by value (see ``graph._Interner``), and a graph whose
-labels all came so keeps their values and that table. For such a graph
-the relevance reader reads the ``vertex`` column of a split chunk the
-same way, and finds each value's index through the table, with no
-string per label and no label dict. Either reader, from the first chunk
-that is not so (a quoted or non-canonical cell, say), reads every chunk
-of the rest of the file as strings.
+the value gives the cell back), the label values of those two columns
+are read from the chunk's UTF-8 bytes with numpy as int64 arrays. A
+chunk with a weight column is also split once as text for its weights,
+parsed with ``float`` as before; that split makes short-lived strings
+for the label cells too, which are dropped unread. The graph builder
+numbers the values through a table indexed by value (see
+``graph._Interner``), and a graph whose labels all came so keeps their
+values and that table. For such a graph the relevance reader reads the
+``vertex`` values of a split chunk from its bytes the same way (the
+relevance cells come from one split of the chunk's text, as above), and
+finds each value's index through the table, with no label dict. Either
+reader, from the first chunk that is not so (a quoted or non-canonical
+cell, say), reads every chunk of the rest of the file as strings.
 
 A result document is its metadata, its reports and the graph they are
 of. The JSON writer knows the result's one layout (keys ``edges``,
@@ -189,9 +191,9 @@ def _int_labels(b: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     if size.min() < 1 or size.max() > _INT_DIGITS or ((b[first] == 48) & (size > 1)).any():
         return None
     values, place = b[last - 1].astype(np.int64) - 48, 1
-    for k in range(2, int(size.max()) + 1):  # the digit places above the ones, in turn
+    for digit in range(2, int(size.max()) + 1):  # the digit places above the ones, in turn
         place *= 10
-        values += np.where(size >= k, b[last - k].astype(np.int64) - 48, 0) * place
+        values += np.where(size >= digit, b[last - digit].astype(np.int64) - 48, 0) * place
     return values
 
 
@@ -207,7 +209,7 @@ def _int_columns(text: str, b: np.ndarray, sep: np.ndarray, width: int,
     """The columns of the lines of a plain chunk from byte ``start`` on,
     the first ``k`` as int64 arrays of their values, when every cell there
     is a canonical decimal integer (:func:`_int_labels`); else None. The
-    other columns are stripped strings."""
+    other columns are stripped strings, from one split of ``text``."""
     starts, ends = _bounds(sep, width, start)
     values = _int_labels(b, starts, ends, k)
     if values is None:
@@ -261,8 +263,10 @@ def _read_chunks(path, check_header, fits, ints: int = 0):
 
     The first ``ints`` columns of a plain chunk whose cells there are all
     canonical decimal integers (:func:`_int_labels`) come as int64 arrays
-    of their values, read from the chunk's bytes with no string per cell;
-    from the first chunk that is not so, every chunk comes as strings.
+    of their values, read from the chunk's bytes; the other columns, if
+    any, come from one split of the chunk's text, which makes short-lived
+    strings for the integer cells as well. From the first chunk that is
+    not so, every chunk comes as strings.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         texts = _texts(fh)
@@ -469,10 +473,11 @@ def save_edge_csv(g: Graph, path) -> None:
 def load_relevance_csv(path, g: Graph) -> RelevanceVector:
     """The relevance of every vertex, 1 where the file lists none. When
     the graph's labels came as integer values, a plain chunk whose vertex
-    cells are all canonical decimal integers is read from its bytes, and
+    cells are all canonical decimal integers has its vertex values read
+    from its bytes (its relevance cells from a split of its text), and
     the values find their indices through the graph's table, with no
-    string per label and no label dict; from the first chunk that is not
-    so, the rest of the file is read as strings."""
+    label dict; from the first chunk that is not so, the rest of the file
+    is read as strings."""
     check = _header_check(path, (["vertex", "relevance"],), "vertex,relevance")
     R = np.ones(g.vertex_count)
     listed_before = np.zeros(g.vertex_count, dtype=bool)
@@ -803,6 +808,13 @@ def write_results_json(doc: ResultDocument) -> bytes:
     return "".join(results_json_pieces(doc)).encode("ascii")
 
 
+def _g12_pieces(values: np.ndarray):
+    """The "%.12g" text of each value, made _PIECE values at a time as
+    they are read, so the text of a whole column is never held."""
+    return chain.from_iterable(
+        _g12(values[i:i + _PIECE]) for i in range(0, len(values), _PIECE))
+
+
 def write_results_csv(doc: ResultDocument, fh) -> None:
     """Flat CSV to the text file ``fh``: metric,source,target,value;
     vertex rows leave target empty. Labels are quoted where they hold a
@@ -811,10 +823,10 @@ def write_results_csv(doc: ResultDocument, fh) -> None:
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(["metric", "source", "target", "value"])
     for name, rep in vertex.items():
-        w.writerows(zip(repeat(name), rep.ids, repeat(""), _g12(rep.values)))
+        w.writerows(zip(repeat(name), rep.ids, repeat(""), _g12_pieces(rep.values)))
     for name, rep in edge.items():
         w.writerows(zip(repeat(name), map(itemgetter(0), rep.ids), map(itemgetter(1), rep.ids),
-                        _g12(rep.values)))
+                        _g12_pieces(rep.values)))
 
 
 # --- DOT export ---

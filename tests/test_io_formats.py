@@ -522,8 +522,8 @@ def _documents(draw):
     return build_result_document(g, reports, draw(_labels))
 
 
-# a table is written _PIECE items at a time: at 1 and 3 most tables of the
-# strategy cross piece boundaries
+# a table is written, and its floats formatted, _PIECE items at a time: at
+# 1 and 3 most tables of the strategy cross piece boundaries
 @pytest.mark.parametrize("piece", [1, 3, io_formats._PIECE])
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -533,6 +533,18 @@ def test_results_json_bytes_match_the_json_module(monkeypatch, piece, doc):
     assert write_results_json(doc) == reference_json(doc)
     assert "".join(results_json_pieces(doc)).encode("ascii") == write_results_json(doc)
     assert csv_text(doc) == reference_csv(doc)
+
+
+def test_results_csv_formats_its_floats_a_piece_at_a_time(monkeypatch):
+    g = build_graph([(f"v{i}", f"v{i + 1}") for i in range(20)])
+    R = RelevanceVector(np.linspace(1.0, 3.0, g.vertex_count))
+    doc = build_result_document(g, [degree_centrality(g, R)], "path.csv")
+    want = reference_csv(doc)
+    sizes, g12 = [], io_formats._g12
+    monkeypatch.setattr(io_formats, "_PIECE", 3)
+    monkeypatch.setattr(io_formats, "_g12", lambda values: sizes.append(len(values)) or g12(values))
+    assert csv_text(doc) == want
+    assert sum(sizes) == g.vertex_count and max(sizes) == 3
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
