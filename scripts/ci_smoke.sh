@@ -5,8 +5,8 @@
 #   florence  compute every metric on the Florence families
 #   version   the Florence result carries the installed package's version
 #             (after `florence`)
-#   workers   a graph of many source blocks gives the same JSON and CSV
-#             bytes at --workers 1, 2 and 3
+#   workers   a graph of many source blocks, unweighted and weighted, gives
+#             the same JSON and CSV bytes at --workers 1, 2 and 3
 #   quoted    about 100000 rows, many chunks: a quoted label in the last
 #             row sends only the last chunk through csv.reader, the result
 #             bytes do not change, and they are the json module's
@@ -45,13 +45,26 @@ EOF
       ;;
     workers)
       relcentral generate --kind ws --n 600 --d 10 --p 1 --r 0.5 --out-prefix "$tmp/ws"
-      for fmt in json csv; do
-        for k in 1 2 3; do
-          relcentral compute "$tmp/ws.edges.csv" --relevance "$tmp/ws.relevance.csv" \
-            --metric all --f path-prod --workers "$k" --format "$fmt" --out "$tmp/ws_$k.$fmt"
+      # the same edges weighted 0.5 to 2 by line number, for the distance front-end
+      awk -F, 'NR == 1 { print; next } { print $1 "," $2 "," 0.5 + NR % 7 / 4 }' \
+        "$tmp/ws.edges.csv" > "$tmp/wsw.edges.csv"
+      python - "$tmp/ws.edges.csv" "$tmp/wsw.edges.csv" <<'EOF'
+import sys
+from relcentral import _batched, io_formats
+from relcentral.graph import build_graph_chunks
+for path, weighted in zip(sys.argv[1:], (False, True)):
+    g = build_graph_chunks(io_formats.load_edge_chunks(path))
+    assert g.weighted == weighted and _batched.block_size(g) < g.vertex_count, path
+EOF
+      for name in ws wsw; do
+        for fmt in json csv; do
+          for k in 1 2 3; do
+            relcentral compute "$tmp/$name.edges.csv" --relevance "$tmp/ws.relevance.csv" \
+              --metric all --f path-prod --workers "$k" --format "$fmt" --out "$tmp/${name}_$k.$fmt"
+          done
+          cmp "$tmp/${name}_1.$fmt" "$tmp/${name}_2.$fmt"
+          cmp "$tmp/${name}_1.$fmt" "$tmp/${name}_3.$fmt"
         done
-        cmp "$tmp/ws_1.$fmt" "$tmp/ws_2.$fmt"
-        cmp "$tmp/ws_1.$fmt" "$tmp/ws_3.$fmt"
       done
       ;;
     quoted)

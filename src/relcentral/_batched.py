@@ -6,9 +6,11 @@ graph once: the engine's own BFS from one source, the vertex of highest
 degree, whose widest level stands for every source's, gives b so that a
 block's widest level spans about ``LEVEL_SLOTS`` slots (the batch sizing
 of multi-source BFS; Then et al., PVLDB 8(4), 2014), at most ``BLOCK``
-sources and at most what fits ``BUDGET`` bytes of DAG arcs. The block
-size never depends on the worker count and block credit is merged in
-block order as it arrives, so any level of parallelism produces the
+sources and at most what fits ``BUDGET`` bytes of DAG arcs. A level
+spans at most 2m slots, so when one block of every source fits those
+bounds at 2m slots a level, ``sweep`` takes it without the probe. The
+block size never depends on the worker count and block credit is merged
+in block order as it arrives, so any level of parallelism produces the
 same bytes.
 
 The b sources of a block see the graph as flat nodes s*V + x (vertex x
@@ -33,7 +35,9 @@ arcs, every arc running from a lower to a higher level.
   over the flat nodes (``_distances``), the arcs p -> w where d[p] < d[w]
   and d[p] + weight ties d[w] within the relative ``TIE_TOL``, and a
   node's level the hop count of its longest DAG path, so an arc may
-  skip levels.
+  skip levels. Kahn's order finds the levels: each lowers the in-degree
+  of its arcs' heads and sorts only the heads it completes. Relaxations
+  and the scan for candidate arcs run ``_CHUNK`` slots at a time.
 
 Every recurrence over the DAGs (Brandes 2001; the path variants follow
 Brandes 2008) is then one ``np.bincount`` per level: the path counts and
@@ -74,16 +78,20 @@ BLOCK = 256  # the most sources in a block
 LEVEL_SLOTS = 1 << 17  # neighbor slots in a block's widest level
 BUDGET = 1 << 30  # bytes of DAG arcs for the blocks that run at once
 # bytes per DAG arc: a source's DAG has at most m arcs, and the traced
-# peak of a one-source block on WS n=100000, d=10 is at most 70.6 bytes
+# peak of a one-source block on WS n=100000, d=10 is at most 69.4 bytes
 # per edge (weights U(0.5, 2); unit weights 61.1 to 65.9), product and
-# path f
+# path f. The distance front-end sets it: its scan of the source's 2m
+# candidate slots, not its n - 1 arcs, reaches the peak
 ARC_BYTES = 72
 EXACT_LIMIT = 2.0**53
 # two path lengths tie when they differ by at most TIE_TOL * max(1, either)
 TIE_TOL = 1e-12
-# slots per chunk of the distance front-end: its temporaries stay a few
-# hundred KB, in cache and recycled by the allocator instead of paged in
-_CHUNK = 1 << 16
+# slots per chunk of the distance front-end: its float64 and int64
+# temporaries take about 64 KiB, below glibc's default mmap threshold
+# (128 KiB), and a warm weighted-sparse sweep takes no page fault (about
+# 560 at 1 << 16). A chunk of the candidate scan holds whole source rows,
+# so it spans 2m slots when 2m is larger
+_CHUNK = 1 << 13
 # positions per chunk of pairwise f, whose temporaries then stay below
 # the block's own arrays
 _PAIRS = 1 << 14
@@ -231,10 +239,14 @@ def _distances(g: Graph, S: np.ndarray) -> np.ndarray:
     relaxed) within the least edge weight of the nearest one, which no
     later round can improve, or the nearest quarter of them when that is
     more, so that deep graphs neither relax a node many times nor take
-    many small rounds. Relaxations run about ``_CHUNK`` slots at a time,
-    and a head keeps the least of its candidates (``np.minimum.at``)
-    before the next chunk reads it. The result is the least float sum
-    over the paths to a node, as Dijkstra's is, in any order.
+    many small rounds. Relaxations run about ``_CHUNK`` slots at a time:
+    a chunk's heads and candidate lengths repeat its nodes and the
+    distances the round read, and a head keeps the least of its
+    candidates (``np.minimum.at``) before the next chunk reads it. A
+    node that an earlier chunk of the round improved is relaxed from the
+    distance the round read, and again, being pending, in the next
+    round. The result is the least float sum over the paths
+    to a node, as Dijkstra's is, in any order.
     """
     indptr, nbr, eid = g.neighbor_csr
     w = g.edge_weights[eid]
@@ -249,13 +261,16 @@ def _distances(g: Graph, S: np.ndarray) -> np.ndarray:
         d = dist[pending]
         q = len(d) // 4
         now = d <= max(d.min() + lightest, np.partition(d, q)[q])
-        active, improved = pending[now], [pending[~now]]
+        active, improved, d = pending[now], [pending[~now]], d[now]
         for i in range(0, len(active), step):
             nodes = active[i:i + step]
             x = nodes % n
-            tp, slot = _ragged(deg[x], indptr[x])
-            head = (nodes - x)[tp] + nbr[slot]
-            via = dist[nodes][tp] + w[slot]
+            cnt = deg[x]
+            slot = _ranges(cnt, indptr[x])
+            head = np.repeat(nodes - x, cnt)
+            head += nbr[slot]
+            via = np.repeat(d[i:i + step], cnt)
+            via += w[slot]
             keep = np.flatnonzero(via < dist[head])
             np.minimum.at(dist, head[keep], via[keep])
             improved.append(head[keep])
@@ -269,8 +284,12 @@ def _distances(g: Graph, S: np.ndarray) -> np.ndarray:
 def _by_distance(g: Graph, S: np.ndarray) -> _Dag:
     """The block's DAGs from its distances, at longest-hop levels: a node
     joins level k + 1 once the arcs out of levels 0..k have reached it
-    by all its DAG arcs (Kahn's order, a level at a time), and each level
-    lists its flat nodes in ascending order."""
+    by all its DAG arcs (Kahn's order, a level at a time: the arcs out of
+    a level lower their heads' in-degrees, and only the heads they
+    complete are sorted), and each level lists its flat nodes in
+    ascending order. The candidate arcs are the slots whose gap d[p] +
+    weight - d[w] is within a bound, scanned ``_CHUNK`` slots of whole
+    source rows at a time."""
     indptr, nbr, eid = g.neighbor_csr
     n, b = g.vertex_count, len(S)
     deg, w = np.diff(indptr), g.edge_weights[eid]
@@ -302,16 +321,19 @@ def _by_distance(g: Graph, S: np.ndarray) -> _Dag:
         if not len(arcs):
             break
         groups.append(arcs)
-        h, c = np.unique(head[arcs], return_counts=True)
-        indeg[h] -= c
-        levels.append(h[indeg[h] == 0])
+        h = head[arcs]
+        np.subtract.at(indeg, h, 1)
+        h = np.sort(h[indeg[h] == 0])  # a head of several arcs once
+        levels.append(h[_firsts(h)])
     node, sizes = np.concatenate(levels), list(map(len, levels))
     cut = _offsets(sizes)
     pos = np.empty(b * n, dtype=np.int64)
     pos[node] = np.arange(len(node))
     tail, head = pos[tail], pos[head]
     out = [(tail[a] - cut[k], 0, head[a], slot[a]) for k, a in enumerate(groups)]
-    level = np.repeat(np.arange(len(levels)), sizes)[head]
+    # int16 while it fits, which numpy's stable sort orders by radix
+    dtype = np.int16 if len(levels) < 1 << 15 else np.intp
+    level = np.repeat(np.arange(len(levels), dtype=dtype), sizes)[head]
     by_head = np.split(np.argsort(level, kind="stable"), _offsets(np.bincount(level))[1:-1])
     into = [(0, tail[a], head[a] - cut[k]) for k, a in enumerate(by_head) if k]
     return _Dag(node, cut, dist[node], into, out)
@@ -528,7 +550,13 @@ def sweep(g, R, f, workers: int, harmonic: bool, betweenness: bool):
     parts not asked for. Returns ``(harmonic, vertex, edge)`` arrays,
     None where not asked for.
     """
-    n, b = g.vertex_count, block_size(g)
+    n = g.vertex_count
+    # a level spans at most 2m slots, so when one block may hold every
+    # source the probe could not give fewer: it is skipped
+    if n <= min(BLOCK, _fit(g), LEVEL_SLOTS // max(1, 2 * g.edge_count)):
+        b = max(1, n)
+    else:
+        b = block_size(g)
     starts = range(0, n, b)
     # as many blocks at once as the budget holds; never a smaller block
     workers = min(workers, len(starts), _fit(g) // b)

@@ -172,8 +172,7 @@ def _path_reports(
         hrep = _make_report(Metric.HARMONIC, "vertex", g.labels, h, **kw)
     if betweenness:
         vrep = _make_report(Metric.VERTEX_BETWEENNESS, "vertex", g.labels, vb, **kw)
-        ids = tuple(g.edge_labels())
-        erep = _make_report(Metric.EDGE_BETWEENNESS, "edge", ids, eb, **kw)
+        erep = _make_report(Metric.EDGE_BETWEENNESS, "edge", g.edge_ids, eb, **kw)
     return hrep, vrep, erep
 
 

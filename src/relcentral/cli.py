@@ -105,7 +105,7 @@ def _oracle_reports(g, R, f, wanted: list[str], relevance_source: str):
             )
         if "edge-betweenness" in wanted:
             reports.append(_make_report(
-                Metric.EDGE_BETWEENNESS, "edge", tuple(g.edge_labels()), eb, **kw))
+                Metric.EDGE_BETWEENNESS, "edge", g.edge_ids, eb, **kw))
     return reports
 
 

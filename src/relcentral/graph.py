@@ -100,6 +100,12 @@ class Graph:
         lab = self.labels.__getitem__
         return list(zip(map(lab, self._u.tolist()), map(lab, self._v.tolist())))
 
+    @cached_property
+    def edge_ids(self) -> tuple[tuple[str, str], ...]:
+        """``edge_labels()`` as one tuple, built once: the ids of the
+        graph's edge reports, which the JSON writer knows by identity."""
+        return tuple(self.edge_labels())
+
     def edge_records(self) -> list[tuple[str, str, float]]:
         """Edges as (label, label, weight) triples, in construction order."""
         return [(a, b, w) for (a, b), w in zip(self.edge_labels(), self._w.tolist())]

@@ -55,7 +55,10 @@ of. The JSON writer knows the result's one layout (keys ``edges``,
 tables sorted by label, in an order found once per document, by one
 lexsort for integer labels) and formats each table from the report's
 ``ids``, ``values`` and ``ranking`` columns with one join, every float
-cut to 12 significant digits once, by one ``%`` call per piece; the
+cut to 12 significant digits once, by one ``%`` call per piece. An edge
+table's rows are filled by one more ``%`` call per piece, and when its
+ids are the graph's own edge tuple (``Graph.edge_ids``) its labels'
+texts come from one text per vertex, made once per document; the
 bytes equal ``json.dumps(..., sort_keys=True, indent=2)`` of the same
 result as nested dicts and lists. A non-finite value is refused. The
 text comes in pieces of at most ``_PIECE`` table items, which the
@@ -72,7 +75,7 @@ import json
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, islice, repeat
-from operator import itemgetter
+from operator import is_, itemgetter
 
 import numpy as np
 
@@ -726,11 +729,29 @@ def _by_metric(reports: dict, write, pad: str):
     yield "\n" + pad + "}"
 
 
-def _pairs(template: str, pairs: tuple, *columns):
-    """``template`` filled with the JSON texts of each pair's two labels
-    and of the other ``columns``."""
-    return map(template.format, map(_json_str, map(itemgetter(0), pairs)),
-               map(_json_str, map(itemgetter(1), pairs)), *columns)
+def _label_texts(pairs: tuple, ends, i: int, j: int) -> list[list[str]]:
+    """The JSON texts of the source and the target labels of the pairs
+    ``pairs[i:j]``. ``ends``, when given, is the JSON text of each vertex
+    label and the two endpoint indices of every pair, which give them."""
+    if ends is None:
+        return [list(map(_json_str, map(itemgetter(k), pairs[i:j]))) for k in (0, 1)]
+    texts, u, v = ends
+    return [list(map(texts.__getitem__, x[i:j].tolist())) for x in (u, v)]
+
+
+def _rows(fmt: str, pad: str, n: int, columns):
+    """The pieces of a JSON list at indent ``pad`` of ``n`` rows, each
+    ``fmt`` (a "%s" per column) filled from the text columns that
+    ``columns(i, j)`` gives for rows i to j, by one % call per piece."""
+    comma = ",\n" + pad + "  "
+
+    def piece(i, j):
+        cols = columns(i, j)
+        cells = [None] * (len(cols) * len(cols[0]))
+        for c, col in enumerate(cols):
+            cells[c::len(cols)] = col
+        return [comma.join([fmt] * len(cols[0])) % tuple(cells)]
+    return _container("[]", n, piece, pad)
 
 
 def _label_order(labels: tuple, values: np.ndarray | None = None) -> np.ndarray:
@@ -755,12 +776,16 @@ def _vertex_values(rep: CentralityReport, pad: str, graph_order: tuple):
         "{}: {}".format, map(_json_str, labels[i:j]), _json_floats(values[i:j])), pad)
 
 
-def _edge_values(rep: CentralityReport, pad: str):
+def _edge_values(rep: CentralityReport, pad: str, edges):
+    """An edge table, its rows in edge order; ``edges`` is a graph's edge
+    ids and their label ends (see ``_label_texts``), taken when they are
+    the report's ids."""
     row = pad + "  "
-    template = ("{{\n" + row + '  "source": {},\n' + row + '  "target": {},\n'
-                + row + '  "value": {}\n' + row + "}}")
-    return _container("[]", len(rep.ids), lambda i, j: _pairs(
-        template, rep.ids[i:j], _json_floats(rep.values[i:j])), pad)
+    fmt = ("{\n" + row + '  "source": %s,\n' + row + '  "target": %s,\n'
+           + row + '  "value": %s\n' + row + "}")
+    ends = edges[1] if rep.ids is edges[0] else None
+    return _rows(fmt, pad, len(rep.ids), lambda i, j: _label_texts(
+        rep.ids, ends, i, j) + [_json_floats(rep.values[i:j])])
 
 
 def _vertex_ranking(rep: CentralityReport, pad: str):
@@ -768,21 +793,26 @@ def _vertex_ranking(rep: CentralityReport, pad: str):
                       lambda i, j: map(_json_str, rep.ranking[i:j]), pad)
 
 
-def _edge_ranking(rep: CentralityReport, pad: str):
+def _edge_ranking(rep: CentralityReport, pad: str, edges):
     row = pad + "  "
-    template = "[\n" + row + "  {},\n" + row + "  {}\n" + row + "]"
-    return _container("[]", len(rep.ranking),
-                      lambda i, j: _pairs(template, rep.ranking[i:j]), pad)
+    fmt = "[\n" + row + "  %s,\n" + row + "  %s\n" + row + "]"
+    ends = None
+    if rep.ids is edges[0]:  # the ranking's ends, when it is the report's order
+        order = np.argsort(-rep.values, kind="stable")
+        if all(map(is_, rep.ranking, map(rep.ids.__getitem__, order.tolist()))):
+            texts, u, v = edges[1]
+            ends = texts, u[order], v[order]
+    return _rows(fmt, pad, len(rep.ranking), partial(_label_texts, rep.ranking, ends))
 
 
-def _json_pieces(metadata: dict, vertex: dict, edge: dict, graph_order: tuple):
+def _json_pieces(metadata: dict, vertex: dict, edge: dict, graph_order: tuple, edges: tuple):
     yield '{\n  "edges": '
-    yield from _by_metric(edge, _edge_values, "  ")
+    yield from _by_metric(edge, partial(_edge_values, edges=edges), "  ")
     # six scalars, laid out by the json module one level in
     meta = json.dumps(metadata, sort_keys=True, indent=2)
     yield ',\n  "metadata": ' + meta.replace("\n", "\n  ")
     yield ',\n  "rankings": {\n    "edges": '
-    yield from _by_metric(edge, _edge_ranking, "    ")
+    yield from _by_metric(edge, partial(_edge_ranking, edges=edges), "    ")
     yield ',\n    "vertices": '
     yield from _by_metric(vertex, _vertex_ranking, "    ")
     yield '\n  },\n  "vertices": '
@@ -795,10 +825,12 @@ def results_json_pieces(doc: ResultDocument):
     _PIECE table items: what a writer puts in a file as it comes. Raises
     ValueError, before the first piece, on a non-finite value."""
     vertex, edge = _tables(doc)
-    g, graph_order = doc.graph, (None, None)
+    g, graph_order, edges = doc.graph, (None, None), (None, None)
     if g is not None and vertex:  # one order for every vertex table of the graph
         graph_order = g.labels, _label_order(g.labels, g._values)
-    return _json_pieces(doc.metadata, vertex, edge, graph_order)
+    if g is not None and edge:  # one text per vertex label for every edge table
+        edges = g.edge_ids, (list(map(_json_str, g.labels)), *g.edge_endpoints)
+    return _json_pieces(doc.metadata, vertex, edge, graph_order, edges)
 
 
 def write_results_json(doc: ResultDocument) -> bytes:

@@ -547,6 +547,43 @@ def test_results_csv_formats_its_floats_a_piece_at_a_time(monkeypatch):
     assert sum(sizes) == g.vertex_count and max(sizes) == 3
 
 
+def _escaped_edge_report():
+    """The edge betweenness report of a graph whose labels need escaping,
+    with ties, so that its ranking is not its edge order."""
+    labels = ['a"b', "c\\d", "é", "☃", "plain", "x\ny", "\t"]
+    g = build_graph([(labels[i], labels[j], 1.0 + (i + j) % 2) for i, j in
+                     [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (0, 3), (2, 5)]])
+    return g, betweenness_reports(g, RelevanceVector(np.linspace(1.0, 4.0, g.vertex_count)))[1]
+
+
+@pytest.mark.parametrize("piece", [1, 3, io_formats._PIECE])
+def test_edge_tables_of_the_graphs_edges_take_one_label_text_per_vertex(monkeypatch, piece):
+    g, erep = _escaped_edge_report()
+    assert erep.ids is g.edge_ids and erep.ranking != erep.ids
+    doc = build_result_document(g, [erep], "g")
+    want = reference_json(doc)
+    monkeypatch.setattr(io_formats, "_PIECE", piece)
+    calls, json_str = [], io_formats._json_str
+    monkeypatch.setattr(io_formats, "_json_str", lambda s: calls.append(s) or json_str(s))
+    assert write_results_json(doc) == want
+    # one per vertex, and the metric's name above each of its two tables
+    assert sorted(calls) == sorted(g.labels + ("edge-betweenness",) * 2)
+
+
+@pytest.mark.parametrize("piece", [1, 3, io_formats._PIECE])
+def test_edge_tables_of_other_ids_or_rankings_take_each_rows_labels(monkeypatch, piece):
+    g, erep = _escaped_edge_report()
+    monkeypatch.setattr(io_formats, "_PIECE", piece)
+    reports = [
+        dataclasses.replace(erep, ids=tuple(g.edge_labels())),  # equal, not the graph's tuple
+        dataclasses.replace(erep, ranking=erep.ranking[::-1]),  # not the report's order
+        dataclasses.replace(erep, ids=erep.ids[::-1], values=erep.values[::-1].copy()),
+    ]
+    for rep in reports:
+        for doc in (build_result_document(g, [rep], "g"), ResultDocument({}, (rep,))):
+            assert write_results_json(doc) == reference_json(doc)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("kind", ["vertex", "edge"])
 def test_results_refuse_a_non_finite_value(bad, kind):

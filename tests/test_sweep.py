@@ -225,3 +225,73 @@ def test_one_deep_block_holds_its_dag_and_few_block_sized_arrays(f, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * 2**20
+
+
+# --- the distance front-end ---
+
+
+def _dag_arrays(dag) -> list:
+    """Every array of a block's DAG, as (dtype, bytes)."""
+    arrays = [dag.node, dag.cut, dag.dist] + [np.asarray(a) for arcs in dag.into + dag.out
+                                              for a in arcs]
+    return [(a.dtype.str, a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), ints=st.booleans(),
+       parts=st.integers(1, 3))
+def test_distance_front_end_does_not_depend_on_the_chunk(seed, n, ints, parts):
+    # edges only within parts (v % parts), so a graph of several parts is
+    # disconnected, and among a random subset, so most have isolated
+    # vertices; weights 1 to 3 make many ties
+    rng = np.random.default_rng(seed)
+    labels = [f"v{i}" for i in range(n)]
+    pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n + 1)), 2))
+    pairs = {(min(a, b), max(a, b)) for a, b in pairs.tolist() if a != b and (a - b) % parts == 0}
+    weights = rng.integers(1, 4, len(pairs)) if ints else rng.uniform(0.5, 2.0, len(pairs))
+    records = [(labels[a], labels[b], float(w)) for (a, b), w in zip(sorted(pairs), weights)]
+    g = build_graph(records, vertices=labels)
+    S = np.sort(rng.permutation(n)[:int(rng.integers(1, n + 1))])
+    runs = []
+    for chunk in (1, 5, 64, 1 << 16):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_batched, "_CHUNK", chunk)
+            runs.append((_batched._distances(g, S), _batched._by_distance(g, S)))
+    dist, dag = runs[-1]
+    # each reached node once, each level ascending
+    assert np.sort(dag.node).tolist() == np.flatnonzero(np.isfinite(dist)).tolist()
+    for lo, hi in zip(dag.cut[:-1].tolist(), dag.cut[1:].tolist()):
+        assert lo < hi and np.all(np.diff(dag.node[lo:hi]) > 0)
+    for d, other in runs[:-1]:
+        assert d.tobytes() == dist.tobytes()
+        assert _dag_arrays(other) == _dag_arrays(dag)
+
+
+def test_sweep_skips_the_probe_exactly_when_one_block_holds_every_source(monkeypatch):
+    data = Path(__file__).resolve().parent / "data"
+    g = build_graph_chunks(load_edge_chunks(data / "weighted-sparse.edges.csv"))
+    R = load_relevance_csv(data / "weighted-sparse.relevance.csv", g)
+    n, slots, peak = g.vertex_count, 2 * g.edge_count, _peak_slots(g)
+    assert n <= min(BLOCK, _batched._fit(g)) and n * peak < n * slots <= _batched.LEVEL_SLOTS
+    probes, probe = [], block_size
+    monkeypatch.setattr(_batched, "block_size", lambda g: probes.append(probe(g)) or probes[-1])
+
+    def run(**patch):
+        probes.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in patch.items():
+                mp.setattr(_batched, name, value)
+            out = [sweep(g, R, f, 1, True, True) for f in (PRODUCT, PATH_PROD)]
+        return [a.tobytes() for parts in out for a in parts], list(probes)
+
+    want, seen = run()
+    assert seen == []
+    assert run(LEVEL_SLOTS=n * slots) == (want, [])
+    assert run(BLOCK=n) == (want, [])
+    # the probe runs, and finds one block of every source: the same bytes
+    got, seen = run(LEVEL_SLOTS=n * slots - 1)
+    assert got == want and len(seen) == 2 and min(seen) >= n
+    assert run(LEVEL_SLOTS=n * peak) == (want, [n, n])
+    # the probe runs, and finds smaller blocks
+    assert run(BLOCK=n - 1)[1] == [n - 1, n - 1]
+    assert run(BUDGET=_batched.ARC_BYTES * g.edge_count * (n - 1))[1] == [n - 1, n - 1]
