@@ -1,5 +1,5 @@
-"""Golden outputs: the bytes of ``compute``, the engine's values, and the
-rows of a reduced grid.
+"""Golden outputs: the bytes of ``compute`` (its JSON, CSV and DOT files and
+its top-10 printout), the engine's values, and the rows of a reduced grid.
 
 The inputs under ``tests/data/`` are the seed-1 inputs of three benchmark
 workloads, written once by ``perfbench/inputs.py`` (edges from
@@ -44,6 +44,29 @@ COMPUTE_SHA256 = {
     ("weighted-sparse", "path-prod"): "31bddb56b123a5a4675d8584dcbc038c6f75904ca66f70b78dfe1627e5b4bc77",
 }
 
+# SHA-256 of the `compute --metric all` CSV and DOT files, and of the top-10
+# lines it prints (the same for either format); --workers 1 and 2 agree
+OUTPUT_SHA256 = {
+    ("csv", "ring-deep", "path-prod"): "b95f84a125dd330ee74979be2f3526d60fb63600b56f1909acb21177f68b23b6",
+    ("csv", "ring-deep", "product"): "b789ce094994007219ae4b9eb645a97d3ed5031c3675a535f452c70a2ef74ecb",
+    ("csv", "weighted-sparse", "path-prod"): "e8dfdaff54237a9e4d51c2463ea3ee4c975f7950946c001871e2ab8cb92f1fc0",
+    ("csv", "weighted-sparse", "product"): "d32cbaea3486e0df3311fd46248bf18f141404949334fc9fd1600bdcf14984ec",
+    ("csv", "ws-lowdiam", "path-prod"): "95aae1ead9c0439c141b90b67ef7d78871e380bac2933665fa285cd50c03edec",
+    ("csv", "ws-lowdiam", "product"): "21f19b74b93c4d367d0ddc68f47042e8e807625c26000612b2521d97c29522eb",
+    ("dot", "ring-deep", "path-prod"): "e67dfdc7f30d80b9a5ed3fbb0752681a7e48f75fa8c7d94ef0b56d7f40be437c",
+    ("dot", "ring-deep", "product"): "7aa74e02c7cef5010382a1f6fb62118ecef42aae1b7283394603ddef86b83191",
+    ("dot", "weighted-sparse", "path-prod"): "3215383d755eb7055bb6cb85daa01ff3ef3d7d7ad1478055202eb96e4d7750db",
+    ("dot", "weighted-sparse", "product"): "2301c32b87b53e123bd5f2860a55b5d5bef2cf1254c13fb4112481219265d74d",
+    ("dot", "ws-lowdiam", "path-prod"): "390c2c0f04acd49b2d3843857e3d261fc29309a47e495da6ca7e5997567f54b4",
+    ("dot", "ws-lowdiam", "product"): "a726335afe12eb8c18958935a12e768a8d17aabbd2e957ac0a938e5e99623ce9",
+    ("top10", "ring-deep", "path-prod"): "a7f713ab8ce682dbdda7a51447cfba1effd7b88585806ef78f30e4915f08aead",
+    ("top10", "ring-deep", "product"): "e62b2021e96a8d4e4e5597d2c7aab70ad8c77ceffc1277996275217370a61c43",
+    ("top10", "weighted-sparse", "path-prod"): "218b403e7b99b5070e65400e93614fc38570daaf4f2f601b0fe5bc10e14b1b6d",
+    ("top10", "weighted-sparse", "product"): "c4a31422b0081c2a7cfc7579829fe38452eefa9eefd0a8f4967e80e44f0e1101",
+    ("top10", "ws-lowdiam", "path-prod"): "c86f7647a0f0885cdafba1a526664db2d8de04078eea689004643738915ee4bd",
+    ("top10", "ws-lowdiam", "product"): "efee1af205f588fa48c64a9107778245082bda81491c4e906bc9ba570ca90b9a",
+}
+
 # SHA-256 of the float64 bytes (little-endian) of the harmonic, vertex and
 # edge betweenness values, in that order. The JSON keeps 12 significant
 # digits, which hides a sum taken in another order; these bytes do not.
@@ -78,6 +101,22 @@ def test_compute_json_is_golden(tmp_path, capsys, name, f, workers):
     assert main(argv) == EXIT_OK
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == COMPUTE_SHA256[name, f]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fmt", ["csv", "dot"])
+@pytest.mark.parametrize("name, f", sorted({k[1:] for k in OUTPUT_SHA256}))
+def test_compute_csv_dot_and_top10_are_golden(tmp_path, capsys, name, f, fmt, workers):
+    out = tmp_path / f"res.{fmt}"
+    argv = [
+        "compute", str(DATA / f"{name}.edges.csv"),
+        "--relevance", str(DATA / f"{name}.relevance.csv"), "--metric", "all", "--f", f,
+        "--workers", str(workers), "--format", fmt, "--out", str(out),
+    ]
+    assert main(argv) == EXIT_OK
+    printed = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == OUTPUT_SHA256[fmt, name, f]
+    assert hashlib.sha256(printed).hexdigest() == OUTPUT_SHA256["top10", name, f]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
