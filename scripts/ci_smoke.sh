@@ -6,7 +6,7 @@
 #   version   the Florence result carries the installed package's version
 #             (after `florence`)
 #   workers   a graph of many source blocks, unweighted and weighted, gives
-#             the same JSON and CSV bytes at --workers 1, 2 and 3
+#             the same JSON, CSV and DOT bytes at --workers 1, 2 and 3
 #   quoted    about 100000 rows, many chunks: a quoted label in the last
 #             row sends only the last chunk through csv.reader, the result
 #             bytes do not change, and they are the json module's
@@ -57,7 +57,7 @@ for path, weighted in zip(sys.argv[1:], (False, True)):
     assert g.weighted == weighted and _batched.block_size(g) < g.vertex_count, path
 EOF
       for name in ws wsw; do
-        for fmt in json csv; do
+        for fmt in json csv dot; do
           for k in 1 2 3; do
             relcentral compute "$tmp/$name.edges.csv" --relevance "$tmp/ws.relevance.csv" \
               --metric all --f path-prod --workers "$k" --format "$fmt" --out "$tmp/${name}_$k.$fmt"

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -57,21 +58,35 @@ class Metric(str, Enum):
 
 @dataclass(frozen=True)
 class CentralityReport:
-    """Per-element metric values plus the induced ranking.
+    """Metric values over a graph and the order that ranks them.
 
-    ``ids`` are vertex labels, or (label, label) pairs for edge
-    metrics. ``ranking`` lists ids by descending value, ties broken by
-    ascending internal index so repeated runs agree bit for bit.
+    ``values`` has one entry per vertex of ``graph``, or per edge for an
+    edge report, in the graph's index order. ``order`` lists those
+    indices by descending value, ties broken by ascending index, so
+    repeated runs agree bit for bit. ``ids`` are the vertex labels, or
+    (label, label) pairs for an edge report, and ``ranking`` the ids in
+    ``order``; both are made from the graph only when read.
     """
 
     metric: Metric
     kind: str  # "vertex" or "edge"
-    ids: tuple
+    graph: Graph
     values: np.ndarray
-    ranking: tuple
+    order: np.ndarray
     f_label: str
     relevance_source: str
-    weighted: bool
+
+    @property
+    def ids(self) -> tuple:
+        return self.graph.labels if self.kind == "vertex" else self.graph.edge_ids
+
+    @cached_property
+    def ranking(self) -> tuple:
+        return tuple(map(self.ids.__getitem__, self.order.tolist()))
+
+    @property
+    def weighted(self) -> bool:
+        return self.graph.weighted
 
     def as_dict(self) -> dict:
         return dict(zip(self.ids, np.asarray(self.values, dtype=np.float64).tolist()))
@@ -83,31 +98,21 @@ class CentralityReport:
 def _make_report(
     metric: Metric,
     kind: str,
-    ids: tuple,
+    g: Graph,
     values: np.ndarray,
     f: RelevanceFunction,
     relevance_source: str,
-    weighted: bool,
 ) -> CentralityReport:
-    values = np.asarray(values, dtype=np.float64)
+    values = np.array(values, dtype=np.float64)  # a copy, made read-only below
     if not np.all(np.isfinite(values)):
         raise SigmaOverflowError(
             f"{metric.value} accumulation overflowed to a non-finite value; "
             "the instance is beyond float64 range"
         )
     order = np.argsort(-values, kind="stable")  # stable: ties keep index order
-    values = values.copy()
-    values.setflags(write=False)
-    return CentralityReport(
-        metric=metric,
-        kind=kind,
-        ids=ids,
-        values=values,
-        ranking=tuple(map(ids.__getitem__, order.tolist())),
-        f_label=f.label,
-        relevance_source=relevance_source,
-        weighted=weighted,
-    )
+    for a in (values, order):
+        a.setflags(write=False)
+    return CentralityReport(metric, kind, g, values, order, f.label, relevance_source)
 
 
 def _resolve(g: Graph, R: RelevanceVector | None, relevance_source: str | None):
@@ -142,9 +147,7 @@ def degree_centrality(
     # sums of one bincount over both arcs, bit for bit
     vals = np.bincount(u, weights=pair_values(f, u, v, R), minlength=g.vertex_count)
     np.add.at(vals, v, pair_values(f, v, u, R))
-    return _make_report(
-        Metric.DEGREE, "vertex", g.labels, vals, f, relevance_source, g.weighted
-    )
+    return _make_report(Metric.DEGREE, "vertex", g, vals, f, relevance_source)
 
 
 # --- harmonic and betweenness: one sweep over source blocks ---
@@ -166,13 +169,12 @@ def _path_reports(
     """
     R, relevance_source = _resolve(g, R, relevance_source)
     h, vb, eb = sweep(g, R, f, workers, harmonic, betweenness)
-    kw = dict(f=f, relevance_source=relevance_source, weighted=g.weighted)
     hrep = vrep = erep = None
     if harmonic:
-        hrep = _make_report(Metric.HARMONIC, "vertex", g.labels, h, **kw)
+        hrep = _make_report(Metric.HARMONIC, "vertex", g, h, f, relevance_source)
     if betweenness:
-        vrep = _make_report(Metric.VERTEX_BETWEENNESS, "vertex", g.labels, vb, **kw)
-        erep = _make_report(Metric.EDGE_BETWEENNESS, "edge", g.edge_ids, eb, **kw)
+        vrep = _make_report(Metric.VERTEX_BETWEENNESS, "vertex", g, vb, f, relevance_source)
+        erep = _make_report(Metric.EDGE_BETWEENNESS, "edge", g, eb, f, relevance_source)
     return hrep, vrep, erep
 
 

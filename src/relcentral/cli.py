@@ -13,11 +13,10 @@ only what it runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-
-import numpy as np
 
 from . import io_formats
 from .centrality import (
@@ -72,12 +71,13 @@ def _check_workers(workers: int) -> None:
 
 def _print_top10(rep: CentralityReport) -> None:
     print(f"{rep.metric.value} (f={rep.f_label}, relevance={rep.relevance_source})")
-    top = rep.values
-    if len(top) > 10:  # only the values at least the tenth largest, in index order
-        top = top[top >= np.partition(top, len(top) - 10)[len(top) - 10]]
-    top = top[np.argsort(-top, kind="stable")[:10]].tolist()  # rep.ranking's order
-    for pos, (element, value) in enumerate(zip(rep.ranking, top), start=1):
-        name = element if rep.kind == "vertex" else f"{element[0]} -- {element[1]}"
+    top, label = rep.order[:10], rep.graph.labels.__getitem__
+    if rep.kind == "vertex":
+        names = map(label, top.tolist())
+    else:
+        u, v = (x[top].tolist() for x in rep.graph.edge_endpoints)
+        names = map("{} -- {}".format, map(label, u), map(label, v))
+    for pos, (name, value) in enumerate(zip(names, rep.values[top].tolist()), start=1):
         print(f"  {pos:2d}. {name}  {value:.6g}")
 
 
@@ -88,25 +88,16 @@ def _oracle_reports(g, R, f, wanted: list[str], relevance_source: str):
     pair_paths = None
     if any(m in wanted for m in ("harmonic", "betweenness", "edge-betweenness")):
         pair_paths = all_pairs_shortest_paths(g)
-    reports = []
-    kw = dict(f=f, relevance_source=relevance_source, weighted=g.weighted)
+    values = {}
     if "degree" in wanted:
-        reports.append(
-            _make_report(Metric.DEGREE, "vertex", g.labels, brute_degree(g, R, f), **kw)
-        )
+        values["degree"] = brute_degree(g, R, f)
     if "harmonic" in wanted:
-        vals = brute_harmonic(g, R, f, pair_paths=pair_paths)
-        reports.append(_make_report(Metric.HARMONIC, "vertex", g.labels, vals, **kw))
+        values["harmonic"] = brute_harmonic(g, R, f, pair_paths=pair_paths)
     if "betweenness" in wanted or "edge-betweenness" in wanted:
-        vb, eb = brute_betweenness(g, R, f, pair_paths=pair_paths)
-        if "betweenness" in wanted:
-            reports.append(
-                _make_report(Metric.VERTEX_BETWEENNESS, "vertex", g.labels, vb, **kw)
-            )
-        if "edge-betweenness" in wanted:
-            reports.append(_make_report(
-                Metric.EDGE_BETWEENNESS, "edge", g.edge_ids, eb, **kw))
-    return reports
+        values["betweenness"], values["edge-betweenness"] = brute_betweenness(
+            g, R, f, pair_paths=pair_paths)
+    return [_make_report(Metric(m), "edge" if m == "edge-betweenness" else "vertex", g,
+                         values[m], f, relevance_source) for m in wanted]
 
 
 def cmd_compute(args) -> int:
@@ -202,6 +193,7 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="relcentral",

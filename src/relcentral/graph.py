@@ -10,8 +10,10 @@ the only per-vertex Python structure kept from the start. The
 label->index dict and the CSR neighbor lists that the engine walks are
 built on first use. When every label came as an integer value (the edge
 reader's canonical decimal labels), the graph also keeps those values
-and the table that numbered them, so that a reader of the same integer
-labels finds their indices without the dict.
+and the table that numbered them, so that :meth:`Graph.indices_of` finds
+the indices of integer values without the dict, and
+:attr:`Graph.label_order` sorts the labels by one lexsort. No other
+module reads how labels are numbered.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ from .errors import (
 
 __all__ = ["Graph", "build_graph", "build_graph_chunks"]
 
+# 10**k for k up to 18: a label value below 10**18 has at most 18 digits
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
 
 class Graph:
     """Validated undirected simple graph. Immutable after construction;
@@ -40,9 +45,10 @@ class Graph:
 
     ``values`` and ``table``, when given, are every label's integer value
     (``labels[i]`` is its decimal text) and a table from value to index
-    (-1: no vertex), both read-only. A view built on first use (a
-    ``cached_property``) may be built twice by threads that race for it,
-    which is harmless: both builds are equal.
+    (-1: no vertex), both read-only; ``integer_labels`` says whether they
+    were given. A view built on first use (a ``cached_property``) may be
+    built twice by threads that race for it, which is harmless: both
+    builds are equal.
     """
 
     def __init__(self, labels: tuple[str, ...], u: np.ndarray, v: np.ndarray, w: np.ndarray,
@@ -87,13 +93,38 @@ class Graph:
     def has_vertex(self, label: str) -> bool:
         return label in self._index
 
-    def _indices_of_values(self, values: np.ndarray) -> np.ndarray:
-        """The index of the vertex labelled by each non-negative integer
-        value, -1 where none is; for a graph with integer ``_values``."""
-        idx = np.full(len(values), -1, np.intp)
-        inside = values < len(self._table)
-        idx[inside] = self._table[values[inside]]
-        return idx
+    @property
+    def integer_labels(self) -> bool:
+        """Whether every label came as an integer value, its decimal text:
+        :meth:`indices_of` then finds integer values through a table."""
+        return self._values is not None
+
+    def indices_of(self, column: list[str] | np.ndarray) -> np.ndarray:
+        """The index of the vertex of each label of a ``str`` list, or of
+        each value of a non-negative integer array (a label's decimal
+        text); -1 where there is none."""
+        if isinstance(column, np.ndarray) and self._table is not None:
+            idx = np.full(len(column), -1, np.intp)
+            inside = column < len(self._table)
+            idx[inside] = self._table[column[inside]]
+            return idx
+        if isinstance(column, np.ndarray):
+            column = _decimal(column)
+        return np.fromiter(map(self._index.get, column, repeat(-1)), np.intp, len(column))
+
+    @cached_property
+    def label_order(self) -> np.ndarray:
+        """The vertex indices in ascending label order, read-only. For
+        integer labels (values below 10**18) it is one lexsort by the value
+        left-aligned to 18 digits, then by its digit count ("1" < "10" < "9")."""
+        if self._values is None:
+            order = np.array(sorted(range(self.vertex_count), key=self.labels.__getitem__),
+                             dtype=np.intp)
+        else:
+            digits = 1 + np.searchsorted(_POW10[1:18], self._values, side="right")
+            order = np.lexsort((digits, self._values * _POW10[18 - digits]))
+        order.setflags(write=False)
+        return order
 
     def edge_labels(self) -> list[tuple[str, str]]:
         """Edges as (label, label) pairs, in construction order."""
@@ -103,7 +134,7 @@ class Graph:
     @cached_property
     def edge_ids(self) -> tuple[tuple[str, str], ...]:
         """``edge_labels()`` as one tuple, built once: the ids of the
-        graph's edge reports, which the JSON writer knows by identity."""
+        graph's edge reports."""
         return tuple(self.edge_labels())
 
     def edge_records(self) -> list[tuple[str, str, float]]:

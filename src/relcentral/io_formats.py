@@ -45,26 +45,27 @@ numbers the values through a table indexed by value (see
 values and that table. For such a graph the relevance reader reads the
 ``vertex`` values of a split chunk from its bytes the same way (the
 relevance cells come from one split of the chunk's text, as above), and
-finds each value's index through the table, with no label dict. Either
+``Graph.indices_of`` finds their indices through the table, with no
+label dict. Either
 reader, from the first chunk that is not so (a quoted or non-canonical
 cell, say), reads every chunk of the rest of the file as strings.
 
 A result document is its metadata, its reports and the graph they are
-of. The JSON writer knows the result's one layout (keys ``edges``,
-``metadata``, ``rankings``, ``vertices``; metric names sorted; vertex
-tables sorted by label, in an order found once per document, by one
-lexsort for integer labels) and formats each table from the report's
-``ids``, ``values`` and ``ranking`` columns with one join, every float
-cut to 12 significant digits once, by one ``%`` call per piece. An edge
-table's rows are filled by one more ``%`` call per piece, and when its
-ids are the graph's own edge tuple (``Graph.edge_ids``) its labels'
-texts come from one text per vertex, made once per document; the
-bytes equal ``json.dumps(..., sort_keys=True, indent=2)`` of the same
-result as nested dicts and lists. A non-finite value is refused. The
-text comes in pieces of at most ``_PIECE`` table items, which the
-command line writes to its file as they come, so no copy of the whole
-text is held; the CSV result is written row by row the same way, its
-floats made by the same ``%`` call.
+of, and the writers work by index. The JSON writer knows the result's
+one layout (keys ``edges``, ``metadata``, ``rankings``, ``vertices``;
+metric names sorted) and makes the JSON text of each vertex label once
+per document. Vertex tables follow the graph's ``label_order``,
+rankings a report's ``order``, and edge tables and edge rankings the
+graph's ``edge_endpoints``. Each table is joined a piece at a time,
+every float cut to 12 significant digits once, by one ``%`` call per
+piece, and an edge table's rows are filled by one more; the bytes equal
+``json.dumps(..., sort_keys=True, indent=2)`` of the same result as
+nested dicts and lists. A non-finite value, or a report of another
+graph, is refused. The text comes in pieces of at most ``_PIECE`` table
+items, which the command line writes to its file as they come, so no
+copy of the whole text is held; the CSV result is written row by row
+the same way, its labels taken by index, its floats made by the same
+``%`` call.
 """
 
 from __future__ import annotations
@@ -73,9 +74,8 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, compress, islice, repeat
-from operator import is_, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -121,7 +121,6 @@ _ASCII_SPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
 # the longest integer label read from bytes: 18 digits fit an int64
 _INT_DIGITS = 18
-_POW10 = 10 ** np.arange(_INT_DIGITS + 1, dtype=np.int64)
 
 
 def _plain_cells(text: str, width: int | None = None
@@ -485,16 +484,13 @@ def load_relevance_csv(path, g: Graph) -> RelevanceVector:
     R = np.ones(g.vertex_count)
     listed_before = np.zeros(g.vertex_count, dtype=bool)
     line = 2  # the record number of a chunk's first row
-    ints = 0 if g._values is None else 1
+    ints = int(g.integer_labels)
     for (labels, vtxt), rows, wrong in _read_chunks(
         path, check, lambda row, width: _blank(row), ints
     ):
         end = len(labels)
         listed = _filled(labels) | _filled(vtxt)
-        if isinstance(labels, np.ndarray):
-            idx = g._indices_of_values(labels)
-        else:
-            idx = np.fromiter(map(g._index.get, labels, repeat(-1)), np.intp, end)
+        idx = g.indices_of(labels)
         unknown = listed & (idx < 0)
         known = np.flatnonzero(listed & (idx >= 0))
         duplicate = np.zeros(end, dtype=bool)
@@ -591,8 +587,7 @@ def _matrix_rows(path, line, g, col_labels, labels, columns, wrong, F, listed_be
     record ``line``, into ``F``, or return the error of its first faulty
     row (or of the row that ends its columns, ``wrong`` fields long)."""
     n, end = g.vertex_count, len(labels)
-    col = np.fromiter(map(g._index.__getitem__, col_labels), np.intp, n)
-    row = np.fromiter(map(g._index.get, labels, repeat(-1)), np.intp, end)
+    col, row = g.indices_of(col_labels), g.indices_of(labels)
     unknown = row < 0
     duplicate = np.ones(end, dtype=bool)
     duplicate[np.unique(row, return_index=True)[1]] = False
@@ -638,13 +633,12 @@ def _matrix_rows(path, line, g, col_labels, labels, columns, wrong, F, listed_be
 @dataclass
 class ResultDocument:
     """The metadata of a result and the reports it holds, by metric: a
-    later report of a metric replaces an earlier one. ``graph``, when
-    given, is the graph whose labels are the vertex reports' ids: their
-    sorted order is then found once for the document."""
+    later report of a metric replaces an earlier one. Every report is of
+    ``graph``."""
 
     metadata: dict
     reports: tuple[CentralityReport, ...]
-    graph: Graph | None = None
+    graph: Graph
 
 
 def build_result_document(
@@ -663,9 +657,12 @@ def build_result_document(
 
 def _tables(doc: ResultDocument) -> tuple[dict, dict]:
     """The vertex and the edge reports of ``doc`` by metric name, names
-    sorted. Raises ValueError on a non-finite value, which JSON cannot hold."""
+    sorted. Raises ValueError on a report of another graph, and on a
+    non-finite value, which JSON cannot hold."""
     tables: dict = {"vertex": {}, "edge": {}}
     for rep in doc.reports:
+        if rep.graph is not doc.graph:
+            raise ValueError(f"{rep.metric.value} is a report of another graph")
         if not np.isfinite(rep.values).all():
             raise ValueError(f"{rep.metric.value} holds a non-finite value")
         tables[rep.kind][rep.metric.value] = rep
@@ -713,10 +710,11 @@ def _container(brackets: str, n: int, items, pad: str):
     yield "\n" + pad + brackets[1]
 
 
-def _by_metric(reports: dict, write, pad: str):
+def _by_metric(reports: dict, write, pad: str, texts: list[str]):
     """The pieces of a JSON object at indent ``pad`` that maps each
-    metric name of ``reports`` to the pieces ``write(report, inner)``
-    gives at the next indent."""
+    metric name of ``reports`` to the pieces ``write(report, inner,
+    texts)`` gives at the next indent; ``texts`` are the JSON texts of
+    the vertex labels."""
     if not reports:
         yield "{}"
         return
@@ -724,113 +722,81 @@ def _by_metric(reports: dict, write, pad: str):
     sep = "{\n" + inner
     for name, rep in reports.items():
         yield sep + _json_str(name) + ": "
-        yield from write(rep, inner)
+        yield from write(rep, inner, texts)
         sep = ",\n" + inner
     yield "\n" + pad + "}"
 
 
-def _label_texts(pairs: tuple, ends, i: int, j: int) -> list[list[str]]:
-    """The JSON texts of the source and the target labels of the pairs
-    ``pairs[i:j]``. ``ends``, when given, is the JSON text of each vertex
-    label and the two endpoint indices of every pair, which give them."""
-    if ends is None:
-        return [list(map(_json_str, map(itemgetter(k), pairs[i:j]))) for k in (0, 1)]
-    texts, u, v = ends
-    return [list(map(texts.__getitem__, x[i:j].tolist())) for x in (u, v)]
-
-
-def _rows(fmt: str, pad: str, n: int, columns):
-    """The pieces of a JSON list at indent ``pad`` of ``n`` rows, each
-    ``fmt`` (a "%s" per column) filled from the text columns that
-    ``columns(i, j)`` gives for rows i to j, by one % call per piece."""
+def _rows(fmt: str, pad: str, texts: list[str], u: np.ndarray, v: np.ndarray,
+          values: np.ndarray | None = None):
+    """The pieces of a JSON list at indent ``pad`` of a row per edge
+    ``(u[k], v[k])``, each ``fmt`` (a "%s" per column) filled with the
+    JSON ``texts`` of its two labels and, when given, its value, by one %
+    call per piece."""
     comma = ",\n" + pad + "  "
 
     def piece(i, j):
-        cols = columns(i, j)
+        cols = [list(map(texts.__getitem__, x[i:j].tolist())) for x in (u, v)]
+        if values is not None:
+            cols.append(_json_floats(values[i:j]))
         cells = [None] * (len(cols) * len(cols[0]))
         for c, col in enumerate(cols):
             cells[c::len(cols)] = col
         return [comma.join([fmt] * len(cols[0])) % tuple(cells)]
-    return _container("[]", n, piece, pad)
+    return _container("[]", len(u), piece, pad)
 
 
-def _label_order(labels: tuple, values: np.ndarray | None = None) -> np.ndarray:
-    """The indices of ``labels`` in ascending string order. ``values``,
-    when given, are their integer values, each label the decimal text of
-    its value: the order is then one lexsort by the value left-aligned to
-    ``_INT_DIGITS`` digits, then by its digit count ("1" < "10" < "9")."""
-    if values is None:
-        return np.array(sorted(range(len(labels)), key=labels.__getitem__), dtype=np.intp)
-    digits = 1 + np.searchsorted(_POW10[1:_INT_DIGITS], values, side="right")
-    return np.lexsort((digits, values * _POW10[_INT_DIGITS - digits]))
+def _vertex_values(rep: CentralityReport, pad: str, texts: list[str]):
+    """A vertex table, its rows in label order."""
+    order = rep.graph.label_order
+    values = rep.values[order]
+    return _container("{}", len(order), lambda i, j: map("{}: {}".format, map(
+        texts.__getitem__, order[i:j].tolist()), _json_floats(values[i:j])), pad)
 
 
-def _vertex_values(rep: CentralityReport, pad: str, graph_order: tuple):
-    """A vertex table, its rows by label; ``graph_order`` is a graph's
-    labels and their order, taken when they are the report's ids."""
-    labels, order = graph_order
-    if rep.ids is not labels:
-        order = _label_order(rep.ids)
-    labels, values = list(map(rep.ids.__getitem__, order.tolist())), rep.values[order]
-    return _container("{}", len(order), lambda i, j: map(
-        "{}: {}".format, map(_json_str, labels[i:j]), _json_floats(values[i:j])), pad)
-
-
-def _edge_values(rep: CentralityReport, pad: str, edges):
-    """An edge table, its rows in edge order; ``edges`` is a graph's edge
-    ids and their label ends (see ``_label_texts``), taken when they are
-    the report's ids."""
+def _edge_values(rep: CentralityReport, pad: str, texts: list[str]):
+    """An edge table, its rows in edge order."""
     row = pad + "  "
     fmt = ("{\n" + row + '  "source": %s,\n' + row + '  "target": %s,\n'
            + row + '  "value": %s\n' + row + "}")
-    ends = edges[1] if rep.ids is edges[0] else None
-    return _rows(fmt, pad, len(rep.ids), lambda i, j: _label_texts(
-        rep.ids, ends, i, j) + [_json_floats(rep.values[i:j])])
+    return _rows(fmt, pad, texts, *rep.graph.edge_endpoints, rep.values)
 
 
-def _vertex_ranking(rep: CentralityReport, pad: str):
-    return _container("[]", len(rep.ranking),
-                      lambda i, j: map(_json_str, rep.ranking[i:j]), pad)
+def _vertex_ranking(rep: CentralityReport, pad: str, texts: list[str]):
+    return _container("[]", len(rep.order),
+                      lambda i, j: map(texts.__getitem__, rep.order[i:j].tolist()), pad)
 
 
-def _edge_ranking(rep: CentralityReport, pad: str, edges):
+def _edge_ranking(rep: CentralityReport, pad: str, texts: list[str]):
     row = pad + "  "
     fmt = "[\n" + row + "  %s,\n" + row + "  %s\n" + row + "]"
-    ends = None
-    if rep.ids is edges[0]:  # the ranking's ends, when it is the report's order
-        order = np.argsort(-rep.values, kind="stable")
-        if all(map(is_, rep.ranking, map(rep.ids.__getitem__, order.tolist()))):
-            texts, u, v = edges[1]
-            ends = texts, u[order], v[order]
-    return _rows(fmt, pad, len(rep.ranking), partial(_label_texts, rep.ranking, ends))
+    u, v = rep.graph.edge_endpoints
+    return _rows(fmt, pad, texts, u[rep.order], v[rep.order])
 
 
-def _json_pieces(metadata: dict, vertex: dict, edge: dict, graph_order: tuple, edges: tuple):
+def _json_pieces(metadata: dict, vertex: dict, edge: dict, texts: list[str]):
     yield '{\n  "edges": '
-    yield from _by_metric(edge, partial(_edge_values, edges=edges), "  ")
+    yield from _by_metric(edge, _edge_values, "  ", texts)
     # six scalars, laid out by the json module one level in
     meta = json.dumps(metadata, sort_keys=True, indent=2)
     yield ',\n  "metadata": ' + meta.replace("\n", "\n  ")
     yield ',\n  "rankings": {\n    "edges": '
-    yield from _by_metric(edge, partial(_edge_ranking, edges=edges), "    ")
+    yield from _by_metric(edge, _edge_ranking, "    ", texts)
     yield ',\n    "vertices": '
-    yield from _by_metric(vertex, _vertex_ranking, "    ")
+    yield from _by_metric(vertex, _vertex_ranking, "    ", texts)
     yield '\n  },\n  "vertices": '
-    yield from _by_metric(vertex, partial(_vertex_values, graph_order=graph_order), "  ")
+    yield from _by_metric(vertex, _vertex_values, "  ", texts)
     yield "\n}\n"
 
 
 def results_json_pieces(doc: ResultDocument):
     """The text of :func:`write_results_json` in pieces, none longer than
     _PIECE table items: what a writer puts in a file as it comes. Raises
-    ValueError, before the first piece, on a non-finite value."""
+    ValueError, before the first piece, on a non-finite value or a report
+    of another graph."""
     vertex, edge = _tables(doc)
-    g, graph_order, edges = doc.graph, (None, None), (None, None)
-    if g is not None and vertex:  # one order for every vertex table of the graph
-        graph_order = g.labels, _label_order(g.labels, g._values)
-    if g is not None and edge:  # one text per vertex label for every edge table
-        edges = g.edge_ids, (list(map(_json_str, g.labels)), *g.edge_endpoints)
-    return _json_pieces(doc.metadata, vertex, edge, graph_order, edges)
+    texts = list(map(_json_str, doc.graph.labels))  # once for every table
+    return _json_pieces(doc.metadata, vertex, edge, texts)
 
 
 def write_results_json(doc: ResultDocument) -> bytes:
@@ -852,12 +818,15 @@ def write_results_csv(doc: ResultDocument, fh) -> None:
     vertex rows leave target empty. Labels are quoted where they hold a
     comma, a quote or a line break."""
     vertex, edge = _tables(doc)
+    g = doc.graph
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(["metric", "source", "target", "value"])
     for name, rep in vertex.items():
-        w.writerows(zip(repeat(name), rep.ids, repeat(""), _g12_pieces(rep.values)))
+        w.writerows(zip(repeat(name), g.labels, repeat(""), _g12_pieces(rep.values)))
+    label = g.labels.__getitem__
+    u, v = g.edge_endpoints
     for name, rep in edge.items():
-        w.writerows(zip(repeat(name), map(itemgetter(0), rep.ids), map(itemgetter(1), rep.ids),
+        w.writerows(zip(repeat(name), map(label, u.tolist()), map(label, v.tolist()),
                         _g12_pieces(rep.values)))
 
 

@@ -129,14 +129,17 @@ def test_report_metadata_and_ranking():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_ranking_matches_descending_value_then_index_key(seed):
+    g = build_graph([(f"v{i}", f"v{i + 1}") for i in range(300)])
     rng = np.random.default_rng(seed)
-    values = rng.integers(-2, 3, size=300).astype(np.float64)
-    values[rng.random(300) < 0.3] = 0.0
-    values[rng.random(300) < 0.3] = -0.0
-    ids = tuple(f"v{i}" for i in range(300))
-    rep = _make_report(Metric.DEGREE, "vertex", ids, values, PRODUCT, "x", False)
-    order = sorted(range(300), key=lambda i: (-values[i], i))
-    assert rep.ranking == tuple(ids[i] for i in order)
+    for kind, ids in (("vertex", g.labels), ("edge", g.edge_labels())):
+        values = rng.integers(-2, 3, size=len(ids)).astype(np.float64)
+        values[rng.random(len(ids)) < 0.3] = 0.0
+        values[rng.random(len(ids)) < 0.3] = -0.0
+        rep = _make_report(Metric.DEGREE, kind, g, values, PRODUCT, "x")
+        order = sorted(range(len(ids)), key=lambda i: (-values[i], i))
+        assert rep.order.tolist() == order and not rep.order.flags.writeable
+        assert rep.ranking == tuple(ids[i] for i in order)
+        assert rep.ids == tuple(ids) and rep.graph is g
 
 
 def test_report_defaults_to_uniform_source():

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -26,7 +27,7 @@ from relcentral.centrality import (
 )
 from relcentral.cli import EXIT_COMPUTE, EXIT_INPUT, EXIT_OK, _print_top10, main
 from relcentral.errors import SigmaOverflowError
-from relcentral.graph import build_graph_chunks
+from relcentral.graph import build_graph, build_graph_chunks
 from relcentral.io_formats import save_edge_csv, save_relevance_csv
 from relcentral.relevance import RelevanceFunction, Variant
 
@@ -52,12 +53,10 @@ def test_compute_prints_rankings(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["vertex", "edge"])
 def test_top10_prints_the_values_of_the_ranking(capsys, kind):
-    ids = [f"v{i}" for i in range(25)]
-    if kind == "edge":
-        ids = list(zip(ids, ids[1:] + ids[:1]))
+    g = build_graph([(f"v{i}", f"v{(i + 1) % 25}") for i in range(25)])  # 25 vertices and edges
     values = np.array([3.0, 1.0, 3.0, 0.5] * 6 + [7.25]) / 3.0  # ties across the cut
-    rep = _make_report(Metric.DEGREE, kind, tuple(ids), values,
-                       RelevanceFunction(Variant.PRODUCT), "uniform", False)
+    rep = _make_report(Metric.DEGREE, kind, g, values, RelevanceFunction(Variant.PRODUCT),
+                       "uniform")
     _print_top10(rep)
     lines = capsys.readouterr().out.splitlines()[1:]
     names = [e if kind == "vertex" else f"{e[0]} -- {e[1]}" for e in rep.ranking[:10]]
@@ -79,9 +78,9 @@ def _full_sort_top10(rep: CentralityReport) -> None:
                 max_size=40))
 def test_top10_prints_what_a_full_sort_printed(values):
     # many ties, signed zeros, fewer than ten values and none at all
-    rep = _make_report(Metric.DEGREE, "vertex", tuple(f"v{i}" for i in range(len(values))),
-                       np.array(values, dtype=np.float64), RelevanceFunction(Variant.PRODUCT),
-                       "uniform", False)
+    g = build_graph([], vertices=[f"v{i}" for i in range(len(values))])
+    rep = _make_report(Metric.DEGREE, "vertex", g, np.array(values, dtype=np.float64),
+                       RelevanceFunction(Variant.PRODUCT), "uniform")
     printed = []
     for show in (_print_top10, _full_sort_top10):
         out = io.StringIO()
@@ -107,6 +106,42 @@ def test_degree_request_on_integer_labels_builds_no_label_dict(tmp_path, monkeyp
     assert "_index" not in vars(graphs[0])
     assert "_index" in vars(graphs[1])
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_compute_all_builds_no_edge_label_tuple_and_no_ranking(tmp_path, monkeypatch, fmt):
+    # the edge label pairs and a report's ranking are cached when first
+    # read, so a read leaves them in the graph's or the report's __dict__
+    docs, build = [], io_formats.build_result_document
+    monkeypatch.setattr(io_formats, "build_result_document",
+                        lambda *args: docs.append(build(*args)) or docs[-1])
+    name = DATA / "ws-lowdiam"
+    out = tmp_path / f"res.{fmt}"
+    assert main(["compute", f"{name}.edges.csv", "--relevance", f"{name}.relevance.csv",
+                 "--metric", "all", "--format", fmt, "--out", str(out)]) == EXIT_OK
+    (doc,) = docs
+    assert [rep.metric.value for rep in doc.reports] == \
+        ["degree", "harmonic", "betweenness", "edge-betweenness"]
+    assert "edge_ids" not in vars(doc.graph)
+    assert not any("ranking" in vars(rep) for rep in doc.reports)
+    # the spies see a read
+    assert doc.reports[-1].ranking
+    assert "edge_ids" in vars(doc.graph) and "ranking" in vars(doc.reports[-1])
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    parsers, parse = [], argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *args: parsers.append(self) or parse(self, *args))
+    edges, rel = put(tmp_path, "g.csv", RING), put(tmp_path, "r.csv", REL)
+    results = []
+    for workers in ("1", "0", "1"):  # a rejected request between two equal ones
+        out = tmp_path / f"res{len(results)}.json"
+        code = main(["compute", edges, "--relevance", rel, "--workers", workers, "--out", str(out)])
+        results.append((code, out.read_bytes() if out.exists() else None, capsys.readouterr().out))
+    assert len(parsers) == 3 and parsers[0] is parsers[1] is parsers[2]
+    assert results[1] == (EXIT_INPUT, None, "")
+    assert results[2] == results[0] and results[0][0] == EXIT_OK
 
 
 def test_compute_all_metrics_writes_json(tmp_path):

@@ -675,7 +675,7 @@ def test_integer_and_string_relevance_paths_agree(tmp_path_factory, chars, text)
 
 
 def test_integer_relevance_labels_are_read_as_values():
-    assert _INT_GRAPH._values is not None and _STR_GRAPH._values is None
+    assert _INT_GRAPH.integer_labels and not _STR_GRAPH.integer_labels
     edges, rel = DATA / "ws-lowdiam.edges.csv", DATA / "ws-lowdiam.relevance.csv"
     g = build_graph_chunks(load_edge_chunks(edges))
     with _chunks_of(1024):

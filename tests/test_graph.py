@@ -9,7 +9,7 @@ from relcentral.errors import (
     SelfLoopError,
     UnknownVertexError,
 )
-from relcentral.graph import build_graph
+from relcentral.graph import build_graph, build_graph_chunks
 
 
 def test_labels_in_first_appearance_order():
@@ -23,6 +23,24 @@ def test_edges_stored_with_small_endpoint_first():
     # normalized on index, not label: b came first so b has index 0
     assert (u, v) == (0, 1) and g.labels[u] == "b"
     assert g.edge_weights.tolist() == [2.0]
+
+
+@pytest.mark.parametrize("integer", [True, False], ids=["integer", "string"])
+def test_indices_of_finds_labels_and_integer_values_alike(integer):
+    if integer:  # labels numbered through the table, with no dict
+        g = build_graph_chunks([(np.array([5, 0, 12]), np.array([0, 7, 5]), None)])
+    else:
+        g = build_graph([("5", "0"), ("0", "x"), ("12", "5"), ("007", "12")])
+    assert g.integer_labels is integer
+    values = [12, 5, 3, 0, 10**6, 7]
+    want = [g.index_of(str(x)) if g.has_vertex(str(x)) else -1 for x in values]
+    assert want.count(-1) == (2 if integer else 3)  # 3, 10**6, and 7 on the string graph
+    assert g.indices_of(list(map(str, values))).tolist() == want
+    assert g.indices_of(np.array(values, dtype=np.int64)).tolist() == want
+    assert g.indices_of(["x", "007", "", "5"]).tolist() == [
+        g.index_of(s) if g.has_vertex(s) else -1 for s in ("x", "007", "", "5")]
+    assert [g.labels[i] for i in g.label_order.tolist()] == sorted(g.labels)
+    assert not g.label_order.flags.writeable
 
 
 def test_counts_and_weighted_flag():

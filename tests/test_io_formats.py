@@ -20,11 +20,10 @@ from relcentral.errors import (
     NonzeroDiagonalError,
     UnknownVertexInRelevanceError,
 )
-from relcentral.graph import build_graph, build_graph_chunks
+from relcentral.graph import Graph, build_graph, build_graph_chunks
 from relcentral.io_formats import (
     ResultDocument,
     _json_floats,
-    _label_order,
     build_result_document,
     export_dot,
     load_edge_csv,
@@ -559,7 +558,7 @@ def _escaped_edge_report():
 @pytest.mark.parametrize("piece", [1, 3, io_formats._PIECE])
 def test_edge_tables_of_the_graphs_edges_take_one_label_text_per_vertex(monkeypatch, piece):
     g, erep = _escaped_edge_report()
-    assert erep.ids is g.edge_ids and erep.ranking != erep.ids
+    assert erep.ranking != erep.ids
     doc = build_result_document(g, [erep], "g")
     want = reference_json(doc)
     monkeypatch.setattr(io_formats, "_PIECE", piece)
@@ -571,17 +570,28 @@ def test_edge_tables_of_the_graphs_edges_take_one_label_text_per_vertex(monkeypa
 
 
 @pytest.mark.parametrize("piece", [1, 3, io_formats._PIECE])
-def test_edge_tables_of_other_ids_or_rankings_take_each_rows_labels(monkeypatch, piece):
+def test_rankings_follow_the_reports_order(monkeypatch, piece):
     g, erep = _escaped_edge_report()
+    vrep = harmonic_centrality(g)
     monkeypatch.setattr(io_formats, "_PIECE", piece)
-    reports = [
-        dataclasses.replace(erep, ids=tuple(g.edge_labels())),  # equal, not the graph's tuple
-        dataclasses.replace(erep, ranking=erep.ranking[::-1]),  # not the report's order
-        dataclasses.replace(erep, ids=erep.ids[::-1], values=erep.values[::-1].copy()),
-    ]
-    for rep in reports:
-        for doc in (build_result_document(g, [rep], "g"), ResultDocument({}, (rep,))):
-            assert write_results_json(doc) == reference_json(doc)
+    reports = [dataclasses.replace(rep, order=rep.order[::-1]) for rep in (vrep, erep)]
+    doc = build_result_document(g, reports, "g")
+    assert [rep.ranking for rep in reports] == [vrep.ranking[::-1], erep.ranking[::-1]]
+    assert write_results_json(doc) == reference_json(doc)
+    rankings = json.loads(write_results_json(doc))["rankings"]
+    assert rankings["vertices"]["harmonic"] == list(vrep.ranking[::-1])
+    assert rankings["edges"]["edge-betweenness"] == list(map(list, erep.ranking[::-1]))
+
+
+def test_results_refuse_a_report_of_another_graph():
+    g, erep = _escaped_edge_report()
+    twin = build_graph(g.edge_records())  # equal to g, but another graph
+    for rep in (harmonic_centrality(twin), betweenness_reports(twin)[1]):
+        doc = build_result_document(g, [harmonic_centrality(g), rep], "g")
+        with pytest.raises(ValueError, match="another graph"):
+            results_json_pieces(doc)  # at the call, before any piece
+        with pytest.raises(ValueError, match="another graph"):
+            write_results_csv(doc, io.StringIO())
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -639,16 +649,17 @@ _int_labels = st.lists(st.one_of(st.sampled_from([0, 1, 9, 10, 11, 99, 100, 101,
 @settings(max_examples=300, deadline=None)
 @given(_int_labels)
 def test_integer_label_order_is_the_order_of_their_text(values):
-    labels = tuple(map(str, values))
-    order = _label_order(labels, np.array(values, dtype=np.int64))
-    assert [labels[i] for i in order.tolist()] == sorted(labels)
+    labels, no_edge = tuple(map(str, values)), np.zeros(0, dtype=np.int64)
+    g = Graph(labels, no_edge, no_edge, np.zeros(0), values=np.array(values, dtype=np.int64))
+    assert [labels[i] for i in g.label_order.tolist()] == sorted(labels)
     # a graph of the labels within the table's floor keeps their values,
     # and its document lists the vertex rows in the same order
     small = [x for x in values if x < 2**20]
     if len(small) < 2:
         return
     g = build_graph_chunks([(np.array(small[:-1]), np.array(small[1:]), None)])
-    assert g._values is not None
+    assert g.integer_labels
+    assert [g.labels[i] for i in g.label_order.tolist()] == sorted(g.labels)
     doc = build_result_document(g, [degree_centrality(g), harmonic_centrality(g)], "g")
     text = write_results_json(doc)
     assert list(json.loads(text)["vertices"]["harmonic"]) == sorted(map(str, small))

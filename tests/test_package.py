@@ -7,6 +7,7 @@ request load none of them, and that the commands which need them still
 run.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -118,3 +119,13 @@ def test_commands_that_need_the_first_use_modules_run_fresh(tmp_path):
     _fresh(run, "experiment", "--grid", str(grid), "--workers", "1",
            "--out", str(tmp_path / "corr.csv"))
     assert len((tmp_path / "corr.csv").read_text().splitlines()) == 2
+
+
+def test_only_graph_reads_how_labels_are_numbered():
+    # the label dict, the integer values and their table are Graph's own
+    private = {"_index", "_values", "_table"}
+    for path in sorted(Path(relcentral.__file__).parent.glob("*.py")):
+        if path.name != "graph.py":
+            reads = [node.attr for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute) and node.attr in private]
+            assert reads == [], path.name
