@@ -17,10 +17,14 @@
 #   experiment  a tiny correlation grid gives 8 rows and the same CSV
 #             bytes at --workers 1 and 2, and a grid with an integer too
 #             large for a float exits 2 with an error line, no traceback
+#   deep      a chain of 1030 diamonds, unit weights (2^1030 shortest paths
+#             end to end): --metric all exits 0, its betweenness taken from
+#             exact path counts, and path-prod betweenness exits 3 with one error line that
+#             names float64, no traceback (about 10 s on 2 vCPUs)
 #   grid      the default grid at --workers 1 gives the rows of
 #             tests/data/grid-default.csv (about 100 s; needs the test extra)
 #
-# Usage: scripts/ci_smoke.sh florence version workers quoted intlabels experiment grid
+# Usage: scripts/ci_smoke.sh florence version workers quoted intlabels experiment deep grid
 set -euo pipefail
 
 tmp="$(mktemp -d)"
@@ -161,6 +165,19 @@ EOF
       test "$code" -eq 2
       grep -q '^error: ' "$tmp/huge.err"
       if grep -q Traceback "$tmp/huge.err"; then exit 1; fi
+      ;;
+    deep)
+      awk 'BEGIN { print "source,target"; for (i = 0; i < 1030; i++)
+        printf "m%d,u%d\nm%d,l%d\nu%d,m%d\nl%d,m%d\n", i, i, i, i, i, i + 1, i, i + 1 }' \
+        > "$tmp/deep.edges.csv"
+      relcentral compute "$tmp/deep.edges.csv" --metric all --out "$tmp/deep.json"
+      code=0
+      relcentral compute "$tmp/deep.edges.csv" --f path-prod --metric betweenness \
+        --out "$tmp/deep-path.json" 2> "$tmp/deep.err" || code=$?
+      cat "$tmp/deep.err"
+      test "$code" -eq 3
+      test "$(wc -l < "$tmp/deep.err")" -eq 1
+      grep -q '^error: .*float64' "$tmp/deep.err"
       ;;
     grid)
       # one progress line per cell goes to the log, shown only on failure

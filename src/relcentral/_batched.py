@@ -52,14 +52,20 @@ once each position's source and vertex are known, and the harmonic
 terms are written a level at a time into one array. numpy only; no
 scipy.
 
-Path counts are float64, exact integers while below 2**53, so that
-sigma_p / sigma_w is the correctly rounded ratio of the exact counts. A
-weighted block whose counts reach 2**53, and a unit-weight block whose
-counts overflow (run again on the distance front-end, so that it answers
-as the graph with every weight 2.0 does), recount them as Python
-integers over the same arcs (``_exact_counts``). Pairwise f then takes
-the exact ratios, while path f needs the counts as floats and raises
-``SigmaOverflowError`` when one does not fit.
+A block builds one DAG, on the front-end its weights choose. Its path
+counts are made only for betweenness or path f: pairwise harmonic
+closeness reads none. They are float64, exact integers while below
+2**53, so that sigma_p / sigma_w is the correctly rounded ratio of the
+exact counts. A weighted block whose counts reach 2**53, and a
+unit-weight block whose counts overflow, recount them as Python integers
+over the same arcs (``_exact_counts``). Pairwise f then takes the exact
+ratios, while path f needs the counts as floats and raises
+``SigmaOverflowError`` when one does not fit. On unit weights the BFS
+DAG has the distance front-end's levels and positions, and each head's
+and each tail's arcs in the same order, so counts, ratios and vertex
+credit equal those of the graph with every weight 2.0 bit for bit, and
+harmonic values are twice its; edge credit, summed per CSR slot, may add
+an edge's two slots in the other order.
 """
 
 from __future__ import annotations
@@ -386,19 +392,15 @@ def _path_state(dag: _Dag, variant: Variant, sigma, r, vert) -> np.ndarray:
 def block(g, R, f, S: np.ndarray, harmonic: bool, betweenness: bool):
     """Harmonic values of the sources S and their betweenness credit.
 
-    The path counts are checked even when nothing asked uses them
-    (pairwise harmonic alone), so a unit-weight block that overflows
-    takes its harmonic from the same DAG with or without betweenness.
+    The path counts are made only when a recurrence reads them: for
+    betweenness, or for path f.
     """
     n, b, variant, r = g.vertex_count, len(S), f.variant, R.values
-    exact = None
-    if not g.weighted:
-        dag = _bfs(g, S)
+    dag = _by_distance(g, S) if g.weighted else _bfs(g, S)
+    sigma = exact = None
+    if betweenness or variant.is_path:
         sigma = _path_counts(dag)
-    if g.weighted or not np.isfinite(sigma).all():
-        dag = _by_distance(g, S)
-        sigma = _path_counts(dag)
-        if not np.all(sigma < EXACT_LIMIT):  # also false for inf and nan
+        if not np.all(sigma < (EXACT_LIMIT if g.weighted else np.inf)):  # false for inf
             exact = _exact_counts(dag)
     cut = dag.cut
     src = dag.node // n  # each position's block source and vertex

@@ -56,7 +56,7 @@ class Metric(str, Enum):
     EDGE_BETWEENNESS = "edge-betweenness"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CentralityReport:
     """Metric values over a graph and the order that ranks them.
 
@@ -65,7 +65,8 @@ class CentralityReport:
     indices by descending value, ties broken by ascending index, so
     repeated runs agree bit for bit. ``ids`` are the vertex labels, or
     (label, label) pairs for an edge report, and ``ranking`` the ids in
-    ``order``; both are made from the graph only when read.
+    ``order``; both are made from the graph only when read. Reports
+    compare by identity, as their arrays have no single truth value.
     """
 
     metric: Metric

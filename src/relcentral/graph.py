@@ -101,11 +101,11 @@ class Graph:
 
     def indices_of(self, column: list[str] | np.ndarray) -> np.ndarray:
         """The index of the vertex of each label of a ``str`` list, or of
-        each value of a non-negative integer array (a label's decimal
-        text); -1 where there is none."""
+        each value of an integer array (a label's decimal text); -1 where
+        there is none."""
         if isinstance(column, np.ndarray) and self._table is not None:
             idx = np.full(len(column), -1, np.intp)
-            inside = column < len(self._table)
+            inside = (column >= 0) & (column < len(self._table))
             idx[inside] = self._table[column[inside]]
             return idx
         if isinstance(column, np.ndarray):
@@ -506,16 +506,12 @@ def _intern_records(records, seeded: dict[str, int], fault, start: int = 0):
                 _check_label(rec[0], pos)
                 index.setdefault(rec[0], len(index))
                 continue
-            if len(rec) == 2:
-                a, b = rec
-                w = 1.0
-            elif len(rec) == 3:
-                a, b, w = rec
-                w = 1.0 if w is None else float(w)
-            else:
+            if len(rec) not in (2, 3):
                 raise ValueError(f"record {pos}: expected 1-3 fields, got {rec!r}")
+            a, b, w = rec if len(rec) == 3 else (*rec, None)
             _check_label(a, pos)
             _check_label(b, pos)
+            w = 1.0 if w is None else float(w)
             ends_a.append(index.setdefault(a, len(index)))
             ends_b.append(index.setdefault(b, len(index)))
             weights.append(w)

@@ -856,23 +856,24 @@ def export_dot(
     """Graphviz text; node width tracks vertex value, edge color runs
     black (max) to cyan (min)."""
     lines = ["graph relcentral {", "  node [shape=circle, fixedsize=true];"]
+    quoted = list(map(_quote, g.labels))
     if vertex_report is not None:
         z = _normalize(vertex_report.values)
-        for lab, zi in zip(g.labels, z):
+        for lab, zi in zip(quoted, z):
             width = 0.3 + 1.2 * float(zi)
-            lines.append(f"  {_quote(lab)} [width={width:.3f}];")
+            lines.append(f"  {lab} [width={width:.3f}];")
     else:
-        for lab in g.labels:
-            lines.append(f"  {_quote(lab)};")
+        lines += [f"  {lab};" for lab in quoted]
+    u, v = g.edge_endpoints
+    ends = zip(map(quoted.__getitem__, u.tolist()), map(quoted.__getitem__, v.tolist()))
     if edge_report is not None:
         z = _normalize(edge_report.values)
-        for (a, b), zi in zip(edge_report.ids, z):
+        for (a, b), zi in zip(ends, z):
             c = round(255 * (1.0 - float(zi)))  # cyan fades out as value grows
             lines.append(
-                f"  {_quote(a)} -- {_quote(b)} [color=\"#00{c:02x}{c:02x}\", penwidth={1.0 + 2.0 * float(zi):.3f}];"
+                f"  {a} -- {b} [color=\"#00{c:02x}{c:02x}\", penwidth={1.0 + 2.0 * float(zi):.3f}];"
             )
     else:
-        for a, b in g.edge_labels():
-            lines.append(f"  {_quote(a)} -- {_quote(b)};")
+        lines += [f"  {a} -- {b};" for a, b in ends]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -236,20 +236,13 @@ def validate_function(f: RelevanceFunction) -> ValidationReport:
         # an all-ones path multiplies to 1 at every length
         return ValidationReport(v, normalized=True, monotone=True)
 
-    R2 = RelevanceVector(np.array([1.0, 1.0]))
-    normalized = eval_pair(f, 0, 1, R2) == 1.0
-    monotone = True
-    for a in _PROBE:
-        for b in _PROBE:
-            base = eval_pair(f, 0, 1, RelevanceVector(np.array([a, b])))
-            for a2 in _PROBE:
-                if a2 < a:
-                    continue
-                for b2 in _PROBE:
-                    if b2 < b:
-                        continue
-                    if eval_pair(f, 0, 1, RelevanceVector(np.array([a2, b2]))) < base:
-                        monotone = False
+    # F[i, j] is f(_PROBE[i], _PROBE[j]): R is the probes twice, and the
+    # sources (0-3) are apart from the targets (4-7), so no pair is diagonal
+    R = RelevanceVector(np.tile(_PROBE, 2))
+    F = pair_values(f, np.arange(4)[:, None], np.arange(4, 8), R)
+    normalized = bool(F[1, 1] == 1.0)  # f(1, 1)
+    # monotone between grid neighbours in each argument is monotone on the grid
+    monotone = bool(np.all(np.diff(F, axis=0) >= 0) and np.all(np.diff(F, axis=1) >= 0))
     rep = ValidationReport(v, normalized=normalized, monotone=monotone)
     if not normalized:
         rep.warnings.append("f(1,1) != 1")

@@ -155,6 +155,14 @@ def test_report_values_read_only():
         rep.values[0] = 99.0
 
 
+def test_reports_compare_without_raising():
+    g = square_graph()
+    rep, other = degree_centrality(g), degree_centrality(g)
+    assert np.array_equal(rep.values, other.values)
+    assert rep == rep
+    assert rep != other  # by identity
+
+
 def test_edge_report_ids_are_label_pairs():
     g = weighted_ring()
     erep = edge_betweenness(g)
@@ -788,8 +796,8 @@ def test_batched_sigma_overflow_detected(monkeypatch):
 
 
 def test_batched_overflow_block_takes_exact_counts(monkeypatch):
-    # sigma reaches 2^1100 at unit weight: the block runs again on the
-    # distance front-end with exact counts and answers as at weight 2.0
+    # sigma reaches 2^1100 at unit weight: the block recounts its BFS
+    # DAG's paths exactly and answers as at weight 2.0
     g1, g2 = _diamond_chain(1100), _diamond_chain(1100, weight=2.0)
     R = random_relevance(np.random.default_rng(8), g1.vertex_count)
     S = np.array([0, 5])
@@ -804,6 +812,38 @@ def test_batched_overflow_block_takes_exact_counts(monkeypatch):
     assert len(calls) == 4  # each block, unit weight or 2.0, was recounted
     with pytest.raises(SigmaOverflowError):  # path f needs the counts as floats
         _batched.block(g1, R, PATH_FS[0], S, True, True)
+
+
+def test_unit_weight_block_never_builds_the_distance_dag(monkeypatch):
+    # the overflowing 1100-chain too: its exact recount reads the BFS DAG
+    calls, seen = [], []
+    by_distance, exact_counts = _batched._by_distance, _batched._exact_counts
+    monkeypatch.setattr(_batched, "_by_distance",
+                        lambda *args: calls.append(args) or by_distance(*args))
+    monkeypatch.setattr(_batched, "_exact_counts",
+                        lambda dag: seen.append(dag.dist is None) or exact_counts(dag))
+    g = _diamond_chain(1100)
+    R, S = random_relevance(np.random.default_rng(8), g.vertex_count), np.array([0, 5])
+    _batched.block(g, R, PRODUCT, S, True, True)
+    with pytest.raises(SigmaOverflowError):
+        _batched.block(g, R, PATH_FS[0], S, True, True)
+    _batched.block(ring_lattice(40, 4), RelevanceVector.ones(40), PATH_FS[0], S, True, True)
+    assert not calls
+    assert seen == [True, True]
+
+
+@pytest.mark.parametrize("weight", [1.0, 2.0])
+def test_pairwise_harmonic_alone_makes_no_path_counts(monkeypatch, weight):
+    # 2^60 paths: past 2^53, where a weighted block recounts exactly
+    g = _diamond_chain(60, weight)
+    R = random_relevance(np.random.default_rng(8), g.vertex_count)
+    both = _batched.sweep(g, R, PRODUCT, 1, True, True)[0]
+    calls = []
+    for name in ("_path_counts", "_exact_counts"):
+        monkeypatch.setattr(_batched, name, lambda dag, name=name: calls.append(name))
+    alone = _batched.sweep(g, R, PRODUCT, 1, True, False)[0]
+    assert not calls
+    assert alone.tobytes() == both.tobytes()
 
 
 def test_shared_sweep_harmonic_matches_harmonic_alone_when_counts_overflow():

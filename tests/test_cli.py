@@ -108,7 +108,7 @@ def test_degree_request_on_integer_labels_builds_no_label_dict(tmp_path, monkeyp
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "dot"])
 def test_compute_all_builds_no_edge_label_tuple_and_no_ranking(tmp_path, monkeypatch, fmt):
     # the edge label pairs and a report's ranking are cached when first
     # read, so a read leaves them in the graph's or the report's __dict__

@@ -43,6 +43,15 @@ def test_indices_of_finds_labels_and_integer_values_alike(integer):
     assert not g.label_order.flags.writeable
 
 
+def test_indices_of_finds_no_vertex_for_values_outside_the_table():
+    # the table spans 2**20 values here: -1 must not wrap to its last entry
+    g = build_graph_chunks([(np.array([0, 1, 2]), np.array([1, 2, 3]), None)])
+    assert g.integer_labels
+    values = [-1, 1 << 21, 2**40, 3]
+    assert g.indices_of(np.array(values)).tolist() == [-1, -1, -1, 3]
+    assert g.indices_of(list(map(str, values))).tolist() == [-1, -1, -1, 3]
+
+
 def test_counts_and_weighted_flag():
     g = build_graph([("a", "b"), ("b", "c")])
     assert (g.vertex_count, g.edge_count) == (3, 2)
@@ -195,6 +204,8 @@ def test_edge_records_and_labels():
          DuplicateEdgeError, "record 1: duplicate edge 'b'-'a'"),
         # a record that is not a sequence is placed like any other fault
         ([("a", "a"), 5], SelfLoopError, "record 0: self-loop at 'a'"),
+        # a bad label before a weight float() rejects
+        ([("", "b", "x")], ValueError, "record 0: vertex label must be a non-empty string, got ''"),
     ],
 )
 def test_first_faulty_record_decides_error_and_position(records, error, message):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from relcentral import relevance
 from relcentral.errors import (
     DiagonalQueryError,
     EmptyPathError,
@@ -130,6 +131,20 @@ def test_validate_pairwise_builtins_clean():
     for f in (PRODUCT, MEAN, SOURCE_ONLY, MAX):
         rep = validate_function(f)
         assert rep.ok and rep.normalized and rep.monotone
+
+
+@pytest.mark.parametrize("decreasing_in", ["source", "target"])
+def test_validate_flags_a_decreasing_f(monkeypatch, decreasing_in):
+    # f(1,1) = 1, increasing in one argument and decreasing in the other
+    def ratio(f, s, t, R):
+        r = R.values
+        return r[t] / r[s] if decreasing_in == "source" else r[s] / r[t]
+
+    monkeypatch.setattr(relevance, "pair_values", ratio)
+    monkeypatch.setattr(relevance, "eval_pair", None)  # validation reads f as arrays only
+    rep = validate_function(PRODUCT)
+    assert rep.normalized and rep.monotone is False
+    assert rep.warnings == ["f is not monotone on the probe grid"]
 
 
 def test_validate_path_sum_flags_normalization():
