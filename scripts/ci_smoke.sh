@@ -18,9 +18,11 @@
 #             bytes at --workers 1 and 2, and a grid with an integer too
 #             large for a float exits 2 with an error line, no traceback
 #   deep      a chain of 1030 diamonds, unit weights (2^1030 shortest paths
-#             end to end): --metric all exits 0, its betweenness taken from
-#             exact path counts, and path-prod betweenness exits 3 with one error line that
-#             names float64, no traceback (about 10 s on 2 vCPUs)
+#             end to end): --metric all and path-prod betweenness exit 0,
+#             their path counts scaled by powers of two, and path-prod
+#             betweenness with relevance 4 on every vertex (path products up
+#             to 4^2061) exits 3 with one error line that names float64, no
+#             traceback (about 20 s on 2 vCPUs)
 #   grid      the default grid at --workers 1 gives the rows of
 #             tests/data/grid-default.csv (about 100 s; needs the test extra)
 #
@@ -170,10 +172,14 @@ EOF
       awk 'BEGIN { print "source,target"; for (i = 0; i < 1030; i++)
         printf "m%d,u%d\nm%d,l%d\nu%d,m%d\nl%d,m%d\n", i, i, i, i, i, i + 1, i, i + 1 }' \
         > "$tmp/deep.edges.csv"
+      awk 'BEGIN { print "vertex,relevance"; for (i = 0; i <= 1030; i++) print "m" i ",4";
+        for (i = 0; i < 1030; i++) print "u" i ",4\nl" i ",4" }' > "$tmp/deep.relevance.csv"
       relcentral compute "$tmp/deep.edges.csv" --metric all --out "$tmp/deep.json"
-      code=0
       relcentral compute "$tmp/deep.edges.csv" --f path-prod --metric betweenness \
-        --out "$tmp/deep-path.json" 2> "$tmp/deep.err" || code=$?
+        --out "$tmp/deep-path.json"
+      code=0
+      relcentral compute "$tmp/deep.edges.csv" --relevance "$tmp/deep.relevance.csv" \
+        --f path-prod --metric betweenness --out "$tmp/deep-r4.json" 2> "$tmp/deep.err" || code=$?
       cat "$tmp/deep.err"
       test "$code" -eq 3
       test "$(wc -l < "$tmp/deep.err")" -eq 1

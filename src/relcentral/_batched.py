@@ -54,18 +54,22 @@ scipy.
 
 A block builds one DAG, on the front-end its weights choose. Its path
 counts are made only for betweenness or path f: pairwise harmonic
-closeness reads none. They are float64, exact integers while below
-2**53, so that sigma_p / sigma_w is the correctly rounded ratio of the
-exact counts. A weighted block whose counts reach 2**53, and a
-unit-weight block whose counts overflow, recount them as Python integers
-over the same arcs (``_exact_counts``). Pairwise f then takes the exact
-ratios, while path f needs the counts as floats and raises
-``SigmaOverflowError`` when one does not fit. On unit weights the BFS
-DAG has the distance front-end's levels and positions, and each head's
-and each tail's arcs in the same order, so counts, ratios and vertex
-credit equal those of the graph with every weight 2.0 bit for bit, and
-harmonic values are twice its; edge credit, summed per CSR slot, may add
-an edge's two slots in the other order.
+closeness reads none. Both front-ends count by one rule: sigma in
+float64 with a power-of-two exponent per position, the count being
+sigma * 2**ex. ``ex`` is made only once a count reaches 2**``SCALE``;
+from then on an arc scales its tail's value to its head's exponent,
+which a head raises by ``SCALE`` on reaching 2**``SCALE``. Counts then
+never overflow, and a power-of-two scale is exact, so the scaled run
+gives the bits of an unscaled one wherever that one's values stay normal
+floats. The path-f forward state and the backward coefficients take the
+same scale; only a path-f value beyond float64 (a mean path product of
+4**2000, say) reaches the reports as inf, and they raise
+``SigmaOverflowError``. On unit weights the BFS DAG has the distance
+front-end's levels and positions, and each head's and each tail's arcs
+in the same order, so counts and vertex credit equal those of the graph
+with every weight 2.0 bit for bit, and harmonic values are twice its;
+edge credit, summed per CSR slot, may add an edge's two slots in the
+other order.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError, SigmaOverflowError
+from .errors import ResourceLimitError
 from .graph import Graph
 from .relevance import RelevanceFunction, RelevanceVector, Variant, pair_values
 
@@ -89,7 +93,7 @@ BUDGET = 1 << 30  # bytes of DAG arcs for the blocks that run at once
 # path f. The distance front-end sets it: its scan of the source's 2m
 # candidate slots, not its n - 1 arcs, reaches the peak
 ARC_BYTES = 72
-EXACT_LIMIT = 2.0**53
+SCALE = 512  # a path count reaching 2**SCALE is divided by it (_path_counts)
 # two path lengths tie when they differ by at most TIE_TOL * max(1, either)
 TIE_TOL = 1e-12
 # slots per chunk of the distance front-end: its float64 and int64
@@ -348,40 +352,45 @@ def _by_distance(g: Graph, S: np.ndarray) -> _Dag:
 # --- recurrences over the levels ---
 
 
-def _path_counts(dag: _Dag) -> np.ndarray:
-    """sigma per position, in float64."""
-    cut, sigma = dag.cut, np.empty(dag.cut[-1])
+def _path_counts(dag: _Dag):
+    """sigma per position in float64, and ``ex``: None while every count
+    stays below 2**SCALE, else each position's exponent, the count being
+    sigma * 2**ex. A head's exponent is the largest of its tails'."""
+    cut, sigma, ex = dag.cut, np.empty(dag.cut[-1]), None
     sigma[:cut[1]] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # callers check for inf
-        for k, (base, t, h) in enumerate(dag.into, 1):
-            sigma[cut[k]:cut[k + 1]] = np.bincount(h, sigma[base:][t], cut[k + 1] - cut[k])
-    return sigma
+    for k, (base, t, h) in enumerate(dag.into, 1):
+        lo, hi = cut[k], cut[k + 1]
+        terms = sigma[base:][t]
+        if ex is not None:  # exponents never fall below 0, where ex starts
+            tail_ex = ex[base:][t]
+            np.maximum.at(ex[lo:hi], h, tail_ex)
+            terms = np.ldexp(terms, tail_ex - ex[lo:hi][h])
+        level = np.bincount(h, terms, hi - lo)
+        if level.max(initial=0.0) >= 2.0**SCALE:
+            if ex is None:
+                ex = np.zeros(cut[-1], dtype=np.int64)
+            big = level >= 2.0**SCALE
+            level[big] = np.ldexp(level[big], -SCALE)
+            ex[lo:hi][big] += SCALE
+        sigma[lo:hi] = level
+    return sigma, ex
 
 
-def _exact_counts(dag: _Dag) -> list:
-    """sigma per position as Python integers."""
-    cut = dag.cut
-    exact = [1] * int(cut[1]) + [0] * int(cut[-1] - cut[1])
-    # level by level, and every tail sits in a lower level than its head,
-    # so a count is complete before it is propagated
-    tail = np.concatenate([t + base for base, t, _ in dag.into])
-    head = np.concatenate([h + c for (_, _, h), c in zip(dag.into, cut[1:])])
-    for p, w in zip(tail.tolist(), head.tolist()):
-        exact[w] += exact[p]
-    return exact
-
-
-def _path_state(dag: _Dag, variant: Variant, sigma, r, vert) -> np.ndarray:
+def _path_state(dag: _Dag, variant: Variant, sigma, ex, r, vert) -> np.ndarray:
     """Per position, over the shortest paths to the node, the sum of
-    their R products (PATH_PROD) or of their R totals (PATH_SUM); ``r``
-    is R per vertex and ``vert`` the vertex per position."""
+    their R products (PATH_PROD) or of their R totals (PATH_SUM), scaled
+    as sigma is by ``ex``; ``r`` is R per vertex and ``vert`` the vertex
+    per position."""
     cut, fwd = dag.cut, np.empty(dag.cut[-1])
     fwd[:cut[1]] = r[vert[:cut[1]]]
     # an overflow to inf reaches the reports, which raise SigmaOverflowError
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (base, t, h) in enumerate(dag.into, 1):
             lo, hi = cut[k], cut[k + 1]
-            into = np.bincount(h, fwd[base:][t], hi - lo)
+            terms = fwd[base:][t]
+            if ex is not None:  # each tail's state at its head's scale
+                terms = np.ldexp(terms, ex[base:][t] - ex[lo:hi][h])
+            into = np.bincount(h, terms, hi - lo)
             if variant is Variant.PATH_PROD:
                 fwd[lo:hi] = r[vert[lo:hi]] * into
             else:
@@ -397,11 +406,9 @@ def block(g, R, f, S: np.ndarray, harmonic: bool, betweenness: bool):
     """
     n, b, variant, r = g.vertex_count, len(S), f.variant, R.values
     dag = _by_distance(g, S) if g.weighted else _bfs(g, S)
-    sigma = exact = None
+    sigma = ex = None
     if betweenness or variant.is_path:
-        sigma = _path_counts(dag)
-        if not np.all(sigma < (EXACT_LIMIT if g.weighted else np.inf)):  # false for inf
-            exact = _exact_counts(dag)
+        sigma, ex = _path_counts(dag)
     cut = dag.cut
     src = dag.node // n  # each position's block source and vertex
     vert = dag.node - src * n
@@ -412,14 +419,7 @@ def block(g, R, f, S: np.ndarray, harmonic: bool, betweenness: bool):
         for i in range(0, len(vert), _PAIRS):
             fv[i:i + _PAIRS] = pair_values(f, S[src[i:i + _PAIRS]], vert[i:i + _PAIRS], R)
     else:
-        if exact is not None:
-            try:
-                sigma = np.array(exact, dtype=np.float64)
-            except OverflowError as exc:
-                raise SigmaOverflowError(
-                    f"shortest-path counts exceed float64 range: {exc}"
-                ) from exc
-        fwd = _path_state(dag, variant, sigma, r, vert)
+        fwd = _path_state(dag, variant, sigma, ex, r, vert)
 
     hv = None
     if harmonic:  # w / d per reached target, a level at a time
@@ -436,17 +436,13 @@ def block(g, R, f, S: np.ndarray, harmonic: bool, betweenness: bool):
         return hv, None, None
 
     # backward from the deepest level: credit per arc, and per node the
-    # suffix aggregates (below) and the coefficients its in-arcs read
+    # suffix aggregates (below) and the coefficients its in-arcs read,
+    # each scaled as sigma is by ex
     below = [np.empty(len(vert)) for _ in range(1 + (variant is Variant.PATH_SUM))]
     for x in below:  # the deepest level has no arcs out; the loop fills the rest
         x[cut[-2]:] = 0.0
     if fwd is None:
-        coef = [fv]  # f + delta, over sigma for float counts; f is not read again
-        if exact is not None:  # sigma[tail] / sigma[head] per arc, correctly rounded
-            tail = np.concatenate([t + lo for (t, *_), lo in zip(dag.out, cut)]).tolist()
-            head = np.concatenate([h + base for _, base, h, _ in dag.out]).tolist()
-            ratio = np.array([exact[p] / exact[w] for p, w in zip(tail, head)])
-            ratio = np.split(ratio, np.cumsum([len(t) for t, *_ in dag.out])[:-1])
+        coef = [fv]  # (f + delta) / sigma; f is not read again
     else:  # PATH_PROD: r * (1/sigma + below); PATH_SUM: the path-count mass
         coef = [np.empty(len(vert)) for _ in below]  # and the sum-of-R mass
 
@@ -455,8 +451,7 @@ def block(g, R, f, S: np.ndarray, harmonic: bool, betweenness: bool):
         if fwd is None:
             c = coef[0][lo:hi]
             c += below[0][lo:hi]
-            if exact is None:
-                c /= sigma[lo:hi]
+            c /= sigma[lo:hi]
             return
         inv, rv = 1.0 / sigma[lo:hi], r[vert[lo:hi]]
         if variant is Variant.PATH_PROD:
@@ -468,28 +463,30 @@ def block(g, R, f, S: np.ndarray, harmonic: bool, betweenness: bool):
     settle(cut[-2], cut[-1])
     edge = g.neighbor_csr[2]
     credit = np.zeros(len(edge))  # per CSR slot; each edge has two
-    for k in range(len(dag.out) - 1, -1, -1):
-        t, base, h, slot = dag.out[k]
-        lo, hi = cut[k], cut[k + 1]
-        at_head = [c[base:][h] for c in coef]
-        if fwd is None and exact is not None:
-            arc_credit = ratio[k] * at_head[0]
-        else:  # sigma (pairwise) or the forward state at the tail
-            arc_credit = (sigma if fwd is None else fwd)[lo:hi][t]
+    # an overflow of the forward state to inf reaches the reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(dag.out) - 1, -1, -1):
+            t, base, h, slot = dag.out[k]
+            lo, hi = cut[k], cut[k + 1]
+            at_head = [c[base:][h] for c in coef]
+            if ex is not None:  # each head's coefficients at its tail's scale
+                shift = ex[lo:hi][t] - ex[base:][h]
+                at_head = [np.ldexp(c, shift) for c in at_head]
+            arc_credit = (sigma if fwd is None else fwd)[lo:hi][t]  # sigma or fwd at the tail
             arc_credit *= at_head[0]
+            if variant is Variant.PATH_SUM:
+                arc_credit += sigma[lo:hi][t] * at_head[1]
+            np.add.at(credit, slot, arc_credit)
+            if not k:  # the sources earn no vertex credit
+                break
+            for x, y in zip(below, [arc_credit] if fwd is None else at_head):
+                x[lo:hi] = np.bincount(t, y, hi - lo)
+            settle(lo, hi)
+        node_credit = below[0][b:]
+        if fwd is not None:
+            node_credit *= fwd[b:]
         if variant is Variant.PATH_SUM:
-            arc_credit += sigma[lo:hi][t] * at_head[1]
-        np.add.at(credit, slot, arc_credit)
-        if not k:  # the sources earn no vertex credit
-            break
-        for x, y in zip(below, [arc_credit] if fwd is None else at_head):
-            x[lo:hi] = np.bincount(t, y, hi - lo)
-        settle(lo, hi)
-    node_credit = below[0][b:]
-    if fwd is not None:
-        node_credit *= fwd[b:]
-    if variant is Variant.PATH_SUM:
-        node_credit += sigma[b:] * below[1][b:]
+            node_credit += sigma[b:] * below[1][b:]
     return hv, np.bincount(vert[b:], node_credit, n), np.bincount(edge, credit, g.edge_count)
 
 

@@ -51,7 +51,7 @@ class MatrixShapeMismatchError(RelcentralError):
 
 
 class SigmaOverflowError(RelcentralError):
-    """A fixed-width shortest-path counter overflowed."""
+    """A metric value left float64 range, as a path-f product over a long path can."""
 
 
 class ResourceLimitError(RelcentralError):

@@ -1,3 +1,4 @@
+import warnings
 from collections import deque
 
 import numpy as np
@@ -343,14 +344,12 @@ def test_uniform_weight_two_matches_unweighted_engine(seed):
     )
 
 
-def test_uniform_weight_two_diamond_chain_uses_exact_counts(monkeypatch):
+def test_uniform_weight_two_diamond_chain_matches_unweighted():
     # sigma reaches 2^60, past the float64 integer range
-    calls = _spy_on_exact_counts(monkeypatch)
     g = _diamond_chain(60)
     _assert_uniform_weight_matches_unweighted(
         g, random_relevance(np.random.default_rng(7), g.vertex_count)
     )
-    assert any(calls)
 
 
 def _two_components_and_isolated():
@@ -493,7 +492,9 @@ def _one_source_dag(g, s, front_end):
     at = np.repeat(np.arange(len(dag.cut) - 1), np.diff(dag.cut))
     dist, sigma, level = np.full(n, np.inf), np.zeros(n), np.full(n, -1)
     dist[dag.node] = at if dag.dist is None else dag.dist
-    sigma[dag.node] = _batched._path_counts(dag)
+    counts, ex = _batched._path_counts(dag)
+    assert ex is None
+    sigma[dag.node] = counts
     level[dag.node] = at
     out, into = set(), set()
     for k, (tail, base, head, slot) in enumerate(dag.out):
@@ -746,15 +747,6 @@ def _diamond_chain(k: int, weight: float = 1.0):
     return build_graph(records)
 
 
-def test_scalar_path_sum_overflow_detected():
-    # sigma doubles per diamond; 2^1100 * float relevance cannot stay finite
-    g = _diamond_chain(1100, weight=2.0)
-    assert g.weighted
-    R = RelevanceVector.ones(g.vertex_count)
-    with pytest.raises(SigmaOverflowError):
-        vertex_betweenness(g, R, PATH_SUM)
-
-
 def _bipartite_stack(width: int, depth: int, weight: float = 1.0):
     records = []
     for lay in range(depth - 1):
@@ -764,91 +756,157 @@ def _bipartite_stack(width: int, depth: int, weight: float = 1.0):
     return build_graph(records)
 
 
-def _spy_on_exact_counts(monkeypatch) -> list:
-    """Records the flat source nodes of every block recounted exactly."""
-    calls, exact_counts = [], _batched._exact_counts
+def _spy_on_scaled_counts(monkeypatch) -> list:
+    """Records, per block that counts paths, whether a count reached
+    2**SCALE, so that the block made exponents."""
+    calls, path_counts = [], _batched._path_counts
 
     def spy(dag):
-        calls.append(dag.node[: dag.cut[1]].tolist())
-        return exact_counts(dag)
+        sigma, ex = path_counts(dag)
+        calls.append(ex is not None)
+        return sigma, ex
 
-    monkeypatch.setattr(_batched, "_exact_counts", spy)
+    monkeypatch.setattr(_batched, "_path_counts", spy)
     return calls
 
 
-def test_batched_sigma_overflow_detected(monkeypatch):
-    # layered complete bipartite stack: sigma multiplies by 20 per layer
-    # and passes float64 range; the block says so instead of going silent
-    g1, g2 = _bipartite_stack(20, 240), _bipartite_stack(20, 240, weight=2.0)
-    R = RelevanceVector.ones(g1.vertex_count)
-    S = np.array([0])
-    calls = _spy_on_exact_counts(monkeypatch)
+# sigma reaches 2^1100 (the chains) or 20^238 (the stack)
+PAST_FLOAT64 = {
+    "chain": lambda: _diamond_chain(1100),
+    "chain_w2": lambda: _diamond_chain(1100, weight=2.0),
+    "stack": lambda: _bipartite_stack(20, 240),
+}
+
+
+@pytest.mark.parametrize("name", PAST_FLOAT64)
+def test_uniform_path_f_past_float64_counts_stays_finite(monkeypatch, name):
+    # a mean path product or sum of uniform relevance stays in float64 range
+    g = PAST_FLOAT64[name]()
+    R, S = RelevanceVector.ones(g.vertex_count), np.array([0, 1])
+    calls = _spy_on_scaled_counts(monkeypatch)
+    _, classic, _ = _batched.block(g, R, PRODUCT, S, True, True)
+    assert classic.max() > 0
     for f in PATH_FS:
+        h, v, e = _batched.block(g, R, f, S, True, True)
+        assert np.all(np.isfinite(h)) and np.all(np.isfinite(v)) and np.all(np.isfinite(e))
+        if f is PATH_PROD:  # every path product is 1
+            np.testing.assert_allclose(v, classic, rtol=1e-12)
+    assert calls == [True] * 3
+
+
+def test_batched_sigma_overflow_detected():
+    # R = 4 on every vertex: path products reach 4^601 on the 300-chain,
+    # which path-prod reports, without a numpy warning
+    g = _diamond_chain(300)
+    R = RelevanceVector(np.full(g.vertex_count, 4.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(SigmaOverflowError):
-            _batched.block(g1, R, f, S, True, True)
-    h1, v1, e1 = _batched.block(g1, R, PRODUCT, S, True, True)
-    assert calls == [[0]] * (len(PATH_FS) + 1)
-    h2, v2, e2 = _batched.block(g2, R, PRODUCT, S, True, True)
-    assert np.all(np.isfinite(v1)) and np.all(np.isfinite(e1))
-    np.testing.assert_array_equal(v1, v2)
-    np.testing.assert_array_equal(e1, e2)
-    np.testing.assert_array_equal(h1, 2.0 * h2)
+            vertex_betweenness(g, R, PATH_PROD)
 
 
-def test_batched_overflow_block_takes_exact_counts(monkeypatch):
-    # sigma reaches 2^1100 at unit weight: the block recounts its BFS
-    # DAG's paths exactly and answers as at weight 2.0
+def test_batched_deep_block_matches_weight_two():
+    # sigma reaches 2^1100 at unit weight: the block scales its counts
+    # and answers as at weight 2.0, for pairwise f and path sums
     g1, g2 = _diamond_chain(1100), _diamond_chain(1100, weight=2.0)
     R = random_relevance(np.random.default_rng(8), g1.vertex_count)
     S = np.array([0, 5])
-    calls = _spy_on_exact_counts(monkeypatch)
-    for f in PAIRWISE_FS[:2]:
+    for f in PAIRWISE_FS[:2] + (PATH_SUM,):
         h1, v1, e1 = _batched.block(g1, R, f, S, True, True)
         h2, v2, e2 = _batched.block(g2, R, f, S, True, True)
         np.testing.assert_array_equal(v1, v2)
         np.testing.assert_array_equal(e1, e2)
         np.testing.assert_array_equal(h1, 2.0 * h2)
         assert v1.max() > 0
-    assert len(calls) == 4  # each block, unit weight or 2.0, was recounted
-    with pytest.raises(SigmaOverflowError):  # path f needs the counts as floats
-        _batched.block(g1, R, PATH_FS[0], S, True, True)
 
 
 def test_unit_weight_block_never_builds_the_distance_dag(monkeypatch):
-    # the overflowing 1100-chain too: its exact recount reads the BFS DAG
-    calls, seen = [], []
-    by_distance, exact_counts = _batched._by_distance, _batched._exact_counts
+    # the 1100-chain too, whose counts pass float64 range
+    calls, by_distance = [], _batched._by_distance
     monkeypatch.setattr(_batched, "_by_distance",
                         lambda *args: calls.append(args) or by_distance(*args))
-    monkeypatch.setattr(_batched, "_exact_counts",
-                        lambda dag: seen.append(dag.dist is None) or exact_counts(dag))
     g = _diamond_chain(1100)
     R, S = random_relevance(np.random.default_rng(8), g.vertex_count), np.array([0, 5])
     _batched.block(g, R, PRODUCT, S, True, True)
-    with pytest.raises(SigmaOverflowError):
-        _batched.block(g, R, PATH_FS[0], S, True, True)
+    _batched.block(g, R, PATH_FS[0], S, True, True)
     _batched.block(ring_lattice(40, 4), RelevanceVector.ones(40), PATH_FS[0], S, True, True)
     assert not calls
-    assert seen == [True, True]
+
+
+def _skip_chain(k: int):
+    """k diamonds, each an upper branch of one weight-2 edge and a lower
+    branch of two weight-1 edges: the upper arc skips a level."""
+    records = []
+    for i in range(k):
+        records += [(f"m{i}", f"m{i + 1}", 2.0),
+                    (f"m{i}", f"l{i}", 1.0), (f"l{i}", f"m{i + 1}", 1.0)]
+    return build_graph(records)
+
+
+# graphs with path counts of 16 and more
+SCALED = {
+    "ring": lambda: ring_lattice(80, 4),
+    "ws": lambda: watts_strogatz(GeneratorConfig(n=120, d=6, p=0.3, seed=2)),
+    "weighted": lambda: _random_weights(ring_lattice(120, 6), 6, weights=[1.0, 2.0]),
+    "skip_chain": lambda: _skip_chain(40),
+}
+
+
+@pytest.mark.parametrize("f", [PRODUCT, MEAN, MAX] + list(PATH_FS), ids=lambda f: f.label)
+@pytest.mark.parametrize("name", SCALED)
+def test_scaled_counts_keep_every_bit(monkeypatch, name, f):
+    # with the threshold lowered to 2^4 every block scales its counts, by
+    # powers of two, so every value keeps the bits of the unscaled run
+    g = SCALED[name]()
+    R = random_relevance(np.random.default_rng(1), g.vertex_count)
+    want = _batched.sweep(g, R, f, 1, True, True)
+    monkeypatch.setattr(_batched, "SCALE", 4)
+    calls = _spy_on_scaled_counts(monkeypatch)
+    got = _batched.sweep(g, R, f, 1, True, True)
+    assert calls and all(calls)
+    for x, y in zip(got, want):
+        assert x.tobytes() == y.tobytes()
+
+
+def _grid(side: int, weight: float):
+    records = []
+    for i in range(side):
+        for j in range(side):
+            if i + 1 < side:
+                records.append((f"{i}_{j}", f"{i + 1}_{j}", weight))
+            if j + 1 < side:
+                records.append((f"{i}_{j}", f"{i}_{j + 1}", weight))
+    return build_graph(records)
+
+
+@pytest.mark.parametrize("f", [PRODUCT, PATH_PROD], ids=lambda f: f.label)
+def test_unit_and_weight_two_grids_agree(f):
+    # counts reach C(78, 39), past 2^53, and both copies count by one rule
+    g1, g2 = _grid(40, 1.0), _grid(40, 2.0)
+    assert g2.weighted and not g1.weighted
+    R = random_relevance(np.random.default_rng(5), g1.vertex_count)
+    h1, v1, _ = _batched.sweep(g1, R, f, 1, True, True)
+    h2, v2, _ = _batched.sweep(g2, R, f, 1, True, True)
+    assert v2.tobytes() == v1.tobytes()
+    assert (2.0 * h2).tobytes() == h1.tobytes()
 
 
 @pytest.mark.parametrize("weight", [1.0, 2.0])
 def test_pairwise_harmonic_alone_makes_no_path_counts(monkeypatch, weight):
-    # 2^60 paths: past 2^53, where a weighted block recounts exactly
+    # 2^60 paths: past the float64 integer range
     g = _diamond_chain(60, weight)
     R = random_relevance(np.random.default_rng(8), g.vertex_count)
     both = _batched.sweep(g, R, PRODUCT, 1, True, True)[0]
     calls = []
-    for name in ("_path_counts", "_exact_counts"):
-        monkeypatch.setattr(_batched, name, lambda dag, name=name: calls.append(name))
+    monkeypatch.setattr(_batched, "_path_counts", lambda dag: calls.append(dag))
     alone = _batched.sweep(g, R, PRODUCT, 1, True, False)[0]
     assert not calls
     assert alone.tobytes() == both.tobytes()
 
 
 def test_shared_sweep_harmonic_matches_harmonic_alone_when_counts_overflow():
-    # 2^1030 paths from the chain's first vertices: those blocks overflow
-    # whether or not betweenness is asked, so harmonic has one engine
+    # 2^1030 paths from the chain's first vertices: those blocks scale
+    # their counts, which pairwise harmonic alone never makes
     g = _diamond_chain(1030)
     R = random_relevance(np.random.default_rng(8), g.vertex_count)
     hrep, vrep, _ = _path_reports(g, R, PRODUCT, 1, None)
@@ -858,7 +916,7 @@ def test_shared_sweep_harmonic_matches_harmonic_alone_when_counts_overflow():
 
 
 def test_pairwise_scalar_engine_immune_to_sigma_overflow():
-    # same doubling chain, but pairwise fractions are ratios of big ints
+    # a doubling chain: sigma reaches 2^400, and pairwise f reads ratios of counts
     g = _diamond_chain(400, weight=2.0)
     R = RelevanceVector.ones(g.vertex_count)
     vrep = vertex_betweenness(g, R, PRODUCT)
