@@ -22,9 +22,12 @@
 #             their path counts scaled by powers of two, and path-prod
 #             betweenness with relevance 4 on every vertex (path products up
 #             to 4^2061) exits 3 with one error line that names float64, no
-#             traceback (about 20 s on 2 vCPUs)
-#   grid      the default grid at --workers 1 gives the rows of
-#             tests/data/grid-default.csv (about 100 s; needs the test extra)
+#             traceback (about 20 s on 2 vCPUs); so does a weighted path
+#             a-b-c with weights 1 and 1e17, whose length 1e17 + 1 float64
+#             rounds to 1e17
+#   grid      the default grid at --workers 1 and at --workers 2 gives the
+#             rows of tests/data/grid-default.csv (about 28 s and 23 s on
+#             2 vCPUs; needs the test extra)
 #
 # Usage: scripts/ci_smoke.sh florence version workers quoted intlabels experiment deep grid
 set -euo pipefail
@@ -184,15 +187,25 @@ EOF
       test "$code" -eq 3
       test "$(wc -l < "$tmp/deep.err")" -eq 1
       grep -q '^error: .*float64' "$tmp/deep.err"
+      printf 'source,target,weight\na,b,1\nb,c,1e17\n' > "$tmp/round.edges.csv"
+      code=0
+      relcentral compute "$tmp/round.edges.csv" --metric all 2> "$tmp/round.err" || code=$?
+      cat "$tmp/round.err"
+      test "$code" -eq 3
+      test "$(wc -l < "$tmp/round.err")" -eq 1
+      grep -q '^error: .*float64' "$tmp/round.err"
       ;;
     grid)
       # one progress line per cell goes to the log, shown only on failure
-      relcentral experiment --workers 1 --out "$tmp/grid.csv" 2> "$tmp/grid.log" \
-        || { tail "$tmp/grid.log"; exit 1; }
-      PYTHONPATH="tests${PYTHONPATH:+:$PYTHONPATH}" python - "$tmp/grid.csv" <<'EOF'
+      for k in 1 2; do
+        relcentral experiment --workers "$k" --out "$tmp/grid_$k.csv" 2> "$tmp/grid.log" \
+          || { tail "$tmp/grid.log"; exit 1; }
+      done
+      PYTHONPATH="tests${PYTHONPATH:+:$PYTHONPATH}" python - "$tmp"/grid_[12].csv <<'EOF'
 import sys
 from test_golden import DATA, assert_grid_matches
-assert_grid_matches(sys.argv[1], DATA / "grid-default.csv", 480)
+for path in sys.argv[1:]:
+    assert_grid_matches(path, DATA / "grid-default.csv", 480)
 EOF
       ;;
     *)

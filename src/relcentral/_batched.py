@@ -74,13 +74,14 @@ other order.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, SigmaOverflowError
 from .graph import Graph
 from .relevance import RelevanceFunction, RelevanceVector, Variant, pair_values
 
@@ -280,7 +281,8 @@ def _distances(g: Graph, S: np.ndarray) -> np.ndarray:
             head = np.repeat(nodes - x, cnt)
             head += nbr[slot]
             via = np.repeat(d[i:i + step], cnt)
-            via += w[slot]
+            with np.errstate(over="ignore"):  # an overflowed length is never kept
+                via += w[slot]
             keep = np.flatnonzero(via < dist[head])
             np.minimum.at(dist, head[keep], via[keep])
             improved.append(head[keep])
@@ -299,15 +301,25 @@ def _by_distance(g: Graph, S: np.ndarray) -> _Dag:
     complete are sorted), and each level lists its flat nodes in
     ascending order. The candidate arcs are the slots whose gap d[p] +
     weight - d[w] is within a bound, scanned ``_CHUNK`` slots of whole
-    source rows at a time."""
+    source rows at a time.
+
+    Raises ``SigmaOverflowError`` when float64 cannot hold the path
+    lengths: when the farthest distance plus the heaviest weight passes
+    its range (a node whose every path overflows is left unreached, and
+    below it no distance plus weight formed here overflows), or when a
+    reached node joins no level, as when a distance plus an arc's weight
+    rounds back to the same distance and the arc is not kept."""
     indptr, nbr, eid = g.neighbor_csr
     n, b = g.vertex_count, len(S)
     deg, w = np.diff(indptr), g.edge_weights[eid]
     dist = _distances(g, S)
+    reached = np.isfinite(dist)
+    top = float(np.max(dist, where=reached, initial=0.0)) + float(w.max(initial=0.0))
+    if math.isinf(top):  # no distance plus weight formed below exceeds top
+        raise SigmaOverflowError("a path length plus an edge weight passes the float64 range")
     # candidate slots first, a chunk of sources at a time: d[p] + weight -
     # d[w] within a bound above every tolerance the rule can allow
-    reach = float(np.max(dist, where=np.isfinite(dist), initial=0.0))
-    bound = TIE_TOL * max(1.0, reach + float(w.max(initial=0.0)))
+    bound = TIE_TOL * max(1.0, top)
     D, rows, found = dist.reshape(b, n), max(1, _CHUNK // max(1, len(nbr))), []
     for i in range(0, b, rows):
         gap = np.repeat(D[i:i + rows], deg, axis=1)
@@ -336,6 +348,10 @@ def _by_distance(g: Graph, S: np.ndarray) -> _Dag:
         h = np.sort(h[indeg[h] == 0])  # a head of several arcs once
         levels.append(h[_firsts(h)])
     node, sizes = np.concatenate(levels), list(map(len, levels))
+    if len(node) < np.count_nonzero(reached):
+        raise SigmaOverflowError(
+            "a path length plus an edge weight rounds back to the path length in float64"
+        )
     cut = _offsets(sizes)
     pos = np.empty(b * n, dtype=np.int64)
     pos[node] = np.arange(len(node))

@@ -20,7 +20,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .centrality import harmonic_centrality, vertex_betweenness
+from .centrality import _path_reports
 from .errors import ExperimentCellError, LengthMismatchError
 from .generators import (
     GeneratorConfig,
@@ -30,7 +30,7 @@ from .generators import (
     watts_strogatz,
 )
 from .graph import Graph
-from .relevance import RelevanceFunction, RelevanceVector, Variant
+from .relevance import RelevanceFunction, Variant
 
 __all__ = [
     "ExperimentCell",
@@ -273,68 +273,67 @@ def _build_network(kind: str, n: int, d: int, seed: int) -> Graph:
     return watts_strogatz(GeneratorConfig(n=n, d=d, p=1.0, seed=2 * seed))
 
 
-def _metric_values(
-    g: Graph, R: RelevanceVector | None, f: RelevanceFunction, metric: str, workers: int
-):
-    if metric == "betweenness":
-        return vertex_betweenness(g, R, f, workers).values
-    return harmonic_centrality(g, R, f, workers).values
+def _reads(c: ExperimentCell) -> tuple:
+    """The memo keys a cell reads, in the order it reads them: its graph,
+    its classic baseline (the sweep with uniform relevance and product f),
+    its relevance vector and its weighted sweep."""
+    gk, rk = ("graph",) + _graph_key(c), ("relevance", c.n, c.r, c.seed)
+    return gk, ("sweep", gk, None, Variant.PRODUCT), rk, ("sweep", gk, rk, c.f)
 
 
 def run_grid(grid: ExperimentGrid, workers: int = 1, progress=None) -> list[CorrelationRecord]:
     """Evaluate every cell; rows come back in ``grid.cells()`` order.
 
-    Graphs, classic baselines, and relevance vectors are built by the
-    first cell that needs them and shared with the cells that agree on
-    them. ``workers`` runs the source blocks of each sweep, as in
-    ``compute``; the rows do not depend on it.
+    Graphs, relevance vectors and sweeps are built by the first cell that
+    reads them and dropped after the last one. A sweep is keyed by
+    (graph, relevance, f), the classic baseline being the one with
+    uniform relevance and product f, and gives every metric of
+    ``grid.metrics`` at once, so the harmonic and betweenness cells of a
+    job share it. ``workers`` runs the source blocks of each sweep, as
+    in ``compute``; the rows do not depend on it.
     ``progress(done, total, cell, seconds)``, if given, is called after
     each cell, with the number of cells done so far and the cell's wall
-    time, which includes whatever the cell was first to build.
+    time, which includes whatever the cell was first to read.
     """
     cells = grid.cells()
-    graphs: dict = {}
-    classic: dict = {}
-    relevances: dict = {}
+    reads = [_reads(c) for c in cells]
+    last = {key: i for i, keys in enumerate(reads) for key in keys}
+    held: dict = {}
+
+    def sweep(g, R, f):
+        h, b, _ = _path_reports(g, R, RelevanceFunction(f), workers, None,
+                                "harmonic" in grid.metrics, "betweenness" in grid.metrics)
+        return {"harmonic": h, "betweenness": b}
+
+    def read(key, make):
+        if key not in held:
+            held[key] = make()
+        return held[key]
+
+    def record(c, gk, bk, rk, wk):
+        g = read(gk, lambda: _build_network(c.kind, c.n, grid.d, c.seed))
+        base = read(bk, lambda: sweep(g, None, Variant.PRODUCT))[c.metric].values
+        R = read(rk, lambda: assign_relevance(c.n, grid.d, c.r, 2 * c.seed + 1))
+        ext = read(wk, lambda: sweep(g, R, c.f))[c.metric].values
+        return CorrelationRecord(
+            c.kind, c.n, c.p, c.r, c.f.value, c.metric, c.seed,
+            pearson(base, ext), spearman(base, ext),
+            pearson(R.values, base), spearman(R.values, base),
+            constant_input(base) or constant_input(ext) or constant_input(R.values),
+        )
+
     records = []
-    for done, c in enumerate(cells, 1):
+    for i, (c, keys) in enumerate(zip(cells, reads)):
         t0 = time.perf_counter()
         try:
-            gk = _graph_key(c)
-            if gk not in graphs:
-                graphs[gk] = _build_network(c.kind, c.n, grid.d, c.seed)
-            g = graphs[gk]
-            ck = gk + (c.metric,)
-            if ck not in classic:
-                classic[ck] = _metric_values(
-                    g, None, RelevanceFunction(Variant.PRODUCT), c.metric, workers
-                )
-            base = classic[ck]
-            rk = (c.n, c.r, c.seed)
-            if rk not in relevances:
-                relevances[rk] = assign_relevance(c.n, grid.d, c.r, 2 * c.seed + 1)
-            R = relevances[rk]
-            ext = _metric_values(g, R, RelevanceFunction(c.f), c.metric, workers)
-            records.append(CorrelationRecord(
-                kind=c.kind,
-                n=c.n,
-                p=c.p,
-                r=c.r,
-                f=c.f.value,
-                metric=c.metric,
-                seed=c.seed,
-                pearson=pearson(base, ext),
-                spearman=spearman(base, ext),
-                pearson_R=pearson(R.values, base),
-                spearman_R=spearman(R.values, base),
-                constant_flag=constant_input(base)
-                or constant_input(ext)
-                or constant_input(R.values),
-            ))
+            records.append(record(c, *keys))
         except Exception as exc:
             raise ExperimentCellError(c.cell_id, str(exc)) from exc
+        for key in keys:
+            if last[key] == i:
+                del held[key]
         if progress is not None:
-            progress(done, len(cells), c, time.perf_counter() - t0)
+            progress(i + 1, len(cells), c, time.perf_counter() - t0)
     return records
 
 

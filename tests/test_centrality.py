@@ -805,6 +805,38 @@ def test_batched_sigma_overflow_detected():
             vertex_betweenness(g, R, PATH_PROD)
 
 
+# d(c, b) + 1 rounds back to d(c, b), so from c the arc b -> a ties
+# nothing and a joins no level; d(a, d) = 2e308 + 1 is past float64
+FLOAT64_ROUNDING = [("a", "b", 1.0), ("b", "c", 1e17)]
+FLOAT64_OVERFLOW = [("a", "b", 1.0), ("b", "c", 1e308), ("c", "d", 1e308)]
+
+
+@pytest.mark.parametrize("edges", [FLOAT64_ROUNDING, FLOAT64_OVERFLOW])
+@pytest.mark.parametrize("harmonic, betweenness", [(True, True), (True, False), (False, True)])
+def test_path_lengths_float64_cannot_hold_raise(edges, harmonic, betweenness):
+    g = build_graph(edges)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SigmaOverflowError, match="float64"):
+            _path_reports(g, None, PRODUCT, 1, None, harmonic, betweenness)
+
+
+def test_path_lengths_just_inside_float64_are_kept():
+    # the farthest distance plus the heaviest weight stays below the float64
+    # maximum (the star's weights sum past it), and d(a, c) = 1e15 + 1 is
+    # exact: no refusal, no warning, the oracle's values
+    star = [("h", f"l{i}", 1e307) for i in range(10)]
+    for edges in (star, [("a", "b", 4e307), ("b", "c", 4e307)],
+                  [("a", "b", 1.0), ("b", "c", 1e15)]):
+        g = build_graph(edges)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h, v, _ = _path_reports(g, None, PRODUCT, 1, None)
+        R = RelevanceVector.ones(g.vertex_count)
+        assert v.values.tolist() == brute_betweenness(g, R, PRODUCT)[0].tolist()
+        np.testing.assert_allclose(h.values, brute_harmonic(g, R, PRODUCT), rtol=1e-15)
+
+
 def test_batched_deep_block_matches_weight_two():
     # sigma reaches 2^1100 at unit weight: the block scales its counts
     # and answers as at weight 2.0, for pairwise f and path sums

@@ -270,6 +270,20 @@ def test_compute_field_over_the_csv_limit_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows", [
+    "a,b,1\nb,c,1e17\n",  # from c, d(c, b) + 1 rounds back to d(c, b)
+    "a,b,1\nb,c,1e308\nc,d,1e308\n",  # d(a, d) past float64
+])
+def test_path_lengths_float64_cannot_hold_exit_3(tmp_path, capsys, rows):
+    edges = put(tmp_path, "g.csv", "source,target,weight\n" + rows)
+    out = tmp_path / "out.json"
+    assert main(["compute", edges, "--metric", "all", "--out", str(out)]) == EXIT_COMPUTE
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and re.match(r"error: .*float64", captured.err)
+    assert not captured.out and not out.exists()
+
+
 def test_oracle_engine_matches_fast(tmp_path):
     edges = put(tmp_path, "g.csv", WRING)
     rel = put(tmp_path, "r.csv", REL)
@@ -431,10 +445,10 @@ def test_experiment_bad_degree_is_input_error_before_any_cell(tmp_path, monkeypa
 
 
 def test_experiment_failing_cell_is_compute_error(tmp_path, monkeypatch, capsys):
-    def overflow(g, R, f, metric, workers):
+    def overflow(g, R, f, *args):
         raise SigmaOverflowError("harmonic accumulation overflowed to a non-finite value")
 
-    monkeypatch.setattr(experiments, "_metric_values", overflow)
+    monkeypatch.setattr(experiments, "_path_reports", overflow)
     grid = put(tmp_path, "grid.json", json.dumps({
         "kinds": ["regular"], "sizes": [5], "r": [0.0],
         "f": ["product"], "metrics": ["harmonic"], "seeds": [0], "d": 2,

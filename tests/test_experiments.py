@@ -3,7 +3,9 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -220,18 +222,94 @@ def test_run_grid_progress_reports_every_cell_once_in_order():
     assert all(r[3] >= 0.0 for r in reports)
 
 
+def _spy_sweeps(monkeypatch, fake=False):
+    """Record each ``_path_reports`` call of ``run_grid`` as (graph,
+    relevance, f, workers, harmonic, betweenness); with ``fake``, every
+    report holds the vertex indices instead of a sweep's values."""
+    calls, path_reports = [], experiments._path_reports
+
+    def spy(g, R, f, workers, source, harmonic, betweenness):
+        calls.append((g, R, f.variant, workers, harmonic, betweenness))
+        if not fake:
+            return path_reports(g, R, f, workers, source, harmonic, betweenness)
+        rep = SimpleNamespace(values=np.arange(g.vertex_count, dtype=np.float64))
+        return rep if harmonic else None, rep if betweenness else None, None
+
+    monkeypatch.setattr(experiments, "_path_reports", spy)
+    return calls
+
+
 def test_run_grid_hands_workers_to_every_sweep(monkeypatch):
     grid = small_grid(kinds=("regular", "random"), metrics=("betweenness", "harmonic"))
-    handed, metric_values = [], experiments._metric_values
-
-    def spy(g, R, f, metric, workers):
-        handed.append((R is None, workers))
-        return metric_values(g, R, f, metric, workers)
-
-    monkeypatch.setattr(experiments, "_metric_values", spy)
+    calls = _spy_sweeps(monkeypatch)
     run_grid(grid, workers=3)
-    # one classic baseline per graph and metric, one weighted sweep per cell
-    assert sorted(handed) == [(False, 3)] * len(grid.cells()) + [(True, 3)] * 4
+    # one classic baseline per graph, one sweep per (graph, relevance, f)
+    # for both metrics of its cells
+    assert {workers for *_, workers, _, _ in calls} == {3}
+    assert [R is None for _, R, *_ in calls].count(True) == 2
+    assert len(calls) == 2 + 2 * len(grid.rs) * len(grid.fs)
+    assert all(harmonic and betweenness for *_, harmonic, betweenness in calls)
+
+
+def test_run_grid_default_grid_runs_one_sweep_per_job(monkeypatch):
+    grid = ExperimentGrid()
+    calls = _spy_sweeps(monkeypatch, fake=True)
+    assert len(run_grid(grid, workers=2)) == 480
+    # 12 graphs: 2 ring lattices, 10 WS graphs (2 sizes x 5 seeds); each
+    # lattice serves 60 (relevance, f) jobs (2 r x 5 seeds x 6 f), each WS
+    # graph 12, and each graph one classic baseline
+    assert len(calls) == 252
+    assert len({(id(g), id(R), f) for g, R, f, *_ in calls}) == 252
+    assert [R is None for _, R, *_ in calls].count(True) == 12
+    assert {call[3:] for call in calls} == {(2, True, True)}
+
+
+def test_run_grid_harmonic_only_asks_for_no_betweenness(monkeypatch):
+    calls = _spy_sweeps(monkeypatch)
+    recs = run_grid(small_grid(metrics=("harmonic",)))
+    assert len(recs) == 6 and {rec.metric for rec in recs} == {"harmonic"}
+    assert len(calls) == 1 + 6
+    assert {call[4:] for call in calls} == {(True, False)}
+
+
+def test_run_grid_serves_a_listed_twice_f_from_one_sweep(monkeypatch):
+    calls = _spy_sweeps(monkeypatch)
+    recs = run_grid(small_grid(fs=(Variant.PRODUCT, Variant.PATH_SUM, Variant.PRODUCT)))
+    # each duplicate cell sorts next to its twin
+    assert len(recs) == 2 * 3 * 1
+    assert [rec.f for rec in recs if rec.r == 1.0] == ["path-sum", "product", "product"]
+    assert recs[1] == recs[2] and recs[4] == recs[5]
+    assert len(calls) == 1 + 2 * 2
+
+
+def test_run_grid_drops_each_sweep_and_graph_after_its_last_cell(monkeypatch):
+    grid = small_grid(kinds=("regular", "random"), seeds=(0, 1),
+                      fs=(Variant.PRODUCT, Variant.PATH_SUM), metrics=("betweenness", "harmonic"))
+    cells = grid.cells()
+    held = []  # (weak reference, the index of the last cell that reads it)
+    path_reports = experiments._path_reports
+
+    def spy(g, R, f, workers, source, harmonic, betweenness):
+        reports = path_reports(g, R, f, workers, source, harmonic, betweenness)
+        c = cells[len(done)]  # the cell being evaluated
+        readers = [i for i, x in enumerate(cells)
+                   if experiments._graph_key(x) == experiments._graph_key(c)
+                   and (R is None or (x.r, x.seed, x.f) == (c.r, c.seed, c.f))]
+        held.append((weakref.ref(g), max(i for i, x in enumerate(cells)
+                                         if experiments._graph_key(x) == experiments._graph_key(c))))
+        held.extend((weakref.ref(rep.values), readers[-1]) for rep in reports[:2])
+        return reports
+
+    done = []
+
+    def progress(n_done, total, cell, seconds):
+        done.append(cell)
+        gone = [ref() is None for ref, _ in held]
+        assert gone == [last < n_done for _, last in held]
+
+    monkeypatch.setattr(experiments, "_path_reports", spy)
+    run_grid(grid, progress=progress)
+    assert len(done) == len(cells) and all(ref() is None for ref, _ in held)
 
 
 def test_run_grid_builds_each_ring_lattice_once(tmp_path, monkeypatch):
@@ -257,14 +335,14 @@ def test_run_grid_builds_each_ring_lattice_once(tmp_path, monkeypatch):
 
 
 def test_run_grid_annotates_failing_cell(monkeypatch):
-    metric_values = experiments._metric_values
+    path_reports = experiments._path_reports
 
-    def failing(g, R, f, metric, workers):
+    def failing(g, R, f, *args):
         if f.variant is Variant.PATH_SUM:
             raise ValueError("no path-sum today")
-        return metric_values(g, R, f, metric, workers)
+        return path_reports(g, R, f, *args)
 
-    monkeypatch.setattr(experiments, "_metric_values", failing)
+    monkeypatch.setattr(experiments, "_path_reports", failing)
     with pytest.raises(ExperimentCellError) as ei:
         run_grid(small_grid())
     assert ei.value.cell_id == "random-n24-p1-r0-path-sum-betweenness-s0"

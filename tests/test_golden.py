@@ -6,7 +6,7 @@ workloads, written once by ``perfbench/inputs.py`` (edges from
 ``make_graph(wl, 1)``, relevance from ``make_relevance(wl, 1, 0)``) and
 committed, so they do not depend on numpy's random streams.
 ``grid-sizes-100.csv`` is ``relcentral experiment`` on ``{"sizes": [100]}``,
-and ``grid-default.csv`` on the default grid (480 rows, about 100 s), which
+and ``grid-default.csv`` on the default grid (480 rows, about 30 s), which
 the ``grid`` check of ``scripts/ci_smoke.sh`` compares with
 ``assert_grid_matches``.
 
