@@ -28,8 +28,10 @@
 #   grid      the default grid at --workers 1 and at --workers 2 gives the
 #             rows of tests/data/grid-default.csv (about 28 s and 23 s on
 #             2 vCPUs; needs the test extra)
+#   matrix    Florence with --f matrix:<F>, F[s][t] = R_s * R_t off the
+#             diagonal, gives the --f product CSV bytes
 #
-# Usage: scripts/ci_smoke.sh florence version workers quoted intlabels experiment deep grid
+# Usage: scripts/ci_smoke.sh florence version workers quoted intlabels experiment deep grid matrix
 set -euo pipefail
 
 tmp="$(mktemp -d)"
@@ -207,6 +209,22 @@ from test_golden import DATA, assert_grid_matches
 for path in sys.argv[1:]:
     assert_grid_matches(path, DATA / "grid-default.csv", 480)
 EOF
+      ;;
+    matrix)
+      python - data/florence/relevance.csv "$tmp/florence-F.csv" <<'EOF'
+import csv, sys
+rows = list(csv.reader(open(sys.argv[1], newline="")))[1:]
+with open(sys.argv[2], "w", newline="") as fh:
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow([""] + [s for s, _ in rows])
+    for s, rs in rows:
+        w.writerow([s] + [repr(float(rs) * float(rt)) if t != s else "0" for t, rt in rows])
+EOF
+      for f in product "matrix:$tmp/florence-F.csv"; do
+        relcentral compute data/florence/edges.csv --relevance data/florence/relevance.csv \
+          --metric all --f "$f" --format csv --out "$tmp/florence-${f%%:*}.csv"
+      done
+      cmp "$tmp/florence-product.csv" "$tmp/florence-matrix.csv"
       ;;
     *)
       echo "unknown check: $check" >&2

@@ -19,16 +19,9 @@ import os
 import sys
 
 from . import io_formats
-from .centrality import (
-    CentralityReport,
-    Metric,
-    _make_report,
-    _path_reports,
-    degree_centrality,
-)
+from .centrality import PATH_METRICS, CentralityReport, Metric, _make_report, _reports
 from .errors import (
     ExperimentCellError,
-    PathVariantNotApplicableError,
     RelcentralError,
     ResourceLimitError,
     SigmaOverflowError,
@@ -81,23 +74,19 @@ def _print_top10(rep: CentralityReport) -> None:
         print(f"  {pos:2d}. {name}  {value:.6g}")
 
 
-def _oracle_reports(g, R, f, wanted: list[str], relevance_source: str):
+def _oracle_reports(g, R, f, wanted: list[Metric], relevance_source: str):
     """Same report shapes as the fast path, values from brute enumeration."""
     from .oracle import all_pairs_shortest_paths, brute_betweenness, brute_degree, brute_harmonic
 
-    pair_paths = None
-    if any(m in wanted for m in ("harmonic", "betweenness", "edge-betweenness")):
-        pair_paths = all_pairs_shortest_paths(g)
+    pair_paths = None if wanted == [Metric.DEGREE] else all_pairs_shortest_paths(g)
     values = {}
-    if "degree" in wanted:
-        values["degree"] = brute_degree(g, R, f)
-    if "harmonic" in wanted:
-        values["harmonic"] = brute_harmonic(g, R, f, pair_paths=pair_paths)
-    if "betweenness" in wanted or "edge-betweenness" in wanted:
-        values["betweenness"], values["edge-betweenness"] = brute_betweenness(
-            g, R, f, pair_paths=pair_paths)
-    return [_make_report(Metric(m), "edge" if m == "edge-betweenness" else "vertex", g,
-                         values[m], f, relevance_source) for m in wanted]
+    if Metric.DEGREE in wanted:
+        values[Metric.DEGREE] = brute_degree(g, R, f)
+    if Metric.HARMONIC in wanted:
+        values[Metric.HARMONIC] = brute_harmonic(g, R, f, pair_paths=pair_paths)
+    if Metric.VERTEX_BETWEENNESS in wanted or Metric.EDGE_BETWEENNESS in wanted:
+        values.update(zip(PATH_METRICS[1:], brute_betweenness(g, R, f, pair_paths=pair_paths)))
+    return [_make_report(m, g, values[m], f, relevance_source) for m in wanted]
 
 
 def cmd_compute(args) -> int:
@@ -112,36 +101,15 @@ def cmd_compute(args) -> int:
         relevance_source = "uniform"
     f = _parse_f(args.f, g)
 
-    wanted = (
-        ["degree", "harmonic", "betweenness", "edge-betweenness"]
-        if args.metric == "all"
-        else [args.metric]
-    )
-    if f.variant.is_path and "degree" in wanted:
-        if args.metric == "degree":
-            raise PathVariantNotApplicableError(
-                f"{f.label} has no per-edge endpoint value; degree is undefined"
-            )
+    wanted = list(Metric) if args.metric == "all" else [Metric(args.metric)]
+    if f.variant.is_path and args.metric == "all":
         print(f"note: skipping degree, {f.label} needs a path", file=sys.stderr)
-        wanted.remove("degree")
+        wanted.remove(Metric.DEGREE)
 
     if args.engine == "oracle":
         reports = _oracle_reports(g, R, f, wanted, relevance_source)
     else:
-        reports = []
-        if "degree" in wanted:
-            reports.append(degree_centrality(g, R, f, relevance_source=relevance_source))
-        betweenness = "betweenness" in wanted or "edge-betweenness" in wanted
-        if "harmonic" in wanted or betweenness:
-            hrep, vrep, erep = _path_reports(
-                g, R, f, args.workers, relevance_source,
-                harmonic="harmonic" in wanted, betweenness=betweenness,
-            )
-            reports += [
-                rep for name, rep in (
-                    ("harmonic", hrep), ("betweenness", vrep), ("edge-betweenness", erep)
-                ) if name in wanted
-            ]
+        reports = list(_reports(g, R, f, wanted, args.workers, relevance_source).values())
 
     for rep in reports:
         _print_top10(rep)
@@ -208,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument(
         "--metric",
         default="all",
-        choices=["degree", "harmonic", "betweenness", "edge-betweenness", "all"],
+        choices=[m.value for m in Metric] + ["all"],
     )
     pc.add_argument("--out", help="write results to this path")
     pc.add_argument("--format", default="json", choices=["json", "csv", "dot"])

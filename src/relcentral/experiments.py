@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import time
 from dataclasses import dataclass
 from itertools import product as iproduct
 
 import numpy as np
 
-from .centrality import _path_reports
+from .centrality import Metric, _reports
 from .errors import ExperimentCellError, LengthMismatchError
 from .generators import (
     GeneratorConfig,
@@ -149,18 +150,18 @@ class ExperimentCell:
 
 
 def _integer(key: str, x) -> int:
-    """``x`` of the grid config's ``key`` as an int; a JSON number with a
-    fraction, or anything else, is refused, not truncated."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)) or not _number(key, x).is_integer():
+    """``x`` of the grid's ``key`` as an int; a number with a fraction,
+    or anything else, is refused, not truncated."""
+    if not _number(key, x, "an integer").is_integer():
         raise ValueError(f"grid {key}: expected an integer, got {x!r}")
     return int(x)
 
 
-def _number(key: str, x) -> float:
-    """``x`` of the grid config's ``key`` as a float; anything but a JSON
-    number, or an integer too large for a float, is refused."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValueError(f"grid {key}: expected a number, got {x!r}")
+def _number(key: str, x, expected: str = "a number") -> float:
+    """``x`` of the grid's ``key`` as a float; anything but a real number
+    (a bool is not one), or an integer too large for a float, is refused."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"grid {key}: expected {expected}, got {x!r}")
     try:
         return float(x)
     except OverflowError:
@@ -178,6 +179,17 @@ class ExperimentGrid:
     d: int = 10
 
     def __post_init__(self):
+        # the same conversions whether the grid comes from Python or from JSON
+        for name, value in (
+            ("kinds", tuple(self.kinds)),
+            ("sizes", tuple(_integer("sizes", n) for n in self.sizes)),
+            ("rs", tuple(_number("r", r) for r in self.rs)),
+            ("fs", tuple(map(Variant, self.fs))),
+            ("metrics", tuple(self.metrics)),
+            ("seeds", tuple(_integer("seeds", s) for s in self.seeds)),
+            ("d", _integer("d", self.d)),
+        ):
+            object.__setattr__(self, name, value)
         for k in self.kinds:
             if k not in KINDS:
                 raise ValueError(f"unknown network kind {k!r}")
@@ -226,21 +238,8 @@ class ExperimentGrid:
         for key in sorted(set(raw) - {"d"}):
             if not isinstance(raw[key], list):
                 raise ValueError(f"grid {key} must be a list, got {raw[key]!r}")
-        kwargs = {}
-        if "kinds" in raw:
-            kwargs["kinds"] = tuple(raw["kinds"])
-        if "sizes" in raw:
-            kwargs["sizes"] = tuple(_integer("sizes", n) for n in raw["sizes"])
-        if "r" in raw:
-            kwargs["rs"] = tuple(_number("r", r) for r in raw["r"])
-        if "f" in raw:
-            kwargs["fs"] = tuple(Variant(v) for v in raw["f"])
-        if "metrics" in raw:
-            kwargs["metrics"] = tuple(raw["metrics"])
-        if "seeds" in raw:
-            kwargs["seeds"] = tuple(_integer("seeds", s) for s in raw["seeds"])
-        if "d" in raw:
-            kwargs["d"] = _integer("d", raw["d"])
+        names = {"r": "rs", "f": "fs"}
+        kwargs = {names.get(key, key): value for key, value in raw.items()}
         return cls(**kwargs)
 
 
@@ -301,9 +300,7 @@ def run_grid(grid: ExperimentGrid, workers: int = 1, progress=None) -> list[Corr
     held: dict = {}
 
     def sweep(g, R, f):
-        h, b, _ = _path_reports(g, R, RelevanceFunction(f), workers, None,
-                                "harmonic" in grid.metrics, "betweenness" in grid.metrics)
-        return {"harmonic": h, "betweenness": b}
+        return _reports(g, R, RelevanceFunction(f), grid.metrics, workers)
 
     def read(key, make):
         if key not in held:
@@ -312,9 +309,10 @@ def run_grid(grid: ExperimentGrid, workers: int = 1, progress=None) -> list[Corr
 
     def record(c, gk, bk, rk, wk):
         g = read(gk, lambda: _build_network(c.kind, c.n, grid.d, c.seed))
-        base = read(bk, lambda: sweep(g, None, Variant.PRODUCT))[c.metric].values
+        m = Metric(c.metric)
+        base = read(bk, lambda: sweep(g, None, Variant.PRODUCT))[m].values
         R = read(rk, lambda: assign_relevance(c.n, grid.d, c.r, 2 * c.seed + 1))
-        ext = read(wk, lambda: sweep(g, R, c.f))[c.metric].values
+        ext = read(wk, lambda: sweep(g, R, c.f))[m].values
         return CorrelationRecord(
             c.kind, c.n, c.p, c.r, c.f.value, c.metric, c.seed,
             pearson(base, ext), spearman(base, ext),

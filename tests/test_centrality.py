@@ -16,12 +16,14 @@ from conftest import (
     square_graph,
     weighted_ring,
 )
-from relcentral import _batched
+from relcentral import _batched, centrality
 from relcentral._batched import BLOCK
 from relcentral.centrality import (
+    CentralityReport,
     Metric,
+    PATH_METRICS,
     _make_report,
-    _path_reports,
+    _reports,
     betweenness_reports,
     degree_centrality,
     edge_betweenness,
@@ -30,6 +32,7 @@ from relcentral.centrality import (
 )
 from relcentral.errors import (
     LengthMismatchError,
+    MatrixShapeMismatchError,
     PathVariantNotApplicableError,
     SigmaOverflowError,
 )
@@ -132,15 +135,33 @@ def test_report_metadata_and_ranking():
 def test_ranking_matches_descending_value_then_index_key(seed):
     g = build_graph([(f"v{i}", f"v{i + 1}") for i in range(300)])
     rng = np.random.default_rng(seed)
-    for kind, ids in (("vertex", g.labels), ("edge", g.edge_labels())):
+    for metric, ids in ((Metric.DEGREE, g.labels), (Metric.EDGE_BETWEENNESS, g.edge_labels())):
         values = rng.integers(-2, 3, size=len(ids)).astype(np.float64)
         values[rng.random(len(ids)) < 0.3] = 0.0
         values[rng.random(len(ids)) < 0.3] = -0.0
-        rep = _make_report(Metric.DEGREE, kind, g, values, PRODUCT, "x")
+        rep = _make_report(metric, g, values, PRODUCT, "x")
         order = sorted(range(len(ids)), key=lambda i: (-values[i], i))
         assert rep.order.tolist() == order and not rep.order.flags.writeable
         assert rep.ranking == tuple(ids[i] for i in order)
         assert rep.ids == tuple(ids) and rep.graph is g
+
+
+def test_report_kind_comes_from_its_metric():
+    assert [m.kind for m in Metric] == ["vertex", "vertex", "vertex", "edge"]
+    reports = _reports(weighted_ring(), None, PRODUCT, list(Metric))
+    assert all(rep.metric is m and rep.kind == m.kind for m, rep in reports.items())
+
+
+def test_value_of_builds_its_lookup_once(monkeypatch):
+    vrep, erep = betweenness_reports(weighted_ring())
+    calls, as_dict = [], CentralityReport.as_dict
+    monkeypatch.setattr(CentralityReport, "as_dict", lambda rep: calls.append(rep) or as_dict(rep))
+    for rep, unknown in ((vrep, "Z"), (erep, ("A", "C"))):
+        for element, value in zip(rep.ids, rep.values.tolist()):
+            assert rep.value_of(element) == value
+        with pytest.raises(KeyError):
+            rep.value_of(unknown)
+    assert calls == [vrep, erep]
 
 
 def test_report_defaults_to_uniform_source():
@@ -177,6 +198,16 @@ def test_relevance_length_mismatch():
         degree_centrality(square_graph(), RelevanceVector.ones(3))
 
 
+@pytest.mark.parametrize("F", [np.zeros((2, 2)), np.ones((6, 6)) - np.eye(6)], ids=["2x2", "6x6"])
+def test_matrix_f_of_another_size_is_refused_before_any_work(monkeypatch, F):
+    g = build_graph([("a", "b"), ("b", "c"), ("c", "d")])
+    monkeypatch.setattr(centrality, "sweep", lambda *args: pytest.fail("a sweep ran"))
+    f = matrix_function(F)
+    for metric in (degree_centrality, harmonic_centrality, vertex_betweenness, edge_betweenness):
+        with pytest.raises(MatrixShapeMismatchError, match="for a 4-vertex graph"):
+            metric(g, None, f)
+
+
 def test_degree_rejects_path_variants():
     for f in (PATH_SUM, PATH_PROD):
         with pytest.raises(PathVariantNotApplicableError):
@@ -201,11 +232,24 @@ def test_unreachable_pairs_contribute_zero():
 # --- engines agree with the enumeration oracle ---
 
 
-@pytest.mark.parametrize("seed", range(6))
+def _split_graph(rng, weighted: bool):
+    """Two random components and an isolated vertex, 12 vertices: most
+    ordered pairs reach each other by no path."""
+    records = [(p + x, p + y, w) for p, k in (("a", 6), ("b", 5))
+               for x, y, w in random_graph(rng, k, weighted).edge_records()]
+    return build_graph(records, vertices=["isolated"])
+
+
+@pytest.mark.parametrize("seed", [*range(6), "split-unit", "split-weighted"])
 def test_fast_engines_match_oracle(seed):
-    rng = np.random.default_rng(1000 + seed)
-    n = int(rng.integers(4, 10))
-    g = random_graph(rng, n, weighted=bool(seed % 2))
+    if isinstance(seed, int):
+        rng = np.random.default_rng(1000 + seed)
+        g = random_graph(rng, int(rng.integers(4, 10)), weighted=bool(seed % 2))
+    else:
+        rng = np.random.default_rng(len(seed))
+        g = _split_graph(rng, weighted=seed == "split-weighted")
+        assert g.weighted == (seed == "split-weighted") and g.vertex_count == 12
+    n = g.vertex_count
     R = random_relevance(rng, n)
     fs = ALL_FS + (random_matrix_f(rng, n),)
     for f in fs:
@@ -299,9 +343,9 @@ def test_weighted_workers_do_not_change_results_across_blocks():
     g = random_graph(rng, n, weighted=True)
     R = random_relevance(rng, n)
     for f in (PRODUCT, PATH_SUM):
-        one = _path_reports(g, R, f, 1, None)
+        one = _reports(g, R, f, PATH_METRICS, 1).values()
         for workers in (2, 4):
-            for a, b in zip(one, _path_reports(g, R, f, workers, None)):
+            for a, b in zip(one, _reports(g, R, f, PATH_METRICS, workers).values()):
                 assert a.values.tobytes() == b.values.tobytes()
 
 
@@ -311,7 +355,7 @@ def test_shared_sweep_harmonic_matches_harmonic_alone(weighted, f):
     rng = np.random.default_rng(23)
     g = random_graph(rng, 40, weighted)
     R = random_relevance(rng, 40)
-    hrep, vrep, erep = _path_reports(g, R, f, 1, None)
+    hrep, vrep, erep = _reports(g, R, f, PATH_METRICS, 1).values()
     alone = harmonic_centrality(g, R, f)
     assert hrep.values.tobytes() == alone.values.tobytes()
     v, e = betweenness_reports(g, R, f)
@@ -328,8 +372,8 @@ def _assert_uniform_weight_matches_unweighted(g1, R):
     g2 = _reweighted(g1, 2.0)
     assert g2.weighted and not g1.weighted
     for f in ALL_FS:
-        h1, v1, e1 = _path_reports(g1, R, f, 1, None)
-        h2, v2, e2 = _path_reports(g2, R, f, 1, None)
+        h1, v1, e1 = _reports(g1, R, f, PATH_METRICS, 1).values()
+        h2, v2, e2 = _reports(g2, R, f, PATH_METRICS, 1).values()
         np.testing.assert_allclose(v2.values, v1.values, rtol=1e-12)
         np.testing.assert_allclose(e2.values, e1.values, rtol=1e-12)
         np.testing.assert_allclose(h2.values, h1.values / 2.0, rtol=1e-12)
@@ -377,7 +421,7 @@ def test_classic_metrics_match_networkx(name):
     G.add_nodes_from(range(g.vertex_count))
     u, v = g.edge_endpoints
     G.add_edges_from(zip(u.tolist(), v.tolist()))
-    h, vb, eb = _path_reports(g, None, PRODUCT, 1, None)
+    h, vb, eb = _reports(g, None, PRODUCT, PATH_METRICS, 1).values()
     want_h = nx.harmonic_centrality(G)
     want_vb = nx.betweenness_centrality(G, normalized=False)
     want_eb = {frozenset(e): x for e, x in nx.edge_betweenness_centrality(G, normalized=False).items()}
@@ -427,7 +471,7 @@ def test_weighted_classic_metrics_match_networkx(name):
     G.add_nodes_from(range(g.vertex_count))
     u, v = g.edge_endpoints
     G.add_weighted_edges_from(zip(u.tolist(), v.tolist(), g.edge_weights.tolist()))
-    h, vb, eb = _path_reports(g, None, PRODUCT, 1, None)
+    h, vb, eb = _reports(g, None, PRODUCT, PATH_METRICS, 1).values()
     want_h = nx.harmonic_centrality(G, distance="weight")
     want_vb = nx.betweenness_centrality(G, normalized=False, weight="weight")
     want_eb = {frozenset(e): x for e, x in
@@ -667,14 +711,14 @@ def test_path_metrics_follow_relabelling_and_weight_scaling(seed, weighted):
     scaled = {c: build_graph([(x, y, c * z) for x, y, z in records], vertices=labels)
               for c in (0.5, 3.0)}
     for f in ALL_FS:
-        reports = _path_reports(g, R, f, 1, None)
-        for rep, rep2 in zip(reports, _path_reports(g2, R2, f, 1, None)):
+        reports = _reports(g, R, f, PATH_METRICS, 1).values()
+        for rep, rep2 in zip(reports, _reports(g2, R2, f, PATH_METRICS, 1).values()):
             got, want = _by_label(rep2.values, rep2.ids), _by_label(rep.values, rep.ids)
             assert got.keys() == want.keys()
             np.testing.assert_allclose([got[k] for k in want], list(want.values()), rtol=1e-12)
         h, vb, eb = reports
         for c, gc in scaled.items():
-            hc, vc, ec = _path_reports(gc, R, f, 1, None)
+            hc, vc, ec = _reports(gc, R, f, PATH_METRICS, 1).values()
             np.testing.assert_allclose(hc.values, h.values / c, rtol=1e-12)
             np.testing.assert_allclose(vc.values, vb.values, rtol=1e-12)
             np.testing.assert_allclose(ec.values, eb.values, rtol=1e-12)
@@ -818,7 +862,8 @@ def test_path_lengths_float64_cannot_hold_raise(edges, harmonic, betweenness):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SigmaOverflowError, match="float64"):
-            _path_reports(g, None, PRODUCT, 1, None, harmonic, betweenness)
+            on = (harmonic, betweenness, betweenness)
+            _reports(g, None, PRODUCT, [m for m, x in zip(PATH_METRICS, on) if x])
 
 
 def test_path_lengths_just_inside_float64_are_kept():
@@ -831,7 +876,7 @@ def test_path_lengths_just_inside_float64_are_kept():
         g = build_graph(edges)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            h, v, _ = _path_reports(g, None, PRODUCT, 1, None)
+            h, v, _ = _reports(g, None, PRODUCT, PATH_METRICS, 1).values()
         R = RelevanceVector.ones(g.vertex_count)
         assert v.values.tolist() == brute_betweenness(g, R, PRODUCT)[0].tolist()
         np.testing.assert_allclose(h.values, brute_harmonic(g, R, PRODUCT), rtol=1e-15)
@@ -941,7 +986,7 @@ def test_shared_sweep_harmonic_matches_harmonic_alone_when_counts_overflow():
     # their counts, which pairwise harmonic alone never makes
     g = _diamond_chain(1030)
     R = random_relevance(np.random.default_rng(8), g.vertex_count)
-    hrep, vrep, _ = _path_reports(g, R, PRODUCT, 1, None)
+    hrep, vrep, _ = _reports(g, R, PRODUCT, PATH_METRICS, 1).values()
     alone = harmonic_centrality(g, R, PRODUCT)
     assert hrep.values.tobytes() == alone.values.tobytes()
     assert np.all(np.isfinite(vrep.values)) and vrep.values.max() > 0

@@ -55,8 +55,8 @@ def test_compute_prints_rankings(tmp_path, capsys):
 def test_top10_prints_the_values_of_the_ranking(capsys, kind):
     g = build_graph([(f"v{i}", f"v{(i + 1) % 25}") for i in range(25)])  # 25 vertices and edges
     values = np.array([3.0, 1.0, 3.0, 0.5] * 6 + [7.25]) / 3.0  # ties across the cut
-    rep = _make_report(Metric.DEGREE, kind, g, values, RelevanceFunction(Variant.PRODUCT),
-                       "uniform")
+    metric = Metric.DEGREE if kind == "vertex" else Metric.EDGE_BETWEENNESS
+    rep = _make_report(metric, g, values, RelevanceFunction(Variant.PRODUCT), "uniform")
     _print_top10(rep)
     lines = capsys.readouterr().out.splitlines()[1:]
     names = [e if kind == "vertex" else f"{e[0]} -- {e[1]}" for e in rep.ranking[:10]]
@@ -79,7 +79,7 @@ def _full_sort_top10(rep: CentralityReport) -> None:
 def test_top10_prints_what_a_full_sort_printed(values):
     # many ties, signed zeros, fewer than ten values and none at all
     g = build_graph([], vertices=[f"v{i}" for i in range(len(values))])
-    rep = _make_report(Metric.DEGREE, "vertex", g, np.array(values, dtype=np.float64),
+    rep = _make_report(Metric.DEGREE, g, np.array(values, dtype=np.float64),
                        RelevanceFunction(Variant.PRODUCT), "uniform")
     printed = []
     for show in (_print_top10, _full_sort_top10):
@@ -243,6 +243,12 @@ def test_compute_matrix_selector(tmp_path):
     data = json.loads(out.read_bytes())
     # C(a) = F[a][b]/1 + F[a][c]/2
     assert data["vertices"]["harmonic"]["a"] == pytest.approx(2 + 1.5)
+
+
+def test_compute_matrix_without_a_path_is_input_error(tmp_path, capsys):
+    edges = put(tmp_path, "g.csv", RING)
+    assert main(["compute", edges, "--f", "matrix"]) == EXIT_INPUT
+    assert "matrix f needs a file: use matrix:<path>" in capsys.readouterr().err
 
 
 def test_compute_unknown_f_selector(tmp_path, capsys):
@@ -448,7 +454,7 @@ def test_experiment_failing_cell_is_compute_error(tmp_path, monkeypatch, capsys)
     def overflow(g, R, f, *args):
         raise SigmaOverflowError("harmonic accumulation overflowed to a non-finite value")
 
-    monkeypatch.setattr(experiments, "_path_reports", overflow)
+    monkeypatch.setattr(experiments, "_reports", overflow)
     grid = put(tmp_path, "grid.json", json.dumps({
         "kinds": ["regular"], "sizes": [5], "r": [0.0],
         "f": ["product"], "metrics": ["harmonic"], "seeds": [0], "d": 2,

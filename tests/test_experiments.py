@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relcentral
-from relcentral import experiments
+from relcentral import centrality, experiments
 from conftest import random_graph, random_relevance
-from relcentral.centrality import harmonic_centrality, vertex_betweenness
+from relcentral.centrality import Metric, harmonic_centrality, vertex_betweenness
 from relcentral.errors import ExperimentCellError, LengthMismatchError
 from relcentral.experiments import (
     CSV_COLUMNS,
@@ -153,6 +153,11 @@ def test_grid_from_json_rejects_unknown_keys(tmp_path):
     ({"sizes": [10**400]}, "grid sizes: an integer too large for a float"),
     ({"seeds": [0, -10**400]}, "grid seeds: an integer too large for a float"),
     ({"d": 10**400}, "grid d: an integer too large for a float"),
+    ([{"sizes": [30]}], "grid config must be a JSON object"),
+    ({"kinds": ["lattice"]}, "unknown network kind 'lattice'"),
+    ({"metrics": ["degree"]}, "unknown metric 'degree'"),
+    ({"r": [1.5]}, "relevance fraction 1.5 outside [0, 1]"),
+    ({"r": [-0.1]}, "relevance fraction -0.1 outside [0, 1]"),
 ])
 def test_grid_from_json_rejects_wrong_kinds_of_value(tmp_path, cfg, message):
     path = tmp_path / "grid.json"
@@ -167,6 +172,30 @@ def test_grid_from_json_takes_integral_numbers(tmp_path):
     grid = ExperimentGrid.from_json(path)
     assert (grid.sizes, grid.seeds, grid.d) == ((30,), (2,), 4)
     assert all(type(x) is int for x in grid.sizes + grid.seeds + (grid.d,))
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"sizes": (20.5,)}, "grid sizes: expected an integer, got 20.5"),
+    ({"seeds": (0.5,)}, "grid seeds: expected an integer, got 0.5"),
+    ({"sizes": (True,)}, "grid sizes: expected an integer, got True"),
+    ({"d": 4.5}, "grid d: expected an integer, got 4.5"),
+    ({"rs": ("0.5",)}, "grid r: expected a number, got '0.5'"),
+    ({"fs": ("quadratic",)}, "'quadratic' is not a valid Variant"),
+], ids=["fractional-size", "fractional-seed", "bool-size", "fractional-d", "string-r", "unknown-f"])
+def test_grid_built_in_python_is_checked_as_from_json(monkeypatch, over, message):
+    monkeypatch.setattr(experiments, "_build_network", lambda *a: pytest.fail("a cell ran"))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentGrid(**over)
+
+
+def test_grid_built_in_python_converts_as_from_json(tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"sizes": [30.0], "r": [1], "f": ["product"], "seeds": [2.0], "d": 4.0}))
+    grid = ExperimentGrid(sizes=[np.int64(30)], rs=[1], fs=["product"], seeds=[2.0], d=4.0)
+    assert grid == ExperimentGrid.from_json(path)
+    assert (grid.sizes, grid.rs, grid.fs, grid.seeds, grid.d) == ((30,), (1.0,), (Variant.PRODUCT,), (2,), 4)
+    assert all(type(x) is int for x in grid.sizes + grid.seeds + (grid.d,))
+    assert type(grid.rs[0]) is float and type(grid.fs) is tuple
 
 
 def small_grid(**over) -> ExperimentGrid:
@@ -223,19 +252,19 @@ def test_run_grid_progress_reports_every_cell_once_in_order():
 
 
 def _spy_sweeps(monkeypatch, fake=False):
-    """Record each ``_path_reports`` call of ``run_grid`` as (graph,
-    relevance, f, workers, harmonic, betweenness); with ``fake``, every
-    report holds the vertex indices instead of a sweep's values."""
-    calls, path_reports = [], experiments._path_reports
+    """Record each ``_reports`` call of ``run_grid`` as (graph, relevance,
+    f, workers, metrics); with ``fake``, every report holds the vertex
+    indices instead of a sweep's values."""
+    calls, reports = [], experiments._reports
 
-    def spy(g, R, f, workers, source, harmonic, betweenness):
-        calls.append((g, R, f.variant, workers, harmonic, betweenness))
+    def spy(g, R, f, metrics, workers):
+        calls.append((g, R, f.variant, workers, tuple(metrics)))
         if not fake:
-            return path_reports(g, R, f, workers, source, harmonic, betweenness)
+            return reports(g, R, f, metrics, workers)
         rep = SimpleNamespace(values=np.arange(g.vertex_count, dtype=np.float64))
-        return rep if harmonic else None, rep if betweenness else None, None
+        return dict.fromkeys(map(Metric, metrics), rep)
 
-    monkeypatch.setattr(experiments, "_path_reports", spy)
+    monkeypatch.setattr(experiments, "_reports", spy)
     return calls
 
 
@@ -245,10 +274,10 @@ def test_run_grid_hands_workers_to_every_sweep(monkeypatch):
     run_grid(grid, workers=3)
     # one classic baseline per graph, one sweep per (graph, relevance, f)
     # for both metrics of its cells
-    assert {workers for *_, workers, _, _ in calls} == {3}
+    assert {workers for *_, workers, _ in calls} == {3}
     assert [R is None for _, R, *_ in calls].count(True) == 2
     assert len(calls) == 2 + 2 * len(grid.rs) * len(grid.fs)
-    assert all(harmonic and betweenness for *_, harmonic, betweenness in calls)
+    assert {metrics for *_, metrics in calls} == {("betweenness", "harmonic")}
 
 
 def test_run_grid_default_grid_runs_one_sweep_per_job(monkeypatch):
@@ -261,15 +290,22 @@ def test_run_grid_default_grid_runs_one_sweep_per_job(monkeypatch):
     assert len(calls) == 252
     assert len({(id(g), id(R), f) for g, R, f, *_ in calls}) == 252
     assert [R is None for _, R, *_ in calls].count(True) == 12
-    assert {call[3:] for call in calls} == {(2, True, True)}
+    assert {call[3:] for call in calls} == {(2, ("betweenness", "harmonic"))}
 
 
 def test_run_grid_harmonic_only_asks_for_no_betweenness(monkeypatch):
-    calls = _spy_sweeps(monkeypatch)
+    calls, flags, sweep = _spy_sweeps(monkeypatch), [], centrality.sweep
+
+    def spy(g, R, f, workers, harmonic, betweenness):
+        flags.append((harmonic, betweenness))
+        return sweep(g, R, f, workers, harmonic, betweenness)
+
+    monkeypatch.setattr(centrality, "sweep", spy)
     recs = run_grid(small_grid(metrics=("harmonic",)))
     assert len(recs) == 6 and {rec.metric for rec in recs} == {"harmonic"}
-    assert len(calls) == 1 + 6
-    assert {call[4:] for call in calls} == {(True, False)}
+    assert len(calls) == len(flags) == 1 + 6
+    assert {call[4] for call in calls} == {("harmonic",)}
+    assert set(flags) == {(True, False)}
 
 
 def test_run_grid_serves_a_listed_twice_f_from_one_sweep(monkeypatch):
@@ -287,17 +323,17 @@ def test_run_grid_drops_each_sweep_and_graph_after_its_last_cell(monkeypatch):
                       fs=(Variant.PRODUCT, Variant.PATH_SUM), metrics=("betweenness", "harmonic"))
     cells = grid.cells()
     held = []  # (weak reference, the index of the last cell that reads it)
-    path_reports = experiments._path_reports
+    make_reports = experiments._reports
 
-    def spy(g, R, f, workers, source, harmonic, betweenness):
-        reports = path_reports(g, R, f, workers, source, harmonic, betweenness)
+    def spy(g, R, f, metrics, workers):
+        reports = make_reports(g, R, f, metrics, workers)
         c = cells[len(done)]  # the cell being evaluated
         readers = [i for i, x in enumerate(cells)
                    if experiments._graph_key(x) == experiments._graph_key(c)
                    and (R is None or (x.r, x.seed, x.f) == (c.r, c.seed, c.f))]
         held.append((weakref.ref(g), max(i for i, x in enumerate(cells)
                                          if experiments._graph_key(x) == experiments._graph_key(c))))
-        held.extend((weakref.ref(rep.values), readers[-1]) for rep in reports[:2])
+        held.extend((weakref.ref(rep.values), readers[-1]) for rep in reports.values())
         return reports
 
     done = []
@@ -307,7 +343,7 @@ def test_run_grid_drops_each_sweep_and_graph_after_its_last_cell(monkeypatch):
         gone = [ref() is None for ref, _ in held]
         assert gone == [last < n_done for _, last in held]
 
-    monkeypatch.setattr(experiments, "_path_reports", spy)
+    monkeypatch.setattr(experiments, "_reports", spy)
     run_grid(grid, progress=progress)
     assert len(done) == len(cells) and all(ref() is None for ref, _ in held)
 
@@ -335,14 +371,14 @@ def test_run_grid_builds_each_ring_lattice_once(tmp_path, monkeypatch):
 
 
 def test_run_grid_annotates_failing_cell(monkeypatch):
-    path_reports = experiments._path_reports
+    make_reports = experiments._reports
 
     def failing(g, R, f, *args):
         if f.variant is Variant.PATH_SUM:
             raise ValueError("no path-sum today")
-        return path_reports(g, R, f, *args)
+        return make_reports(g, R, f, *args)
 
-    monkeypatch.setattr(experiments, "_path_reports", failing)
+    monkeypatch.setattr(experiments, "_reports", failing)
     with pytest.raises(ExperimentCellError) as ei:
         run_grid(small_grid())
     assert ei.value.cell_id == "random-n24-p1-r0-path-sum-betweenness-s0"

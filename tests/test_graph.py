@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,6 +294,25 @@ def test_mixed_records_first_fault_decides(records, error, message):
         build_graph(records)
     assert type(info.value) is error
     assert str(info.value).startswith(message)
+
+
+def test_generator_that_raises_fails_after_the_records_it_gave():
+    def records(first):
+        yield first
+        yield ("b", "c")
+        raise RuntimeError("the source failed")
+
+    with pytest.raises(RuntimeError, match="the source failed"):
+        build_graph(records(("a", "b")))
+    # a fault in a record read before it decides
+    with pytest.raises(SelfLoopError, match="record 0"):
+        build_graph(records(("a", "a")))
+
+
+def test_unhashable_label_goes_to_the_per_record_rules():
+    with pytest.raises(ValueError, match=re.escape(
+            "record 1: vertex label must be a non-empty string, got ['x']")):
+        build_graph([("a", "b"), (["x"], "c")])
 
 
 def test_bare_record_with_unparsable_third_field_is_still_bare():

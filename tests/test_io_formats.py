@@ -117,6 +117,13 @@ def test_relevance_roundtrip(tmp_path):
     np.testing.assert_array_equal(R2.values, R.values)
 
 
+def test_save_relevance_refuses_a_vector_of_another_length(tmp_path):
+    g = build_graph([("a", "b"), ("b", "c")])
+    with pytest.raises(ValueError, match="relevance length does not match the graph"):
+        save_relevance_csv(RelevanceVector.ones(2), g, tmp_path / "r.csv")
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_relevance_missing_vertices_default_to_one(tmp_path):
     g = build_graph([("a", "b"), ("b", "c")])
     p = write(tmp_path, "r.csv", "vertex,relevance\nb,4\n")
@@ -180,6 +187,8 @@ def test_matrix_shape_and_label_errors(tmp_path):
         load_f_matrix_csv(
             write(tmp_path, "m3.csv", ",a,b,c\na,0,1,1\na,1,0,1\nc,1,1,0\n"), g
         )
+    with pytest.raises(MalformedRowError, match="empty file, expected a label header"):
+        load_f_matrix_csv(write(tmp_path, "m4.csv", ""), g)
 
 
 def test_matrix_diagonal_and_negative_entries(tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import random_relevance
 from relcentral import _batched
 from relcentral._batched import BLOCK, _firsts, _ranges, block_size, sweep
-from relcentral.centrality import _path_reports
+from relcentral.centrality import PATH_METRICS, _reports
 from relcentral.cli import EXIT_COMPUTE, main
 from relcentral.errors import ResourceLimitError
 from relcentral.generators import GeneratorConfig, ring_lattice, watts_strogatz
@@ -139,7 +139,7 @@ def test_block_size_is_positive_without_edges_or_with_isolated_vertices(records,
     g = build_graph(records, vertices=vertices)
     assert 1 <= block_size(g) <= BLOCK
     R = RelevanceVector.ones(g.vertex_count)
-    h, v, e = _path_reports(g, R, PRODUCT, 2, None)
+    h, v, e = _reports(g, R, PRODUCT, PATH_METRICS, 2).values()
     assert len(h.values) == g.vertex_count
 
 
@@ -156,6 +156,35 @@ def test_blocks_never_depend_on_the_worker_count(monkeypatch):
     assert len(seen[0]) >= 10
 
 
+class BlockFailed(Exception):
+    pass
+
+
+def test_a_failing_block_ends_the_sweep_with_its_own_error(monkeypatch):
+    g = _ws600()
+    b, workers, failing = block_size(g), 2, 3
+    assert g.vertex_count // b >= 10
+    begun, lock, real = [], threading.Lock(), _batched.block
+
+    def block(g, R, f, S, harmonic, betweenness):
+        k = int(S[0]) // b
+        with lock:
+            begun.append(k)
+        if k == failing:
+            raise BlockFailed(k)
+        if k > failing:  # hold both workers, so a block not yet begun waits
+            time.sleep(0.5)
+        return real(g, R, f, S, harmonic, betweenness)
+
+    monkeypatch.setattr(_batched, "block", block)
+    with pytest.raises(BlockFailed):
+        sweep(g, RelevanceVector.ones(g.vertex_count), PRODUCT, workers, True, True)
+    # blocks up to failing + 2 * workers - 1 were handed to the pool before
+    # the failure reached the merge; those not begun by then never begin
+    assert failing in begun and max(begun) <= failing + workers
+    assert len(begun) == len(set(begun))
+
+
 @pytest.mark.parametrize("weighted", [False, True])
 def test_many_blocks_give_the_same_bytes_for_any_worker_count(weighted):
     g = _ws600()
@@ -167,9 +196,9 @@ def test_many_blocks_give_the_same_bytes_for_any_worker_count(weighted):
     assert g.vertex_count // block_size(g) >= 10
     R = random_relevance(np.random.default_rng(9), g.vertex_count)
     for f in (PRODUCT, PATH_PROD, PATH_SUM):
-        one = _path_reports(g, R, f, 1, None)
+        one = _reports(g, R, f, PATH_METRICS, 1).values()
         for workers in (2, 4):
-            for a, b in zip(one, _path_reports(g, R, f, workers, None)):
+            for a, b in zip(one, _reports(g, R, f, PATH_METRICS, workers).values()):
                 assert a.values.tobytes() == b.values.tobytes()
 
 
