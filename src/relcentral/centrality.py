@@ -153,9 +153,7 @@ def _reports(
     """
     metrics = tuple(map(Metric, metrics))
     if Metric.DEGREE in metrics and f.variant.is_path:
-        raise PathVariantNotApplicableError(
-            f"{f.label} needs a path; degree only sees direct neighbors"
-        )
+        raise PathVariantNotApplicableError(f"{f.label} needs a path; degree sees only neighbors")
     n = g.vertex_count
     if R is None:
         R = RelevanceVector.ones(n)

@@ -185,7 +185,7 @@ class ExperimentGrid:
             ("sizes", tuple(_integer("sizes", n) for n in self.sizes)),
             ("rs", tuple(_number("r", r) for r in self.rs)),
             ("fs", tuple(map(Variant, self.fs))),
-            ("metrics", tuple(self.metrics)),
+            ("metrics", tuple(m.value if isinstance(m, Metric) else m for m in self.metrics)),
             ("seeds", tuple(_integer("seeds", s) for s in self.seeds)),
             ("d", _integer("d", self.d)),
         ):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._batched import TIE_TOL
-from .errors import TooLargeError, UnknownVertexError
+from .errors import PathVariantNotApplicableError, TooLargeError, UnknownVertexError
 from .graph import Graph
 from .relevance import RelevanceFunction, RelevanceVector, eval_pair, eval_path
 
@@ -151,6 +151,8 @@ def all_pairs_shortest_paths(
 
 def brute_degree(g: Graph, R: RelevanceVector, f: RelevanceFunction) -> np.ndarray:
     """Per-vertex f-weighted neighbor sum, straight from the definition."""
+    if f.variant.is_path:  # refused even when no vertex has a neighbor
+        raise PathVariantNotApplicableError(f"{f.label} needs a path; degree sees only neighbors")
     out = np.zeros(g.vertex_count)
     for s, adj in enumerate(_neighbors(g)):
         out[s] = sum(eval_pair(f, s, t, R) for t, _ in adj)

@@ -225,9 +225,14 @@ def test_compute_path_f_skips_degree_with_note(tmp_path, capsys):
 
 
 def test_compute_degree_with_path_f_is_an_input_error(tmp_path, capsys):
-    edges = put(tmp_path, "g.csv", RING)
-    assert main(["compute", edges, "--f", "path-sum", "--metric", "degree"]) == EXIT_INPUT
-    assert "error:" in capsys.readouterr().err
+    # both engines, also on a graph with no edge, where no pair is weighed
+    for text in (RING, "source,target\nA\nB\n"):
+        edges = put(tmp_path, "g.csv", text)
+        for engine in ("fast", "oracle"):
+            assert main(["compute", edges, "--f", "path-sum", "--metric", "degree",
+                         "--engine", engine]) == EXIT_INPUT
+            err = capsys.readouterr().err
+            assert err == "error: path-sum needs a path; degree sees only neighbors\n"
 
 
 def test_compute_matrix_selector(tmp_path):

@@ -190,10 +190,16 @@ def test_grid_built_in_python_is_checked_as_from_json(monkeypatch, over, message
 
 def test_grid_built_in_python_converts_as_from_json(tmp_path):
     path = tmp_path / "grid.json"
-    path.write_text(json.dumps({"sizes": [30.0], "r": [1], "f": ["product"], "seeds": [2.0], "d": 4.0}))
+    path.write_text(json.dumps({"sizes": [30.0], "r": [1], "f": ["product"], "seeds": [2.0],
+                                "d": 4.0}))
     grid = ExperimentGrid(sizes=[np.int64(30)], rs=[1], fs=["product"], seeds=[2.0], d=4.0)
     assert grid == ExperimentGrid.from_json(path)
-    assert (grid.sizes, grid.rs, grid.fs, grid.seeds, grid.d) == ((30,), (1.0,), (Variant.PRODUCT,), (2,), 4)
+    # a Metric is taken as its name, which cell ids and CSV rows print
+    named = ExperimentGrid(metrics=[Metric.HARMONIC, Metric.VERTEX_BETWEENNESS])
+    assert named.metrics == ("harmonic", "betweenness")
+    assert named.cells()[0].cell_id == "random-n100-p1-r0.1-max-betweenness-s0"
+    assert (grid.sizes, grid.rs, grid.fs, grid.seeds, grid.d) == (
+        (30,), (1.0,), (Variant.PRODUCT,), (2,), 4)
     assert all(type(x) is int for x in grid.sizes + grid.seeds + (grid.d,))
     assert type(grid.rs[0]) is float and type(grid.fs) is tuple
 
