@@ -30,8 +30,11 @@
 #             2 vCPUs; needs the test extra)
 #   matrix    Florence with --f matrix:<F>, F[s][t] = R_s * R_t off the
 #             diagonal, gives the --f product CSV bytes
+#   faults    an edge file with a duplicate edge after a blank row, and one
+#             with a self-loop, each exit 2 with one error line that names
+#             the file and the line of the faulty row, no traceback
 #
-# Usage: scripts/ci_smoke.sh florence version workers quoted intlabels experiment deep grid matrix
+# Usage: scripts/ci_smoke.sh florence version workers quoted intlabels experiment deep grid matrix faults
 set -euo pipefail
 
 tmp="$(mktemp -d)"
@@ -225,6 +228,18 @@ EOF
           --metric all --f "$f" --format csv --out "$tmp/florence-${f%%:*}.csv"
       done
       cmp "$tmp/florence-product.csv" "$tmp/florence-matrix.csv"
+      ;;
+    faults)
+      printf 'source,target\na,b\n\nc,d\nb,a\n' > "$tmp/dup.csv"
+      printf 'source,target\na,b\nb,c\nc,c\n' > "$tmp/loop.csv"
+      for want in "dup.csv:5: duplicate edge 'b'-'a'" "loop.csv:4: self-loop at 'c'"; do
+        edges="$tmp/${want%%:*}"
+        code=0
+        relcentral compute "$edges" 2> "$tmp/faults.err" || code=$?
+        cat "$tmp/faults.err"
+        test "$code" -eq 2
+        test "$(cat "$tmp/faults.err")" = "error: $tmp/$want"
+      done
       ;;
     *)
       echo "unknown check: $check" >&2

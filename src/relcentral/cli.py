@@ -27,7 +27,7 @@ from .errors import (
     SigmaOverflowError,
     TooLargeError,
 )
-from .graph import Graph, build_graph_chunks
+from .graph import Graph
 from .relevance import RelevanceFunction, RelevanceVector, Variant
 
 EXIT_OK = 0
@@ -91,8 +91,7 @@ def _oracle_reports(g, R, f, wanted: list[Metric], relevance_source: str):
 
 def cmd_compute(args) -> int:
     _check_workers(args.workers)
-    # labels are interned a chunk of the file at a time
-    g = build_graph_chunks(io_formats.load_edge_chunks(args.edges))
+    g = io_formats.load_edge_graph(args.edges)
     if args.relevance:
         R = io_formats.load_relevance_csv(args.relevance, g)
         relevance_source = os.path.basename(args.relevance)

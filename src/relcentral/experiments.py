@@ -109,13 +109,12 @@ def pearson(x, y) -> float:
     if pair is None:
         return 0.0
     x, y = pair
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = float(xc @ xc) ** 0.5
-    sy = float(yc @ yc) ** 0.5
-    if sx == 0.0 or sy == 0.0:  # squares below the float64 range
-        return 0.0
-    return float(np.clip((xc @ yc) / (sx * sy), -1.0, 1.0))
+    # each centred vector scaled by a power of two to a largest magnitude
+    # in [0.5, 1), so that its squares stay inside float64; the scale is
+    # exact, and so is its square root, so the correlation does not
+    # depend on it
+    xc, yc = (np.ldexp(c, -np.frexp(np.abs(c).max())[1]) for c in (x - x.mean(), y - y.mean()))
+    return float(np.clip((xc @ yc) / (np.sqrt(xc @ xc) * np.sqrt(yc @ yc)), -1.0, 1.0))
 
 
 def spearman(x, y) -> float:
@@ -179,7 +178,12 @@ class ExperimentGrid:
     d: int = 10
 
     def __post_init__(self):
-        # the same conversions whether the grid comes from Python or from JSON
+        # the same checks and conversions whether the grid comes from Python or from JSON;
+        # a bare value is refused, as a string would be split into characters
+        for key, value in zip(("kinds", "sizes", "r", "f", "metrics", "seeds"),
+                              (self.kinds, self.sizes, self.rs, self.fs, self.metrics, self.seeds)):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"grid {key} must be a list, got {value!r}")
         for name, value in (
             ("kinds", tuple(self.kinds)),
             ("sizes", tuple(_integer("sizes", n) for n in self.sizes)),
@@ -235,9 +239,6 @@ class ExperimentGrid:
         extra = set(raw) - known
         if extra:
             raise ValueError(f"unknown grid keys: {sorted(extra)}")
-        for key in sorted(set(raw) - {"d"}):
-            if not isinstance(raw[key], list):
-                raise ValueError(f"grid {key} must be a list, got {raw[key]!r}")
         names = {"r": "rs", "f": "fs"}
         kwargs = {names.get(key, key): value for key, value in raw.items()}
         return cls(**kwargs)

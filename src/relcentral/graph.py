@@ -193,20 +193,8 @@ def build_graph(
     for lab in vertices:
         _check_label(lab, None)
         index.setdefault(lab, len(index))
-
-    records, fault = edge_records, None
-    if not isinstance(records, (list, tuple)):
-        records = []
-        try:
-            records.extend(edge_records)
-        except Exception as exc:
-            fault = exc  # placed like a fault in the record after the last one read
     interner = _Interner(index)
-    cols = None if fault else _record_columns(records)
-    if cols is None:
-        interner.add_records(records, fault)
-    else:
-        interner.add(*cols)
+    interner.add(*_record_columns(edge_records))
     return interner.graph()
 
 
@@ -239,9 +227,11 @@ def build_graph_chunks(chunks: Iterable[tuple[list, list, list | None]]) -> Grap
 def _checked_graph(cols, fault, lookup: dict) -> Graph:
     """The graph of interned columns (labels, ia, ib, w and a mask of the
     records that are edges) after the array checks (self-loop, weight,
-    duplicate), whose first faulty record decides the error; ``fault``,
-    from a later record, is raised when they pass. ``lookup`` holds the
-    graph's keyword arguments for finding a label's index."""
+    duplicate), whose first faulty record decides the error: it names
+    the record, and carries its position as ``record`` and the message
+    without it as ``detail``. ``fault``, from a later record, is raised
+    when they pass. ``lookup`` holds the graph's keyword arguments for
+    finding a label's index."""
     labels, ia, ib, w, edge = cols
     n = len(labels)
     u, v = np.minimum(ia, ib, dtype=np.int64), np.maximum(ia, ib, dtype=np.int64)
@@ -259,10 +249,14 @@ def _checked_graph(cols, fault, lookup: dict) -> Graph:
         k = int(np.argmax(faulty))
         pos, a, b = int(np.flatnonzero(edge)[k]), labels[ia[k]], labels[ib[k]]
         if loop[k]:
-            raise SelfLoopError(f"record {pos}: self-loop at {a!r}")
-        if bad_weight[k]:
-            raise NonPositiveWeightError(f"record {pos}: weight {float(w[k])!r} for {a!r}-{b!r}")
-        raise DuplicateEdgeError(f"record {pos}: duplicate edge {a!r}-{b!r}")
+            kind, detail = SelfLoopError, f"self-loop at {a!r}"
+        elif bad_weight[k]:
+            kind, detail = NonPositiveWeightError, f"weight {float(w[k])!r} for {a!r}-{b!r}"
+        else:
+            kind, detail = DuplicateEdgeError, f"duplicate edge {a!r}-{b!r}"
+        error = kind(f"record {pos}: {detail}")
+        error.record, error.detail = pos, detail
+        raise error
     if fault is not None:
         raise fault
     return Graph(labels, u, v, w, **lookup)
@@ -286,9 +280,11 @@ class _Interner:
     Labels are numbered by first appearance across chunks; each chunk
     leaves only its endpoint ids, its weights (None when all are 1) and
     a mask of its records that are edges. The array checks run once, in
-    :meth:`graph`. A chunk with a record that breaks a label or weight
-    rule goes through the per-record pass, which places the fault, and
-    no chunk after it is taken.
+    :meth:`graph`. A chunk of string labels goes through one column pass
+    (:func:`_intern`); when a record in it breaks a label or weight rule,
+    a check finds the first such record, only the records before it are
+    numbered, its error is kept as ``fault``, and no chunk after it is
+    taken.
 
     Label columns that are integer arrays (the edge reader's canonical
     decimal labels) are numbered through a table indexed by value, with
@@ -304,7 +300,9 @@ class _Interner:
     """
 
     def __init__(self, seeded: dict[str, int]):
-        self._index = _numbering(seeded)
+        # a copy of ``seeded`` in which a new label takes the next index
+        self._index = defaultdict(None, seeded)
+        self._index.default_factory = self._index.__len__
         self._ia, self._ib = [np.zeros(0, _ID)], [np.zeros(0, _ID)]
         self._w, self._edge = [np.zeros(0)], [np.zeros(0, dtype=bool)]
         self.fault = None
@@ -313,11 +311,13 @@ class _Interner:
         self._new, self._cells = [], 0  # each chunk's new values; label cells taken
 
     def add(self, source: list | np.ndarray, target: list | np.ndarray,
-            weight: list | None = None) -> bool:
-        """Take a chunk of records held as columns; False when the column
-        pass could not take it."""
+            weight: list | None = None, fault: Exception | None = None) -> None:
+        """Take a chunk of records held as columns, unless a record of an
+        earlier chunk broke a rule. ``fault`` is the error of the record
+        after the chunk's last, kept when no record of the chunk breaks a
+        label or weight rule."""
         if self.fault is not None:
-            return False
+            return
         chunk = None
         if _integers(source) and _integers(target):
             chunk = self._number(source, target, weight)
@@ -325,13 +325,11 @@ class _Interner:
                 source, target = _decimal(source), _decimal(target)
         if chunk is None:
             self._to_dict()
-            chunk = _intern(source, target, weight, self._index)
-        if chunk is None:
-            self.add_records(list(zip(source, target, weight or repeat(None))))
-            return False
+            chunk, found = _intern(source, target, weight, self._index, sum(map(len, self._edge)))
+            fault = fault if found is None else found
         for parts, part in zip((self._ia, self._ib, self._w, self._edge), chunk):
             parts.append(part)
-        return True
+        self.fault = fault
 
     def _number(self, source: np.ndarray, target: np.ndarray, weight):
         """(ia, ib, w, edge mask) of a chunk of integer labels, its new
@@ -349,7 +347,7 @@ class _Interner:
         edge = np.ones(n, dtype=bool)
         try:
             w = _weights(weight, edge)
-        except (TypeError, ValueError):  # a weight float() rejects
+        except (TypeError, ValueError, OverflowError):  # a weight float() rejects
             return None
         if n and ends.max() >= len(self._table):
             grown = min(max(int(ends.max()) + 1, 2 * len(self._table)), bound)
@@ -377,34 +375,20 @@ class _Interner:
             self._index.update(zip(labels, range(len(labels))))
             self._table = self._new = None
 
-    def add_records(self, records: list, fault=None) -> None:
-        """Take a chunk of records through the per-record rules."""
-        self._to_dict()
-        start = sum(map(len, self._edge))
-        (index, ia, ib, w, pos), self.fault = _intern_records(records, self._index, fault, start)
-        self._index = _numbering(index)
-        edge = np.zeros(len(records), dtype=bool)
-        edge[np.array(pos, dtype=np.intp) - start] = True
-        for parts, part in zip((self._ia, self._ib, self._w, self._edge), (ia, ib, w, edge)):
-            parts.append(part)
-
-    def columns(self):
-        """(labels, ia, ib, w, edge mask) of every chunk taken, joined, and
-        the graph's lookup of its labels: their dict, or, when every label
-        came through the table, their values and the table."""
+    def graph(self) -> Graph:
+        """The graph of every chunk taken, after the array checks. It looks
+        its labels up by their dict or, when every label came through the
+        table, by their values and the table."""
         if self._table is None:
             index = dict(self._index)
             labels, lookup = tuple(index), {"index": index}
         else:
             values = self._values()
             labels, lookup = tuple(_decimal(values)), {"values": values, "table": self._table}
-        self._index = self._table = self._new = None
         w = [np.ones(len(a)) if x is None else x for a, x in zip(self._ia, self._w)]
-        return (labels, *map(np.concatenate, (self._ia, self._ib, w, self._edge))), lookup
-
-    def graph(self) -> Graph:
-        cols, lookup = self.columns()
-        self._ia = self._ib = self._w = self._edge = None  # freed before the checks
+        cols = (labels, *map(np.concatenate, (self._ia, self._ib, w, self._edge)))
+        del w  # the chunks are freed before the checks
+        self._index = self._table = self._new = self._ia = self._ib = self._w = self._edge = None
         return _checked_graph(cols, self.fault, lookup)
 
 
@@ -420,32 +404,34 @@ def _decimal(values: np.ndarray) -> list[str]:
 def _weights(weight, edge: np.ndarray) -> np.ndarray | None:
     """The weights of a chunk's edge records (``edge`` masks them) as
     floats, None where all are 1 (``weight`` None); a weight of None is 1.
-    Raises TypeError or ValueError on a weight float() rejects."""
+    Raises what float() raises on a weight it rejects."""
     if weight is None:
         return None
     return np.fromiter((1.0 if x is None else float(x) for x in compress(weight, edge)),
                        np.float64, int(edge.sum()))
 
 
-def _numbering(index: dict[str, int]) -> defaultdict:
-    """A copy of ``index`` in which a new label takes the next index."""
-    out = defaultdict(None, index)
-    out.default_factory = out.__len__
-    return out
-
-
-def _record_columns(records: list):
-    """(source, target, weight) columns of tuple or list records of 1 to
-    3 fields, a field None where a record is shorter; None when a record
-    has no column form."""
-    if not set(map(type, records)) <= {tuple, list}:
-        return None
-    lens = set(map(len, records))
-    if not lens <= {1, 2, 3}:
-        return None
-    short, long = min(lens, default=3), max(lens, default=0)
-    weight = _column(records, 2, short, long) if long == 3 else None
-    return _column(records, 0, short, long), _column(records, 1, short, long), weight
+def _record_columns(records: Iterable) -> tuple[list, list, list | None, Exception | None]:
+    """(source, target, weight) columns of records of 1 to 3 fields, a
+    field None where a record is shorter (a record whose second field is
+    None is a bare vertex), and None or the error that ends them: that of
+    the first record of another shape, or the one raised while a record,
+    or its ``tuple()``, is drawn, placed after the last record read."""
+    rows, fault = [], None
+    try:
+        rows.extend(map(tuple, records))
+    except Exception as exc:
+        fault = exc
+    lens = np.fromiter(map(len, rows), np.intp, len(rows))
+    for k in np.flatnonzero((lens == 0) | (lens > 3)).tolist():
+        if not rows[k] or rows[k][1] is not None:
+            fault = ValueError(f"record {k}: expected 1-3 fields, got {rows[k]!r}")
+            del rows[k:]
+            lens = lens[:k]
+            break
+    short, long = int(lens.min(initial=3)), int(lens.max(initial=0))
+    weight = _column(rows, 2, short, long) if long >= 3 else None
+    return _column(rows, 0, short, long), _column(rows, 1, short, long), weight, fault
 
 
 def _column(records: list, j: int, short: int, long: int) -> list:
@@ -457,19 +443,17 @@ def _column(records: list, j: int, short: int, long: int) -> list:
     return [r[j] if len(r) > j else None for r in records]
 
 
-def _intern(source: list, target: list, weight, index: defaultdict):
+def _intern(source: list, target: list, weight, index: defaultdict, start: int = 0):
     """(ia, ib, w, edge mask) of one chunk of records held as columns (a
     None target: a bare vertex; a None ``weight``: all 1, returned as
-    None), its new labels numbered into ``index``; None, with ``index``
-    as it was, when a record breaks a rule before the array checks,
-    which only the per-record pass can place."""
+    None), its new labels numbered into ``index``, and None. When a
+    record breaks a label or weight rule, the labels are rolled back and
+    the chunk is cut before the first such record (:func:`_first_fault`,
+    records numbered from ``start``): the columns are those of the
+    records before it, and its error comes in place of None."""
     n, before = len(source), len(index)
     edge = np.fromiter(map(is_not, target, repeat(None)), bool, n)
     bare = np.flatnonzero(~edge).tolist()
-    try:
-        w = _weights(weight, edge)
-    except (TypeError, ValueError):  # a weight float() rejects
-        return None
     # endpoints interleaved in record order; a bare record names its vertex twice
     ends = [None] * (2 * n)
     ends[0::2] = source
@@ -477,52 +461,38 @@ def _intern(source: list, target: list, weight, index: defaultdict):
     for i in bare:
         ends[2 * i + 1] = ends[2 * i]
     try:
+        w = _weights(weight, edge)
         ids = np.fromiter(map(index.__getitem__, ends), _ID, 2 * n)
-    except TypeError:  # an unhashable label
+    except (TypeError, ValueError, OverflowError):  # a weight float() rejects, an unhashable label
         ids = None
     new = list(islice(reversed(index), len(index) - before))
-    if ids is None or "" in new or not set(map(type, new)) <= {str}:
+    if ids is None or "" in new or not all(map(isinstance, new, repeat(str))):
         while len(index) > before:
             index.popitem()
-        return None
+        k, fault = _first_fault(source, target, weight, start)
+        cut = None if weight is None else weight[:k]
+        return _intern(source[:k], target[:k], cut, index)[0], fault
     ia, ib = ids[0::2], ids[1::2]
     if bare:
         ia, ib = ia[edge], ib[edge]
-    return ia, ib, w, edge
+    return (ia, ib, w, edge), None
 
 
-def _intern_records(records, seeded: dict[str, int], fault, start: int = 0):
-    """The per-record rules: the columns of the records before the first
-    one that breaks a rule, and that record's exception (else ``fault``).
-    Records are numbered from ``start``."""
-    index = dict(seeded)
-    ends_a, ends_b, weights, record_pos = [], [], [], []
-    try:
-        for pos, rec in enumerate(records, start):
-            rec = tuple(rec)
-            if len(rec) >= 2 and rec[1] is None:
-                rec = rec[:1]
-            if len(rec) == 1:
-                _check_label(rec[0], pos)
-                index.setdefault(rec[0], len(index))
-                continue
-            if len(rec) not in (2, 3):
-                raise ValueError(f"record {pos}: expected 1-3 fields, got {rec!r}")
-            a, b, w = rec if len(rec) == 3 else (*rec, None)
-            _check_label(a, pos)
-            _check_label(b, pos)
-            w = 1.0 if w is None else float(w)
-            ends_a.append(index.setdefault(a, len(index)))
-            ends_b.append(index.setdefault(b, len(index)))
-            weights.append(w)
-            record_pos.append(pos)
-    except Exception as exc:
-        # raised after the array checks, which only see the records
-        # before this one and so take precedence
-        fault = exc
-    cols = (index, np.array(ends_a, dtype=np.int64), np.array(ends_b, dtype=np.int64),
-            np.array(weights, dtype=np.float64), record_pos)
-    return cols, fault
+def _first_fault(source: list, target: list, weight, start: int):
+    """The index in a chunk of the first record that breaks a label or
+    weight rule, checked in record order (its source label, its target
+    label, then an edge's weight), and its error, naming it as record
+    ``start`` + index; (len(source), None) when none does."""
+    for k, (a, b, x) in enumerate(zip(source, target, repeat(None) if weight is None else weight)):
+        try:
+            _check_label(a, start + k)
+            if b is not None:
+                _check_label(b, start + k)
+                if x is not None:
+                    float(x)
+        except (TypeError, ValueError, OverflowError) as exc:
+            return k, exc
+    return len(source), None
 
 
 def _check_label(label, pos: int | None) -> None:

@@ -28,9 +28,10 @@ or non-positive value, unknown or repeated vertex, matrix cell) is a
 mask over the rows of a chunk. The first faulty line decides the error,
 and within a line the checks apply in the order just listed, so
 messages and line numbers are those of a row-by-row reader; every row
-of an edge file is checked before any graph check, and a matrix file's
-row count before any of its rows. Line numbers count CSV records, blank
-rows included.
+of an edge file is checked before any graph check (self-loop, weight,
+duplicate), whose fault names its record's line too, and a matrix
+file's row count before any of its rows. Line numbers count CSV
+records, blank rows included.
 
 Integer labels take a path of their own. When every source and target
 cell of a split edge chunk is a canonical decimal integer (digits only,
@@ -82,15 +83,19 @@ import numpy as np
 from . import __version__
 from .centrality import CentralityReport
 from .errors import (
+    DuplicateEdgeError,
     MalformedRowError,
     MatrixShapeMismatchError,
+    NonPositiveWeightError,
     NonzeroDiagonalError,
+    SelfLoopError,
     UnknownVertexInRelevanceError,
 )
-from .graph import Graph
+from .graph import Graph, build_graph_chunks
 from .relevance import RelevanceFunction, RelevanceVector, matrix_function
 
 __all__ = [
+    "load_edge_graph",
     "load_edge_chunks",
     "load_edge_csv",
     "save_edge_csv",
@@ -384,6 +389,20 @@ def _first(mask: np.ndarray) -> int:
 # --- edges ---
 
 
+def load_edge_graph(path) -> Graph:
+    """The graph of an edge file, its labels interned a chunk at a time
+    by :func:`graph.build_graph_chunks`. A self-loop, weight or duplicate
+    fault names the file and the line of its record, as a row fault does."""
+    skipped = []  # the lines of the rows that are no record (blank rows), ascending
+    try:
+        return build_graph_chunks(_edge_chunks(path, skipped))
+    except (SelfLoopError, NonPositiveWeightError, DuplicateEdgeError) as exc:
+        line = exc.record + 2
+        for blank in skipped:
+            line += blank <= line
+        raise type(exc)(f"{path}:{line}: {exc.detail}") from None
+
+
 def load_edge_chunks(path):
     """The records of an edge file a chunk at a time, as columns (source,
     target, weight), the form :func:`graph.build_graph_chunks` takes: a
@@ -391,6 +410,12 @@ def load_edge_chunks(path):
     The source and target of a chunk of canonical decimal integer labels
     come as int64 arrays of their values (see :func:`_read_chunks`).
     Every row check of a chunk runs before the next chunk is read."""
+    return _edge_chunks(path, [])
+
+
+def _edge_chunks(path, skipped: list[int]):
+    """:func:`load_edge_chunks`, which appends the line of each row that
+    is no record to ``skipped``."""
     check = _header_check(
         path, (["source", "target", "weight"], ["source", "target"]), "source,target[,weight]"
     )
@@ -398,13 +423,14 @@ def load_edge_chunks(path):
     for cols, rows, wide in _read_chunks(
         path, check, lambda row, width: len(row) < width or _blank(row), ints=2
     ):
-        yield _edge_records(path, line, cols, wide)
+        yield _edge_records(path, line, cols, wide, skipped)
         line += rows
 
 
-def _edge_records(path, line: int, cols: list, wide: int | None):
+def _edge_records(path, line: int, cols: list, wide: int | None, skipped: list[int]):
     """The records of the columns of one chunk whose first row is record
-    ``line``, after the row checks."""
+    ``line``, after the row checks; the line of each row that is no
+    record is appended to ``skipped``."""
     src, tgt = cols[0], cols[1]
     end = len(src)
     wtxt = cols[2] if len(cols) == 3 else [""] * end
@@ -434,6 +460,7 @@ def _edge_records(path, line: int, cols: list, wide: int | None):
             weights = [next(w) if x else None for x in weighted.tolist()]
         return src, tgt, weights or None
     # a row without a source is blank; one without a target a bare vertex
+    skipped.extend((line + np.flatnonzero(~has_s)).tolist())
     w = iter(weights)
     weight = [next(w) if x else None for x in compress(weighted.tolist(), has_s)]
     return (list(compress(src, has_s)), [t or None for t in compress(tgt, has_s)],

@@ -92,7 +92,7 @@ def test_top10_prints_what_a_full_sort_printed(values):
 
 def test_degree_request_on_integer_labels_builds_no_label_dict(tmp_path, monkeypatch):
     graphs = []
-    monkeypatch.setattr(cli, "build_graph_chunks",
+    monkeypatch.setattr(io_formats, "build_graph_chunks",
                         lambda chunks: graphs.append(build_graph_chunks(chunks)) or graphs[-1])
     rel = DATA / "ws-lowdiam.relevance.csv"
     # the same file with its last vertex quoted: that chunk is read as strings
@@ -270,6 +270,17 @@ def test_compute_missing_file_is_input_error(tmp_path, capsys):
 def test_compute_malformed_csv_is_input_error(tmp_path):
     edges = put(tmp_path, "g.csv", "source,target\nA,A\n")
     assert main(["compute", edges]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("text, message", [
+    ("source,target\na,b\n\nc,d\nb,a\n", "5: duplicate edge 'b'-'a'"),
+    ("source,target\na,b\nb,b\n", "3: self-loop at 'b'"),
+    ("source,target,weight\na,b,1\n\nb,c,-2\n", "4: weight -2.0 for 'b'-'c'"),
+], ids=["duplicate", "self-loop", "weight"])
+def test_compute_graph_fault_names_file_and_line(tmp_path, capsys, text, message):
+    edges = put(tmp_path, "e.csv", text)
+    assert main(["compute", edges]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {edges}:{message}\n"
 
 
 def test_compute_field_over_the_csv_limit_is_input_error(tmp_path, capsys):

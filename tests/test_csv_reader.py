@@ -9,6 +9,7 @@ read one csv.reader row at a time.
 
 import csv
 import math
+import re
 import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
@@ -20,9 +21,13 @@ from hypothesis import strategies as st
 
 from relcentral import graph, io_formats
 from relcentral.errors import (
+    DuplicateEdgeError,
     MalformedRowError,
     MatrixShapeMismatchError,
+    NonPositiveWeightError,
     NonzeroDiagonalError,
+    RelcentralError,
+    SelfLoopError,
     UnknownVertexInRelevanceError,
 )
 from relcentral.graph import build_graph, build_graph_chunks
@@ -30,6 +35,7 @@ from relcentral.io_formats import (
     _plain_cells,
     load_edge_chunks,
     load_edge_csv,
+    load_edge_graph,
     load_f_matrix_csv,
     load_relevance_csv,
 )
@@ -170,6 +176,20 @@ def graph_outcome(fn):
     return g.labels, *(a.tolist() for a in (*g.edge_endpoints, g.edge_weights))
 
 
+def named_by_line(path, outcome):
+    """``outcome``, a graph_outcome of the records of edge file ``path``,
+    with a self-loop, weight or duplicate fault's ``record k`` named by
+    the file and the line of record k, its k-th row that is not blank."""
+    fault = outcome[0] in (SelfLoopError, NonPositiveWeightError, DuplicateEdgeError)
+    match = fault and re.fullmatch(r"record (\d+): (.*)", outcome[1], re.S)
+    if not match:
+        return outcome
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = [n for n, row in enumerate(csv.reader(fh), start=1)
+                 if n > 1 and any(c.strip() for c in row)]
+    return outcome[0], f"{path}:{lines[int(match[1])]}: {match[2]}"
+
+
 def write(tmp_path, name, text):
     p = tmp_path / name
     with open(p, "w", encoding="utf-8", newline="") as fh:
@@ -250,6 +270,7 @@ def test_edge_reader_matches_csv_reader(tmp_path_factory, text):
     # the graph from the columns is the graph from the records
     want_graph = graph_outcome(lambda: build_graph(_read_with(p, _edge_rows)))
     assert graph_outcome(lambda: build_graph_chunks(load_edge_chunks(p))) == want_graph
+    assert graph_outcome(lambda: load_edge_graph(p)) == named_by_line(p, want_graph)
 
 
 @settings(max_examples=300, deadline=None)
@@ -326,6 +347,16 @@ def test_csv_errors_become_malformed_rows(tmp_path, field_limit, loader, header)
     line_no = header.count("\n") + 2
     assert info.value.line_no == line_no
     assert str(info.value).startswith(f"{p}:{line_no}: field larger than field limit")
+
+
+def test_a_header_over_the_field_limit_is_a_malformed_row_at_line_1(tmp_path, field_limit):
+    # the long header line keeps the first chunk off the split path
+    p = write(tmp_path, "e.csv", f"source,{'t' * 20}\na,b\n")
+    assert _plain_cells(p.read_text()) is None
+    with pytest.raises(MalformedRowError) as info:
+        load_edge_csv(p)
+    assert info.value.line_no == 1
+    assert str(info.value).startswith(f"{p}:1: field larger than field limit")
 
 
 # --- matrix f ---
@@ -409,6 +440,7 @@ def test_edge_reader_matches_csv_reader_in_small_chunks(tmp_path_factory, chars,
     with _chunks_of(chars):
         assert outcome(load_edge_csv, p) == want
         assert graph_outcome(lambda: build_graph_chunks(load_edge_chunks(p))) == want_graph
+        assert graph_outcome(lambda: load_edge_graph(p)) == named_by_line(p, want_graph)
 
 
 @pytest.mark.parametrize("chars", _SMALL)
@@ -470,6 +502,21 @@ def test_a_row_fault_in_a_later_chunk_beats_a_self_loop_in_an_earlier_one(tmp_pa
     with _chunks_of(64), pytest.raises(MalformedRowError) as info:
         build_graph_chunks(load_edge_chunks(p))
     assert str(info.value) == f"{p}:43: missing source vertex"
+
+
+@pytest.mark.parametrize("chars", _SMALL + [io_formats.CHUNK])
+@pytest.mark.parametrize("rows, line, message", [
+    ("a,b\n\nc,d\nb,a\n", 5, "duplicate edge 'b'-'a'"),
+    ("a,b\n \n,\nb,b\n", 5, "self-loop at 'b'"),
+    ('"a",b\n\nc,d,1\n\nc,e,0\n', 6, "weight 0.0 for 'c'-'e'"),
+    ("1,2\n2,3\n3,1\n2,1\n", 5, "duplicate edge '2'-'1'"),
+], ids=["blank", "blank-cells", "quoted", "integer"])
+def test_a_graph_fault_of_an_edge_file_names_its_line(tmp_path, chars, rows, line, message):
+    header = "source,target,weight\n" if ",1\n" in rows else "source,target\n"
+    p = write(tmp_path, "e.csv", header + rows)
+    with _chunks_of(chars), pytest.raises(RelcentralError) as info:
+        load_edge_graph(p)
+    assert str(info.value) == f"{p}:{line}: {message}"
 
 
 def test_a_duplicate_relevance_vertex_across_chunks(tmp_path):
@@ -565,17 +612,14 @@ def test_integer_labels_build_the_graph_of_their_records(tmp_path_factory, chars
 
 
 def string_interner_calls(monkeypatch):
-    """Calls of the interner's string paths: the dict's column pass and
-    the per-record pass."""
-    calls = []
-    for name in ("_intern", "_intern_records"):
-        real = getattr(graph, name)
+    """Calls of the interner's string path, the dict's column pass."""
+    calls, real = [], graph._intern
 
-        def spy(*args, real=real, name=name):
-            calls.append(name)
-            return real(*args)
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
 
-        monkeypatch.setattr(graph, name, spy)
+    monkeypatch.setattr(graph, "_intern", spy)
     return calls
 
 

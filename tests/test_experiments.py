@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -44,6 +45,31 @@ def test_pearson_constant_sentinel_and_clip():
     assert pearson(np.ones(4), np.arange(4.0)) == 0.0
     x = np.array([1.0, 1.0 + 1e-15])
     assert -1.0 <= pearson(x, x) <= 1.0
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e170])
+def test_pearson_of_vectors_whose_centred_squares_leave_float64(scale):
+    # (1e-170)^2 underflows and (1e170)^2 overflows; the scaled vectors do neither
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pearson([0, scale, 2 * scale], [0, 1, 2]) == pytest.approx(1.0, abs=1e-15)
+        assert pearson([0, 1, 2], [0, -scale, -2 * scale]) == pytest.approx(-1.0, abs=1e-15)
+
+
+_normal = st.floats(-1e6, 1e6).filter(lambda v: v == 0.0 or abs(v) > 1e-100)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_normal, _normal), min_size=2, max_size=20))
+def test_pearson_in_the_normal_range_is_the_unscaled_formula(pairs):
+    # the power-of-two scale is exact: where the squares of the centred
+    # vectors are normal floats, every bit of the plain formula stays
+    x, y = np.array(pairs).T
+    if constant_input(x) or constant_input(y):
+        return
+    xc, yc = x - x.mean(), y - y.mean()
+    plain = float(np.clip((xc @ yc) / (np.sqrt(xc @ xc) * np.sqrt(yc @ yc)), -1.0, 1.0))
+    assert pearson(x, y) == plain
 
 
 def test_pearson_length_checks():
@@ -181,7 +207,13 @@ def test_grid_from_json_takes_integral_numbers(tmp_path):
     ({"d": 4.5}, "grid d: expected an integer, got 4.5"),
     ({"rs": ("0.5",)}, "grid r: expected a number, got '0.5'"),
     ({"fs": ("quadratic",)}, "'quadratic' is not a valid Variant"),
-], ids=["fractional-size", "fractional-seed", "bool-size", "fractional-d", "string-r", "unknown-f"])
+    ({"kinds": "regular"}, "grid kinds must be a list, got 'regular'"),
+    ({"metrics": "harmonic"}, "grid metrics must be a list, got 'harmonic'"),
+    ({"fs": "product"}, "grid f must be a list, got 'product'"),
+    ({"sizes": 30}, "grid sizes must be a list, got 30"),
+    ({"rs": 0.5}, "grid r must be a list, got 0.5"),
+], ids=["fractional-size", "fractional-seed", "bool-size", "fractional-d", "string-r", "unknown-f",
+        "string-kinds", "string-metrics", "string-f", "bare-size", "bare-r"])
 def test_grid_built_in_python_is_checked_as_from_json(monkeypatch, over, message):
     monkeypatch.setattr(experiments, "_build_network", lambda *a: pytest.fail("a cell ran"))
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -116,3 +116,9 @@ def test_assign_relevance_deterministic():
     c = assign_relevance(100, 10, 0.5, seed=10)
     np.testing.assert_array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
+
+
+@pytest.mark.parametrize("r", [-0.1, 1.5, float("nan")])
+def test_assign_relevance_refuses_a_fraction_outside_0_1(r):
+    with pytest.raises(ValueError, match=r"relevance fraction r=.* outside \[0, 1\]"):
+        assign_relevance(10, 5, r, seed=0)

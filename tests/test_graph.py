@@ -318,3 +318,26 @@ def test_unhashable_label_goes_to_the_per_record_rules():
 def test_bare_record_with_unparsable_third_field_is_still_bare():
     g = build_graph([("a", "b"), ("c", None, "zz")])
     assert g.labels == ("a", "b", "c") and g.edge_count == 1
+
+
+def test_integer_label_chunk_with_a_weight_float_rejects():
+    # the table cannot take the chunk: its labels go through the string
+    # pass, which places the bad weight after record 0's array checks
+    with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
+        build_graph_chunks([(np.array([0, 1]), np.array([1, 2]), [1.0, "x"])])
+    with pytest.raises(NonPositiveWeightError, match="^record 0: weight -1.0 for '0'-'1'$"):
+        build_graph_chunks([(np.array([0, 1]), np.array([1, 2]), [-1.0, "x"])])
+
+
+def test_a_fault_in_a_later_chunk_is_placed_after_the_records_before_it():
+    # record 3, the second of chunk 2, has an empty label: chunk 2's first
+    # record is numbered and checked, and no chunk after it is taken
+    chunks = [(["a", "b"], ["b", "c"], None), (["d", ""], ["e", "f"], None), (["g"], ["g"], None)]
+    with pytest.raises(ValueError, match="^record 3: vertex label must be a non-empty string"):
+        build_graph_chunks(chunks)
+    chunks[1] = (["c", ""], ["b", "f"], None)
+    with pytest.raises(DuplicateEdgeError, match="^record 2: duplicate edge 'c'-'b'$"):
+        build_graph_chunks(chunks)
+    with pytest.raises(DuplicateEdgeError) as info:
+        build_graph([("a", "b"), ("b", "a")])
+    assert (info.value.record, info.value.detail) == (1, "duplicate edge 'b'-'a'")
