@@ -8,8 +8,9 @@
 #   workers   a graph of many source blocks, unweighted and weighted, gives
 #             the same JSON, CSV and DOT bytes at --workers 1, 2 and 3
 #   quoted    about 100000 rows, many chunks: a quoted label in the last
-#             row sends only the last chunk through csv.reader, the result
-#             bytes do not change, and they are the json module's
+#             row sends only the last chunk through csv.reader; neither it
+#             nor a leading byte-order mark changes the result bytes, and
+#             they are the json module's
 #   intlabels the same rows with integer labels, and a relevance file with
 #             integer vertices: every chunk of both is read as integers from
 #             its bytes, a quoted cell in the last row of either hands only
@@ -83,13 +84,15 @@ EOF
       ;;
     quoted)
       relcentral generate --kind ws --n 20000 --d 10 --p 1 --out-prefix "$tmp/big"
-      mkdir "$tmp/quoted"
+      mkdir "$tmp/quoted" "$tmp/bom"
       cp "$tmp/big.edges.csv" "$tmp/quoted/big.edges.csv"
       sed -i '$ s/^\([^,]*\),/"\1",/' "$tmp/quoted/big.edges.csv"
-      for d in "$tmp" "$tmp/quoted"; do
+      { printf '\357\273\277'; cat "$tmp/big.edges.csv"; } > "$tmp/bom/big.edges.csv"
+      for d in "$tmp" "$tmp/quoted" "$tmp/bom"; do
         relcentral compute "$d/big.edges.csv" --metric degree --out "$d/degree.json"
       done
       cmp "$tmp/degree.json" "$tmp/quoted/degree.json"
+      cmp "$tmp/degree.json" "$tmp/bom/degree.json"
       # the result is written to the file in pieces: its bytes are the json module's
       python - "$tmp/degree.json" <<'EOF'
 import json, sys

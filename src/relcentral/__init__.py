@@ -59,6 +59,29 @@ from .relevance import (
     validate_function,
 )
 
+# the public names of the modules that load on first use; a compute
+# request runs none of them
+_ON_FIRST_USE = {
+    "experiments": (
+        "CorrelationRecord",
+        "ExperimentCell",
+        "ExperimentGrid",
+        "pearson",
+        "run_grid",
+        "spearman",
+        "write_correlation_csv",
+    ),
+    "generators": ("GeneratorConfig", "assign_relevance", "ring_lattice", "watts_strogatz"),
+    "oracle": (
+        "OracleLimits",
+        "all_pairs_shortest_paths",
+        "brute_betweenness",
+        "brute_degree",
+        "brute_harmonic",
+        "brute_shortest_paths",
+    ),
+}
+
 __all__ = [
     "errors",
     "RelcentralError",
@@ -84,23 +107,6 @@ __all__ = [
     "vertex_betweenness",
     "edge_betweenness",
     "betweenness_reports",
-    "GeneratorConfig",
-    "ring_lattice",
-    "watts_strogatz",
-    "assign_relevance",
-    "ExperimentCell",
-    "ExperimentGrid",
-    "CorrelationRecord",
-    "pearson",
-    "spearman",
-    "run_grid",
-    "write_correlation_csv",
-    "OracleLimits",
-    "brute_shortest_paths",
-    "all_pairs_shortest_paths",
-    "brute_degree",
-    "brute_harmonic",
-    "brute_betweenness",
     "load_edge_csv",
     "save_edge_csv",
     "load_relevance_csv",
@@ -110,30 +116,8 @@ __all__ = [
     "build_result_document",
     "write_results_json",
     "export_dot",
+    *(name for names in _ON_FIRST_USE.values() for name in names),
 ]
-
-# the public names of the modules that load on first use; a compute
-# request runs none of them
-_ON_FIRST_USE = {
-    "experiments": (
-        "CorrelationRecord",
-        "ExperimentCell",
-        "ExperimentGrid",
-        "pearson",
-        "run_grid",
-        "spearman",
-        "write_correlation_csv",
-    ),
-    "generators": ("GeneratorConfig", "assign_relevance", "ring_lattice", "watts_strogatz"),
-    "oracle": (
-        "OracleLimits",
-        "all_pairs_shortest_paths",
-        "brute_betweenness",
-        "brute_degree",
-        "brute_harmonic",
-        "brute_shortest_paths",
-    ),
-}
 _HOME = {name: module for module, names in _ON_FIRST_USE.items() for name in (module, *names)}
 
 

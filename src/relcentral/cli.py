@@ -42,7 +42,7 @@ _COMPUTE_ERRORS = (
     ExperimentCellError,
 )
 
-F_CHOICES = "product, mean, source, max, path-sum, path-prod, matrix:<path>"
+F_CHOICES = ", ".join(f"{v.value}:<path>" if v is Variant.MATRIX else v.value for v in Variant)
 
 
 def _parse_f(selector: str, g: Graph) -> RelevanceFunction:
@@ -136,9 +136,9 @@ def cmd_generate(args) -> int:
 
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    cfg = GeneratorConfig(n=args.n, d=args.d, p=args.p, r=args.r, seed=2 * args.seed)
+    cfg = GeneratorConfig(n=args.n, d=args.d, p=args.p, seed=2 * args.seed)
+    R = assign_relevance(args.n, args.d, args.r, 2 * args.seed + 1)  # checks r before any graph
     g = ring_lattice(args.n, args.d) if args.kind == "ring" else watts_strogatz(cfg)
-    R = assign_relevance(args.n, args.d, args.r, 2 * args.seed + 1)
     io_formats.save_edge_csv(g, f"{args.out_prefix}.edges.csv")
     io_formats.save_relevance_csv(R, g, f"{args.out_prefix}.relevance.csv")
     print(f"wrote {args.out_prefix}.edges.csv and {args.out_prefix}.relevance.csv")

@@ -16,7 +16,7 @@ import csv
 import json
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product as iproduct
 
 import numpy as np
@@ -46,14 +46,7 @@ __all__ = [
 
 KINDS = ("regular", "random")
 METRICS = ("betweenness", "harmonic")
-ALL_VARIANTS = (
-    Variant.PRODUCT,
-    Variant.MEAN,
-    Variant.SOURCE_ONLY,
-    Variant.MAX,
-    Variant.PATH_SUM,
-    Variant.PATH_PROD,
-)
+ALL_VARIANTS = tuple(v for v in Variant if v is not Variant.MATRIX)
 
 
 # A vector is constant when max - min <= CONSTANT_ULPS * n * eps * max|x|:
@@ -61,6 +54,12 @@ ALL_VARIANTS = (
 # to about 2 * n * eps relative, so the equal values of a ring lattice pass
 # (9e-13 relative at n = 1000) and a real difference, say 1e-6, does not.
 CONSTANT_ULPS = 4
+
+
+def _scaled(x: np.ndarray) -> np.ndarray:
+    """``x`` times the power of two that puts its largest magnitude in [0.5, 1),
+    so that its sums and squares stay inside float64; exact but for underflow."""
+    return np.ldexp(x, -np.frexp(np.abs(x).max())[1])
 
 
 def constant_input(x) -> bool:
@@ -71,6 +70,7 @@ def constant_input(x) -> bool:
         raise ValueError("correlation input holds a non-finite value")
     if not len(x):
         return False
+    x = _scaled(x)
     spread = float(np.max(x) - np.min(x))
     return spread <= CONSTANT_ULPS * len(x) * np.finfo(np.float64).eps * float(np.max(np.abs(x)))
 
@@ -108,13 +108,10 @@ def pearson(x, y) -> float:
     pair = _paired(x, y)
     if pair is None:
         return 0.0
-    x, y = pair
-    # each centred vector scaled by a power of two to a largest magnitude
-    # in [0.5, 1), so that its squares stay inside float64; the scale is
-    # exact, and so is its square root, so the correlation does not
-    # depend on it
-    xc, yc = (np.ldexp(c, -np.frexp(np.abs(c).max())[1]) for c in (x - x.mean(), y - y.mean()))
-    return float(np.clip((xc @ yc) / (np.sqrt(xc @ xc) * np.sqrt(yc @ yc)), -1.0, 1.0))
+    # scaled before centring, so that no sum leaves float64; one root of
+    # a correctly rounded square gives back its root, so pearson(x, x) is 1
+    xc, yc = (v - v.mean() for v in map(_scaled, pair))
+    return float(np.clip((xc @ yc) / np.sqrt((xc @ xc) * (yc @ yc)), -1.0, 1.0))
 
 
 def spearman(x, y) -> float:
@@ -231,7 +228,7 @@ class ExperimentGrid:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentGrid":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError("grid config must be a JSON object")
@@ -336,10 +333,7 @@ def run_grid(grid: ExperimentGrid, workers: int = 1, progress=None) -> list[Corr
     return records
 
 
-CSV_COLUMNS = (
-    "kind", "n", "p", "r", "f", "metric", "seed",
-    "pearson", "spearman", "pearson_R", "spearman_R", "constant_flag",
-)
+CSV_COLUMNS = tuple(field.name for field in fields(CorrelationRecord))
 
 
 def write_correlation_csv(records: list[CorrelationRecord], path) -> None:

@@ -34,15 +34,12 @@ class GeneratorConfig:
     n: int
     d: int
     p: float = 0.0
-    r: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
         _check_degree(self.n, self.d)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"rewiring probability p={self.p} outside [0, 1]")
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError(f"relevance fraction r={self.r} outside [0, 1]")
 
 
 def _labels(n: int) -> list[str]:

@@ -4,7 +4,8 @@ Edge files carry a ``source,target,weight`` header (weight column
 optional); a row with an empty target declares a bare vertex, which is
 how isolated vertices enter a graph. Relevance files carry
 ``vertex,relevance`` and default every unlisted vertex to 1. All files
-are UTF-8 and floats accept what Python's ``float`` accepts.
+are UTF-8, a leading byte-order mark is skipped, and floats accept what
+Python's ``float`` accepts.
 
 Edge, relevance and matrix files are read a chunk of lines at a time
 (``CHUNK`` characters, cut after the last \\n), by columns, without a
@@ -275,7 +276,7 @@ def _read_chunks(path, check_header, fits, ints: int = 0):
     strings for the integer cells as well. From the first chunk that is
     not so, every chunk comes as strings.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         texts = _texts(fh)
         width, lines = None, 0  # the header's field count; the records read
         for text in texts:

@@ -259,7 +259,36 @@ def test_compute_matrix_without_a_path_is_input_error(tmp_path, capsys):
 def test_compute_unknown_f_selector(tmp_path, capsys):
     edges = put(tmp_path, "g.csv", RING)
     assert main(["compute", edges, "--f", "quadratic"]) == EXIT_INPUT
-    assert "unknown f selector" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: unknown f selector 'quadratic'; pick one of "
+        "product, mean, source, max, path-sum, path-prod, matrix:<path>\n"
+    )
+
+
+_MATRIX = ",A,B,C,D\nA,0,2,3,4\nB,5,0,6,7\nC,8,9,0,1\nD,2,3,4,0\n"
+# edge, relevance and matrix files: split plainly, with a quoted label
+# (csv.reader), and with integer labels (read from the bytes)
+_INPUTS = {
+    "plain": (RING, REL, _MATRIX),
+    "quoted": (RING.replace("A,B", '"A",B'), REL.replace("A,2", '"A",2'),
+               _MATRIX.replace(",A,", ',"A",', 1)),
+    "integer": tuple(text.translate(str.maketrans("ABCD", "1234")) for text in (RING, REL, _MATRIX)),
+}
+
+
+@pytest.mark.parametrize("inputs", list(_INPUTS.values()), ids=list(_INPUTS))
+def test_inputs_with_a_leading_byte_order_mark_give_the_bytes_of_their_copies(tmp_path, inputs):
+    results = []
+    for mark in ("", "\ufeff"):
+        d = tmp_path / ("bom" if mark else "plain")
+        d.mkdir()
+        edges, rel, matrix = (put(d, name, mark + text)
+                              for name, text in zip(("g.csv", "r.csv", "F.csv"), inputs))
+        for f in ("product", f"matrix:{matrix}"):
+            assert main(["compute", edges, "--relevance", rel, "--f", f,
+                         "--out", str(d / "out.json")]) == EXIT_OK
+            results.append((d / "out.json").read_bytes())
+    assert results[:2] == results[2:]
 
 
 def test_compute_missing_file_is_input_error(tmp_path, capsys):
@@ -354,6 +383,15 @@ def test_generate_negative_seed_is_input_error(tmp_path, capsys):
                  "--seed", "-1", "--out-prefix", str(prefix)])
     assert code == EXIT_INPUT
     assert "--seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("kind", ["ring", "ws"])
+def test_generate_fraction_outside_0_1_is_input_error_before_any_file(tmp_path, capsys, kind):
+    code = main(["generate", "--kind", kind, "--n", "10", "--d", "2", "--r", "1.5",
+                 "--out-prefix", str(tmp_path / "x")])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == "error: relevance fraction r=1.5 outside [0, 1]\n"
     assert not list(tmp_path.iterdir())
 
 

@@ -490,6 +490,13 @@ def test_quoted_label_and_crlf_after_the_first_chunk(tmp_path, monkeypatch):
     assert g.labels == build_graph(records).labels
 
 
+@pytest.mark.parametrize("row", ["\ufeffa,b", '"\ufeffa",b'])
+def test_only_a_leading_byte_order_mark_is_skipped(tmp_path, row):
+    # one that opens a later row is a character of its cell, quoted or not
+    p = write(tmp_path, "e.csv", f"\ufeffsource,target\n{row}\n")
+    assert load_edge_csv(p) == [("\ufeffa", "b")]
+
+
 def test_a_csv_error_after_plain_chunks_names_its_line(tmp_path, field_limit):
     p = write(tmp_path, "e.csv", "source,target\n" + _plain_rows(40) + f"a,{'9' * 20}\n")
     with _chunks_of(64), pytest.raises(MalformedRowError) as info:

@@ -56,20 +56,32 @@ def test_pearson_of_vectors_whose_centred_squares_leave_float64(scale):
         assert pearson([0, 1, 2], [0, -scale, -2 * scale]) == pytest.approx(-1.0, abs=1e-15)
 
 
+def test_pearson_and_constant_input_at_the_edges_of_float64():
+    # the sum 2.7e308 and the spread 2e308 leave float64 unless scaled first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pearson([0, 1e308, 1.7e308], [0, 1, 2]) == 0.9948497511671097
+        assert not constant_input([1e308, -1e308])
+        assert pearson([0, 1, 2], [0, 1, 2]) == 1.0
+        assert spearman([1, 2, 3], [1, 2, 3]) == 1.0
+
+
 _normal = st.floats(-1e6, 1e6).filter(lambda v: v == 0.0 or abs(v) > 1e-100)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(_normal, _normal), min_size=2, max_size=20))
-def test_pearson_in_the_normal_range_is_the_unscaled_formula(pairs):
-    # the power-of-two scale is exact: where the squares of the centred
-    # vectors are normal floats, every bit of the plain formula stays
+def test_pearson_is_exact_on_x_and_minus_x_and_near_the_plain_formula(pairs):
+    # one root of the product of the two sums of squares: a vector
+    # correlates with itself as exactly 1; otherwise the result is within
+    # a few ulps of the formula with two roots
     x, y = np.array(pairs).T
     if constant_input(x) or constant_input(y):
         return
+    assert pearson(x, x) == 1.0 and pearson(x, -x) == -1.0
     xc, yc = x - x.mean(), y - y.mean()
     plain = float(np.clip((xc @ yc) / (np.sqrt(xc @ xc) * np.sqrt(yc @ yc)), -1.0, 1.0))
-    assert pearson(x, y) == plain
+    assert pearson(x, y) == pytest.approx(plain, rel=0, abs=4 * np.finfo(np.float64).eps)
 
 
 def test_pearson_length_checks():
@@ -131,6 +143,7 @@ def test_default_grid_enumerates_the_study():
     assert len(cells) == 2 * 2 * 2 * 6 * 2 * 5
     assert cells == sorted(cells, key=lambda c: c.sort_key())
     assert grid.d == 10
+    assert [f.value for f in grid.fs] == ["product", "mean", "source", "max", "path-sum", "path-prod"]
     # regular cells carry p=0, random cells p=1
     ps = {(c.kind, c.p) for c in cells}
     assert ps == {("regular", 0.0), ("random", 1.0)}
@@ -147,6 +160,12 @@ def test_grid_from_json_roundtrip(tmp_path):
     grid = ExperimentGrid.from_json(path)
     assert grid.sizes == (40,) and grid.d == 4
     assert len(grid.cells()) == 1 * 1 * 2 * 2 * 1 * 2
+
+
+def test_grid_from_json_skips_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text("\ufeff" + json.dumps({"sizes": [40], "d": 4}), encoding="utf-8")
+    assert ExperimentGrid.from_json(path) == ExperimentGrid(sizes=(40,), d=4)
 
 
 def test_grid_from_json_rejects_unknown_keys(tmp_path):
@@ -428,8 +447,9 @@ def test_write_correlation_csv(tmp_path):
     out = tmp_path / "corr.csv"
     write_correlation_csv(recs, out)
     lines = out.read_text().splitlines()
-    assert lines[0] == ",".join(CSV_COLUMNS)
-    assert CSV_COLUMNS[-1] == "constant_flag"
+    assert lines[0] == ",".join(CSV_COLUMNS) == (
+        "kind,n,p,r,f,metric,seed,pearson,spearman,pearson_R,spearman_R,constant_flag"
+    )
     assert len(lines) == 1 + len(recs)
     first = lines[1].split(",")
     assert first[:7] == ["random", "24", "1", "0", "path-prod", "betweenness", "0"]

@@ -49,10 +49,14 @@ def test_invalid_degree_rejected(n, d):
 def test_config_validates_probabilities():
     with pytest.raises(ValueError):
         GeneratorConfig(n=10, d=4, p=1.5)
-    with pytest.raises(ValueError):
-        GeneratorConfig(n=10, d=4, r=-0.1)
     with pytest.raises(InvalidDegreeError):
         GeneratorConfig(n=10, d=5)
+
+
+def test_config_has_no_relevance_fraction():
+    # assign_relevance takes r; a graph does not depend on it
+    with pytest.raises(TypeError):
+        GeneratorConfig(n=10, d=4, r=0.5)
 
 
 def test_ws_p_zero_keeps_the_lattice():

@@ -50,6 +50,12 @@ def test_every_public_name_resolves_and_is_listed():
         assert name in listed, name
 
 
+def test_every_public_name_is_listed_once_and_first_use_names_too():
+    assert len(set(relcentral.__all__)) == len(relcentral.__all__)
+    first_use = {name for names in relcentral._ON_FIRST_USE.values() for name in names}
+    assert len(first_use) == 17 and first_use <= set(relcentral.__all__)
+
+
 def test_star_import_binds_every_public_name():
     ns = {}
     exec("from relcentral import *", ns)
