@@ -16,7 +16,8 @@ same bytes.
 The b sources of a block see the graph as flat nodes s*V + x (vertex x
 seen from source s), and one of two front-ends lays their shortest-path
 DAGs out level by level: the reached nodes of each level and the DAG
-arcs, every arc running from a lower to a higher level.
+arcs, every arc running from a lower to a higher level. Both list flat
+nodes' neighbor slots through one expansion (``_expand``).
 
 - Unit weights (``_bfs``): one BFS over the flat nodes; level k holds
   the nodes at distance k, and every arc joins consecutive levels. Each
@@ -40,17 +41,16 @@ arcs, every arc running from a lower to a higher level.
   and the scan for candidate arcs run ``_CHUNK`` slots at a time.
 
 Every recurrence over the DAGs (Brandes 2001; the path variants follow
-Brandes 2008) is then one ``np.bincount`` per level: the path counts and
-the path-variant forward state from the sources down, over the arcs into
-each level, and the backward credit from the deepest level up, over the
-arcs out of each level. Edge credit gathers per CSR slot level by level,
-so no arc-sized array outlives its level. Beyond its DAG a block keeps
-a few arrays over its positions: sigma, each position's vertex, the
-pairwise f values (filled ``_PAIRS`` positions at a time) or the
-forward state, and the backward aggregates; the flat ids are dropped
-once each position's source and vertex are known, and the harmonic
-terms are written a level at a time into one array. numpy only; no
-scipy.
+Brandes 2008) is then one ``np.bincount`` per level. From the sources
+down, over the arcs into each level, run the path counts, then one loop
+that makes the path-variant forward state and the harmonic terms; from
+the deepest level up, over the arcs out of each level, runs the backward
+credit. Edge credit gathers per CSR slot level by level, so no arc-sized
+array outlives its level. Beyond its DAG a block keeps a few arrays over
+its positions: sigma, each position's vertex, the pairwise f values
+(filled ``_PAIRS`` positions at a time) or the forward state, the
+harmonic terms, and the backward aggregates; the flat ids are dropped
+once each position's source and vertex are known. numpy only; no scipy.
 
 A block builds one DAG, on the front-end its weights choose. Its path
 counts are made only for betweenness or path f: pairwise harmonic
@@ -154,9 +154,16 @@ def _firsts(a: np.ndarray) -> np.ndarray:
     return first
 
 
-def _ragged(counts: np.ndarray, starts: np.ndarray):
-    """(owner, slot) over the ranges starts[i] .. starts[i] + counts[i]."""
-    return np.repeat(np.arange(len(counts)), counts), _ranges(counts, starts)
+def _expand(g: Graph, nodes: np.ndarray, x: np.ndarray):
+    """The neighbor slots of the flat ``nodes`` (vertices ``x``): each
+    node's slot count, then, in node order, each slot's CSR slot and the
+    flat node it leads to."""
+    indptr, nbr, _ = g.neighbor_csr
+    cnt = indptr[x + 1] - indptr[x]
+    slot = _ranges(cnt, indptr[x])
+    to = np.repeat(nodes - x, cnt)
+    to += nbr[slot]
+    return cnt, slot, to
 
 
 # --- unit weights: BFS levels ---
@@ -207,11 +214,10 @@ def _top_down(g: Graph, level, pos, nodes, x, depth: int):
     the next level and its arcs, read off the frontier's neighbor slots.
     The new nodes are the kept heads, ascending and each once, found by
     a scan of the block or a sort (``_SCAN``)."""
-    indptr, nbr, _ = g.neighbor_csr
-    tp, slot = _ragged(indptr[x + 1] - indptr[x], indptr[x])
-    head = (nodes - x)[tp] + nbr[slot]
+    cnt, slot, head = _expand(g, nodes, x)
     keep = np.flatnonzero(level[head] < 0)
-    tp, head, slot = tp[keep], head[keep], slot[keep].astype(np.int32)
+    tp = np.repeat(np.arange(len(cnt)), cnt)[keep]
+    head, slot = head[keep], slot[keep].astype(np.int32)
     if _SCAN * len(head) >= len(level):
         level[head] = depth + 1
         new = np.flatnonzero(level == depth + 1)
@@ -226,12 +232,10 @@ def _bottom_up(g: Graph, level, pos, unvisited, depth: int):
     """One step in which every unvisited node looks for parents at
     ``depth``: the next level and its arcs, read off the unvisited
     nodes' neighbor slots."""
-    indptr, nbr, _ = g.neighbor_csr
-    y = unvisited % g.vertex_count
-    hi, slot = _ragged(indptr[y + 1] - indptr[y], indptr[y])
-    tail = (unvisited - y)[hi] + nbr[slot]
+    cnt, slot, tail = _expand(g, unvisited, unvisited % g.vertex_count)
     keep = np.flatnonzero(level[tail] == depth)
-    hi, tail, slot = hi[keep], tail[keep], slot[keep].astype(np.int32)
+    hi = np.repeat(np.arange(len(cnt)), cnt)[keep]
+    tail, slot = tail[keep], slot[keep].astype(np.int32)
     first = _firsts(hi)  # hi ascends: the first arc into each head
     new = unvisited[hi[first]]
     pos[new] = np.arange(len(new))
@@ -259,10 +263,10 @@ def _distances(g: Graph, S: np.ndarray) -> np.ndarray:
     round. The result is the least float sum over the paths
     to a node, as Dijkstra's is, in any order.
     """
-    indptr, nbr, eid = g.neighbor_csr
+    _, nbr, eid = g.neighbor_csr
     w = g.edge_weights[eid]
     n, b = g.vertex_count, len(S)
-    deg, lightest = np.diff(indptr), float(w.min(initial=np.inf))
+    lightest = float(w.min(initial=np.inf))
     step = max(1, _CHUNK * n // max(1, len(nbr)))  # nodes per chunk
     dist = np.full(b * n, np.inf)
     last = np.empty(b * n, dtype=np.int64)  # a node's last place in a list
@@ -275,11 +279,7 @@ def _distances(g: Graph, S: np.ndarray) -> np.ndarray:
         active, improved, d = pending[now], [pending[~now]], d[now]
         for i in range(0, len(active), step):
             nodes = active[i:i + step]
-            x = nodes % n
-            cnt = deg[x]
-            slot = _ranges(cnt, indptr[x])
-            head = np.repeat(nodes - x, cnt)
-            head += nbr[slot]
+            cnt, slot, head = _expand(g, nodes, nodes % n)
             via = np.repeat(d[i:i + step], cnt)
             with np.errstate(over="ignore"):  # an overflowed length is never kept
                 via += w[slot]
@@ -392,34 +392,10 @@ def _path_counts(dag: _Dag):
     return sigma, ex
 
 
-def _path_state(dag: _Dag, variant: Variant, sigma, ex, r, vert) -> np.ndarray:
-    """Per position, over the shortest paths to the node, the sum of
-    their R products (PATH_PROD) or of their R totals (PATH_SUM), scaled
-    as sigma is by ``ex``; ``r`` is R per vertex and ``vert`` the vertex
-    per position."""
-    cut, fwd = dag.cut, np.empty(dag.cut[-1])
-    fwd[:cut[1]] = r[vert[:cut[1]]]
-    # an overflow to inf reaches the reports, which raise SigmaOverflowError
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, (base, t, h) in enumerate(dag.into, 1):
-            lo, hi = cut[k], cut[k + 1]
-            terms = fwd[base:][t]
-            if ex is not None:  # each tail's state at its head's scale
-                terms = np.ldexp(terms, ex[base:][t] - ex[lo:hi][h])
-            into = np.bincount(h, terms, hi - lo)
-            if variant is Variant.PATH_PROD:
-                fwd[lo:hi] = r[vert[lo:hi]] * into
-            else:
-                fwd[lo:hi] = into + sigma[lo:hi] * r[vert[lo:hi]]
-    return fwd
-
-
 def block(g, R, f, S: np.ndarray, harmonic: bool, betweenness: bool):
-    """Harmonic values of the sources S and their betweenness credit.
-
-    The path counts are made only when a recurrence reads them: for
-    betweenness, or for path f.
-    """
+    """Harmonic values of the sources S and their betweenness credit: the
+    DAG, its path counts (only for betweenness or path f, the recurrences
+    that read them), one forward loop and one backward loop."""
     n, b, variant, r = g.vertex_count, len(S), f.variant, R.values
     dag = _by_distance(g, S) if g.weighted else _bfs(g, S)
     sigma = ex = None
@@ -435,18 +411,31 @@ def block(g, R, f, S: np.ndarray, harmonic: bool, betweenness: bool):
         for i in range(0, len(vert), _PAIRS):
             fv[i:i + _PAIRS] = pair_values(f, S[src[i:i + _PAIRS]], vert[i:i + _PAIRS], R)
     else:
-        fwd = _path_state(dag, variant, sigma, ex, r, vert)
-
-    hv = None
-    if harmonic:  # w / d per reached target, a level at a time
-        terms = np.empty(len(vert) - b)
-        for k in range(1, len(cut) - 1):
+        fwd = r[vert]  # R per position, made the path-f state level by level
+    terms = np.empty(len(vert) - b) if harmonic else None
+    # forward, a level at a time: the path-f state (per node, over its
+    # shortest paths, the sum of their R products or R totals, scaled as
+    # sigma; an inf reaches the reports, which raise SigmaOverflowError),
+    # then the harmonic terms w / d
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (base, t, h) in enumerate(dag.into, 1):
             lo, hi = cut[k], cut[k + 1]
-            t = terms[lo - b:hi - b]
-            d = float(k) if dag.dist is None else dag.dist[lo:hi]
-            w = fv[lo:hi] if fwd is None else np.divide(fwd[lo:hi], sigma[lo:hi], out=t)
-            np.divide(w, d, out=t)
-        hv = np.bincount(src[b:], terms, b)
+            if fwd is not None:
+                into = fwd[base:][t]
+                if ex is not None:  # each tail's state at its head's scale
+                    into = np.ldexp(into, ex[base:][t] - ex[lo:hi][h])
+                into = np.bincount(h, into, hi - lo)
+                if variant is Variant.PATH_SUM:
+                    fwd[lo:hi] *= sigma[lo:hi]
+                    fwd[lo:hi] += into
+                else:
+                    fwd[lo:hi] *= into
+            if harmonic:
+                tk = terms[lo - b:hi - b]
+                d = float(k) if dag.dist is None else dag.dist[lo:hi]
+                w = fv[lo:hi] if fwd is None else np.divide(fwd[lo:hi], sigma[lo:hi], out=tk)
+                np.divide(w, d, out=tk)
+    hv = np.bincount(src[b:], terms, b) if harmonic else None
     del src
     if not betweenness:
         return hv, None, None

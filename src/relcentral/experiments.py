@@ -71,8 +71,7 @@ def constant_input(x) -> bool:
     if not len(x):
         return False
     x = _scaled(x)
-    spread = float(np.max(x) - np.min(x))
-    return spread <= CONSTANT_ULPS * len(x) * np.finfo(np.float64).eps * float(np.max(np.abs(x)))
+    return bool(np.ptp(x) <= CONSTANT_ULPS * len(x) * np.finfo(np.float64).eps * np.abs(x).max())
 
 
 def _paired(x, y) -> tuple[np.ndarray, np.ndarray] | None:

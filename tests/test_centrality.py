@@ -992,6 +992,21 @@ def test_shared_sweep_harmonic_matches_harmonic_alone_when_counts_overflow():
     assert np.all(np.isfinite(vrep.values)) and vrep.values.max() > 0
 
 
+@pytest.mark.parametrize("f", PATH_FS, ids=lambda f: f.label)
+def test_block_harmonic_with_scaled_counts_matches_harmonic_alone(monkeypatch, f):
+    # 2^600 paths from the chain's first vertices: both sources scale their
+    # counts, and R near 1 keeps the path products finite
+    g = _diamond_chain(600)
+    R = RelevanceVector(np.random.default_rng(9).uniform(0.99, 1.01, g.vertex_count))
+    calls, S = _spy_on_scaled_counts(monkeypatch), np.array([0, 5])
+    alone = _batched.block(g, R, f, S, True, False)[0]
+    assert _batched.block(g, R, f, S, True, True)[0].tobytes() == alone.tobytes()
+    assert calls == [True, True] and np.all(np.isfinite(alone))
+    # a power-of-two scale is exact: another threshold gives the same bits
+    monkeypatch.setattr(_batched, "SCALE", 256)
+    assert _batched.block(g, R, f, S, True, False)[0].tobytes() == alone.tobytes()
+
+
 def test_pairwise_scalar_engine_immune_to_sigma_overflow():
     # a doubling chain: sigma reaches 2^400, and pairwise f reads ratios of counts
     g = _diamond_chain(400, weight=2.0)

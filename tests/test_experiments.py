@@ -61,7 +61,7 @@ def test_pearson_and_constant_input_at_the_edges_of_float64():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert pearson([0, 1e308, 1.7e308], [0, 1, 2]) == 0.9948497511671097
-        assert not constant_input([1e308, -1e308])
+        assert constant_input([1e308, -1e308]) is False
         assert pearson([0, 1, 2], [0, 1, 2]) == 1.0
         assert spearman([1, 2, 3], [1, 2, 3]) == 1.0
 
@@ -272,6 +272,7 @@ def test_run_grid_record_layout():
     assert rec.kind == "random" and rec.n == 24 and rec.metric == "betweenness"
     assert isinstance(rec.f, str)
     assert -1.0 <= rec.spearman <= 1.0
+    assert all(type(rec.constant_flag) is bool for rec in recs)
 
 
 def test_run_grid_r_zero_reduction():
@@ -459,9 +460,10 @@ def test_write_correlation_csv(tmp_path):
 
 
 def test_constant_input():
-    assert constant_input(np.full(5, 3.3))
-    assert not constant_input(np.arange(5.0))
-    assert not constant_input(np.zeros(0))
+    # a Python bool, as annotated
+    assert constant_input(np.full(5, 3.3)) is True
+    assert constant_input(np.arange(5.0)) is False
+    assert constant_input(np.zeros(0)) is False
 
 
 def test_constant_input_by_relative_spread():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_relevance
+from conftest import ALL_FS, random_matrix_f, random_relevance
 from relcentral import _batched
 from relcentral._batched import BLOCK, _firsts, _ranges, block_size, sweep
 from relcentral.centrality import PATH_METRICS, _reports
@@ -235,9 +235,33 @@ def test_budget_below_one_source_exits_3(tmp_path, monkeypatch, capsys):
     assert main(["compute", edges, "--metric", "degree"]) == 0
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 150), weighted=st.booleans())
+def test_harmonic_bits_do_not_depend_on_the_block_size(seed, n, weighted):
+    # up to 3 vertices have no edge; weights U(0.5, 2) or unit
+    rng = np.random.default_rng(seed)
+    labels = [f"v{i}" for i in range(n)]
+    lone = set(rng.permutation(n)[:int(rng.integers(0, 4))].tolist())
+    pairs = rng.integers(0, n, size=(int(rng.integers(n, 3 * n)), 2))
+    pairs = {(min(a, b), max(a, b)) for a, b in pairs.tolist() if a != b and not {a, b} & lone}
+    records = [(labels[a], labels[b], float(rng.uniform(0.5, 2.0))) if weighted
+               else (labels[a], labels[b]) for a, b in sorted(pairs)]
+    g = build_graph(records, vertices=labels)
+    R = random_relevance(rng, n)
+    for f in ALL_FS + (random_matrix_f(rng, n),):
+        runs = []
+        for b in (1, 7, 64, n):
+            with pytest.MonkeyPatch.context() as mp:
+                # BLOCK = 0: no one-block shortcut, so block_size sets b
+                mp.setattr(_batched, "BLOCK", 0)
+                mp.setattr(_batched, "block_size", lambda g, b=b: b)
+                runs.append(sweep(g, R, f, 1, True, False)[0].tobytes())
+        assert runs == runs[-1:] * 4, f.label
+
+
 # traced peak of the first ring-deep block, in MiB: with int64 slots, f
 # and the harmonic terms over the whole block and the flat ids kept, it
-# was 12.40 (product) and 13.45 (path-prod); it is 9.96 and 10.74 now
+# was 12.40 (product) and 13.45 (path-prod); it is 9.96 and 10.75 now
 @pytest.mark.parametrize("f, bound", [(PRODUCT, 11.2), (PATH_PROD, 12.1)], ids=["product", "path-prod"])
 def test_one_deep_block_holds_its_dag_and_few_block_sized_arrays(f, bound):
     data = Path(__file__).resolve().parent / "data"
