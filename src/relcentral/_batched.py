@@ -95,7 +95,7 @@ BUDGET = 1 << 30  # bytes of DAG arcs for the blocks that run at once
 # candidate slots, not its n - 1 arcs, reaches the peak
 ARC_BYTES = 72
 SCALE = 512  # a path count reaching 2**SCALE is divided by it (_path_counts)
-# two path lengths tie when they differ by at most TIE_TOL * max(1, either)
+# two path lengths tie when they differ by at most TIE_TOL * the larger
 TIE_TOL = 1e-12
 # slots per chunk of the distance front-end: its float64 and int64
 # temporaries take about 64 KiB, below glibc's default mmap threshold
@@ -319,7 +319,7 @@ def _by_distance(g: Graph, S: np.ndarray) -> _Dag:
         raise SigmaOverflowError("a path length plus an edge weight passes the float64 range")
     # candidate slots first, a chunk of sources at a time: d[p] + weight -
     # d[w] within a bound above every tolerance the rule can allow
-    bound = TIE_TOL * max(1.0, top)
+    bound = TIE_TOL * top
     D, rows, found = dist.reshape(b, n), max(1, _CHUNK // max(1, len(nbr))), []
     for i in range(0, b, rows):
         gap = np.repeat(D[i:i + rows], deg, axis=1)
@@ -331,7 +331,7 @@ def _by_distance(g: Graph, S: np.ndarray) -> _Dag:
     tail, head = n * s + np.repeat(np.arange(n), deg)[slot], n * s + nbr[slot]
     dp, dw = dist[tail], dist[head]
     via = dp + w[slot]
-    arc = (dp < dw) & (np.abs(via - dw) <= TIE_TOL * np.maximum(np.maximum(via, dw), 1.0))
+    arc = (dp < dw) & (np.abs(via - dw) <= TIE_TOL * np.maximum(via, dw))
     tail, head, slot = tail[arc], head[arc], slot[arc]
 
     first = _offsets(np.bincount(tail, minlength=b * n))  # a node's first arc out

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -106,7 +107,7 @@ def assign_relevance(n: int, d: float, r: float, seed: int) -> RelevanceVector:
         raise ValueError(f"relevance fraction r={r} outside [0, 1]")
     rng = np.random.default_rng(seed)
     vals = np.ones(n)
-    k = int(r * n)
+    k = int(Fraction(str(float(r))) * n)  # of r as written: int(0.29 * 100) is 28
     if k:
         chosen = rng.choice(n, size=k, replace=False)
         vals[chosen] = 1.0 + rng.uniform(0.0, d, size=k)

@@ -7,15 +7,14 @@ how isolated vertices enter a graph. Relevance files carry
 are UTF-8, a leading byte-order mark is skipped, and floats accept what
 Python's ``float`` accepts.
 
-Edge, relevance and matrix files are read a chunk of lines at a time
-(``CHUNK`` characters, cut after the last \\n), by columns, without a
-list or tuple per row, and no string per cell outlives its chunk: the
-edge reader yields each chunk's records to
-:func:`graph.build_graph_chunks`, which interns its labels as it
-arrives, and the relevance and matrix readers enter each chunk's values
-into their arrays. A chunk that ``csv.reader`` would read as the
-``str.split(",")`` of each line, every line as wide as the header (no
-quote, no NUL, no \\r outside \\r\\n, no line over
+Edge and relevance files are read a chunk of lines at a time (``CHUNK``
+characters, cut after the last \\n), by columns, without a list or
+tuple per row, and no string per cell outlives its chunk: the edge
+reader yields each chunk's records to :func:`graph.build_graph_chunks`,
+which interns its labels as it arrives, and the relevance reader enters
+each chunk's values into its array. A chunk that ``csv.reader`` would
+read as the ``str.split(",")`` of each line, every line as wide as the
+header (no quote, no NUL, no \\r outside \\r\\n, no line over
 ``csv.field_size_limit()``), is split into cells in one pass; column j
 is every width-th cell from j. Lines are split at \\n alone, never at
 the other line breaks of ``str.splitlines``, which csv keeps inside a
@@ -25,13 +24,14 @@ errors are reported as a MalformedRowError at its line. Either way the
 cells are stripped column by column, a pass a split chunk skips when
 its text is ASCII with no whitespace but its line breaks; and each row
 check (field count, missing source, weight without target, unparsable
-or non-positive value, unknown or repeated vertex, matrix cell) is a
-mask over the rows of a chunk. The first faulty line decides the error,
-and within a line the checks apply in the order just listed, so
-messages and line numbers are those of a row-by-row reader; every row
-of an edge file is checked before any graph check (self-loop, weight,
-duplicate), whose fault names its record's line too, and a matrix
-file's row count before any of its rows. Line numbers count CSV
+or non-positive value, unknown or repeated vertex) is a mask over the
+rows of a chunk. The first faulty line decides the error, and within a
+line the checks apply in the order just listed, so messages and line
+numbers are those of a row-by-row reader; every row of an edge file is
+checked before any graph check (self-loop, weight, duplicate), whose
+fault names its record's line too. A matrix file, as wide as it is
+long, is read by ``csv.reader`` a row at a time, each row checked as it
+arrives (see :func:`load_f_matrix_csv`). Line numbers count CSV
 records, blank rows included.
 
 Integer labels take a path of their own. When every source and target
@@ -253,12 +253,13 @@ def _texts(fh):
 
 
 def _read_chunks(path, check_header, fits, ints: int = 0):
-    """Read a CSV file a chunk of lines at a time. Per chunk, yield the
-    stripped cells of its data rows as one column per header field, the
-    number of its rows, and the field count of the row in it that ends
-    the columns (None if none does); the columns stop before that row,
-    and the rows after it are counted only. Rows are numbered across
-    chunks: row i of the file is record i + 2.
+    """Read an edge or relevance file a chunk of lines at a time (a
+    matrix file is read a row at a time). Per chunk, yield the stripped
+    cells of its data rows as one column per header field, the number of
+    its rows, and the field count of the row in it that ends the columns
+    (None if none does); the columns stop before that row, and the rows
+    after it are counted only. Rows are numbered across chunks: row i of
+    the file is record i + 2.
 
     ``check_header`` gets the header (None for an empty file) before any
     data row is read, and raises if it is wrong. Rows shorter than the
@@ -572,87 +573,66 @@ def save_relevance_csv(R: RelevanceVector, g: Graph, path) -> None:
 
 
 def load_f_matrix_csv(path, g: Graph) -> RelevanceFunction:
-    """Dense F table with vertex labels on the header row and first column.
+    """Dense F table with vertex labels on the header row and first column,
+    read by ``csv.reader`` a row at a time, each row checked as it arrives.
 
-    Every row is read before any row is judged: a wrong number of data
-    rows comes first. Then the first faulty row decides the error; within
-    a row the checks apply in the order field count, row label, then
-    each cell in column order (a bad float, a nonzero diagonal or a
-    negative entry).
+    A csv error (a MalformedRowError at its line) comes first, then a
+    wrong number of data rows, then the first faulty row's error. Within
+    a row the checks apply in the order field count, row label, then each
+    cell in column order (a bad float, a nonzero diagonal or a negative
+    entry).
     """
     n = g.vertex_count
-    col_labels: list[str] = []
-
-    def check_header(header: list[str] | None) -> None:
-        nonlocal col_labels
-        if header is None:
-            raise MalformedRowError(path, 1, "empty file, expected a label header")
-        col_labels = [c.strip() for c in header[1:]]
-        if len(col_labels) != n or sorted(col_labels) != sorted(g.labels):
-            raise MatrixShapeMismatchError(
-                f"{path}: column labels do not match the graph's {n} vertices"
-            )
-
-    F = np.zeros((n, n))
-    listed_before = np.zeros(n, dtype=bool)
-    line, fault = 2, None  # the record number of a chunk's first row; the first fault
-    for (labels, *columns), rows, wrong in _read_chunks(
-        path, check_header, lambda row, width: False
-    ):
-        if fault is None:
-            fault = _matrix_rows(path, line, g, col_labels, labels, columns, wrong,
-                                 F, listed_before)
-        line += rows
-    if line - 2 != n:
-        raise MatrixShapeMismatchError(f"{path}: expected {n} data rows, found {line - 2}")
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise MalformedRowError(path, 1, "empty file, expected a label header")
+            col_labels = [c.strip() for c in header[1:]]
+            if len(col_labels) != n or sorted(col_labels) != sorted(g.labels):
+                raise MatrixShapeMismatchError(
+                    f"{path}: column labels do not match the graph's {n} vertices")
+            col = g.indices_of(col_labels)
+            F, listed = np.zeros((n, n)), np.zeros(n, dtype=bool)
+            line, fault = 1, None  # the record number of the last row read; the first fault
+            for line, row in enumerate(reader, start=2):
+                if fault is None:
+                    fault = _matrix_row(path, line, g, col_labels, col, row, F, listed)
+        except csv.Error as exc:
+            raise MalformedRowError(path, reader.line_num, str(exc)) from None
+    if line - 1 != n:
+        raise MatrixShapeMismatchError(f"{path}: expected {n} data rows, found {line - 1}")
     if fault is not None:
         raise fault
     return matrix_function(F)
 
 
-def _matrix_rows(path, line, g, col_labels, labels, columns, wrong, F, listed_before):
-    """Enter the rows of one chunk of a matrix file, whose first row is
-    record ``line``, into ``F``, or return the error of its first faulty
-    row (or of the row that ends its columns, ``wrong`` fields long)."""
-    n, end = g.vertex_count, len(labels)
-    col, row = g.indices_of(col_labels), g.indices_of(labels)
-    unknown = row < 0
-    duplicate = np.ones(end, dtype=bool)
-    duplicate[np.unique(row, return_index=True)[1]] = False
-    duplicate |= listed_before[row] & ~unknown
-    # one float pass over the cells, column by column; then row-major views
-    values, bad = _float_cells(list(chain.from_iterable(columns)))
-    values, bad = values.reshape(n, end).T, bad.reshape(n, end).T
-    diagonal = row[:, None] == col
-    nonzero_diagonal = diagonal & (values != 0.0)
-    negative = ~diagonal & (values < 0.0)
-    faulty = bad | nonzero_diagonal | negative  # a bad cell holds 0.0
-
-    k = _first(unknown | duplicate | faulty.any(axis=1))
-    if k < end:
-        line_no, label = line + k, labels[k]
-        if unknown[k]:
-            return MatrixShapeMismatchError(
-                f"{path}:{line_no}: row label {label!r} is not in the graph"
-            )
-        if duplicate[k]:
-            return MalformedRowError(path, line_no, f"duplicate row label {label!r}")
-        j = _first(faulty[k])
-        val = float(values[k, j])
-        if bad[k, j]:
-            return MalformedRowError(path, line_no, f"bad matrix entry {columns[j][k]!r}")
-        if nonzero_diagonal[k, j]:
-            return NonzeroDiagonalError(
-                f"{path}:{line_no}: diagonal entry F[{label}][{label}] must be 0, got {val:g}"
-            )
-        return MalformedRowError(
-            path, line_no, f"negative entry {val:g} at column {col_labels[j]!r}"
-        )
-    if wrong is not None:
-        return MalformedRowError(path, line + end, f"expected {n + 1} fields, got {wrong}")
-    F[row[:, None], col] = values
-    listed_before[row] = True
-    return None
+def _matrix_row(path, line, g, col_labels, col, row, F, listed):
+    """Enter ``row``, record ``line`` of a matrix file, into ``F``, or return its error."""
+    n = len(col)
+    if len(row) != n + 1:
+        return MalformedRowError(path, line, f"expected {n + 1} fields, got {len(row)}")
+    label, cells = row[0].strip(), list(map(str.strip, row[1:]))
+    if not g.has_vertex(label):
+        return MatrixShapeMismatchError(f"{path}:{line}: row label {label!r} is not in the graph")
+    i = g.index_of(label)
+    if listed[i]:
+        return MalformedRowError(path, line, f"duplicate row label {label!r}")
+    values, bad = _float_cells(cells)  # a bad cell holds 0.0
+    diagonal = col == i
+    j = _first(bad | np.where(diagonal, values != 0.0, values < 0.0))
+    if j == n:
+        F[i, col] = values
+        listed[i] = True
+        return None
+    if bad[j]:
+        return MalformedRowError(path, line, f"bad matrix entry {cells[j]!r}")
+    if diagonal[j]:
+        return NonzeroDiagonalError(
+            f"{path}:{line}: diagonal entry F[{label}][{label}] must be 0, got {values[j]:g}")
+    return MalformedRowError(
+        path, line, f"negative entry {values[j]:g} at column {col_labels[j]!r}")
 
 
 # --- result documents ---

@@ -42,7 +42,7 @@ DEFAULT_LIMITS = OracleLimits()
 
 def distances_tied(d1: float, d2: float) -> bool:
     """True when two path lengths are equal up to relative tolerance."""
-    return abs(d1 - d2) <= TIE_TOL * max(1.0, d1, d2)
+    return abs(d1 - d2) <= TIE_TOL * max(d1, d2)
 
 
 def _as_index(g: Graph, v) -> int:

@@ -462,6 +462,22 @@ WEIGHTED_BEYOND_ORACLE = {
 }
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_the_tie_rule_is_relative_at_every_length_scale(seed):
+    # weights times a power of two scale every path length exactly, so the
+    # same lengths tie: betweenness keeps its bytes and harmonic scales
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, 9, True)
+    R = random_relevance(rng, 9)
+    for f in ALL_FS:
+        h, vb, eb = (r.values for r in _reports(g, R, f, PATH_METRICS).values())
+        for x in (2.0 ** -45, 2.0 ** 45):
+            scaled = build_graph([(a, b, w * x) for a, b, w in g.edge_records()])
+            hx, vbx, ebx = (r.values for r in _reports(scaled, R, f, PATH_METRICS).values())
+            assert vbx.tobytes() == vb.tobytes() and ebx.tobytes() == eb.tobytes(), (f.label, x)
+            assert hx.tobytes() == (h / x).tobytes(), (f.label, x)
+
+
 @pytest.mark.parametrize("name", WEIGHTED_BEYOND_ORACLE)
 def test_weighted_classic_metrics_match_networkx(name):
     nx = pytest.importorskip("networkx")

@@ -109,6 +109,14 @@ def test_assign_relevance_fraction_and_range():
     assert all(1.0 < x < 1.0 + d for x in boosted)
 
 
+@pytest.mark.parametrize("r, n, k", [(0.29, 100, 29), (0.57, 100, 57), (0.1, 1000, 100),
+                                     (0.7, 10, 7)])
+def test_assign_relevance_boosts_the_floor_of_r_times_n(r, n, k):
+    # r * n in float64 is 28.999999999999996 for r=0.29, n=100
+    R = assign_relevance(n, 8, r, seed=3)
+    assert np.count_nonzero(R.values != 1.0) == k
+
+
 def test_assign_relevance_r_one_boosts_everyone():
     R = assign_relevance(64, 5, 1.0, seed=2)
     assert all(1.0 < x < 6.0 for x in R.values)

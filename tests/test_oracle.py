@@ -89,6 +89,7 @@ def test_tie_tolerance_is_relative():
     big = 1e6
     assert distances_tied(big, big * (1 + 1e-13))
     assert not distances_tied(1.0, 1.0 + 1e-9)
+    assert not distances_tied(1e-13, 2e-13)  # relative below 1 too
     assert TIE_TOL == 1e-12
 
 
